@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_from_dict, load_config
-from .engine import (bound_chain_sweep, convergence_study,
+from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, unit_spot_check)
 from .errors import (ArgOutOfRange, BadConfig, ConfigError, NonPositiveLambda,
@@ -160,6 +160,17 @@ def cmd_sample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     return EXIT_OK, summary, ["paths.csv"]
 
 
+def mc_z_scores(values: np.ndarray, mc: OperatorResult) -> np.ndarray:
+    """|values - MC| / SE per point.
+
+    A zero standard error (one path, or a state function the paths never
+    move) gives z = 0 where the values agree exactly and inf otherwise.
+    """
+    diff = np.abs(values - mc.values)
+    return np.divide(diff, mc.stderr, out=np.where(diff == 0.0, 0.0, np.inf),
+                     where=mc.stderr > 0.0)
+
+
 def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     sp = cfg.build_scale()
     h = cfg.build_h(sp)
@@ -184,7 +195,7 @@ def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
                 rows.append(["mc", _fmt(lam.real), _fmt(lam.imag), _fmt(xi[j]),
                              _fmt(mc.values[j].real), _fmt(mc.values[j].imag),
                              _fmt(mc.stderr[j])])
-            z = float(np.max(np.abs(kern.values - mc.values) / mc.stderr))
+            z = float(np.max(mc_z_scores(kern.values, mc)))
             z_max = z if z_max is None else max(z_max, z)
             entry["max_z"] = z
             say.info(f"  lam={lam:g}: sup|K|={entry['sup_abs']:.6g}, "

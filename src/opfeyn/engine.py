@@ -22,18 +22,22 @@ from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
                       FresnelFunctional, LineMeasure, eval_from_projections,
                       kq0_integral, unit_functional)
+from . import kernels
 from .hilbert import CambElement, a_unit_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam,
                       h_abs_log_coeffs, kernel_M, kernel_S, vlh_exponent)
 from .psi import COMPACT, EXPONENTIAL, GAUSSIAN, PsiFn, divergence_witness_psi
 from .quadrature import (adaptive_simpson, phase_breakpoints, quadratic_cut,
                          quadratic_tail_bound)
-from .sampler import RngStream, left_densities, sample_increments
+from .sampler import RngStream, left_densities, projection_law
+# not called here; perfbench/spans.py wraps the sampler at this import site
+from .sampler import sample_increments  # noqa: F401
 from .scale import ScalePair
 
 TRUNC_DROP = 40.0
 TAIL_REL = 1e-10
 EXP_CAP = 700.0
+EXP_BUF = 1 << 16     # complex elements in k_lambda's exponent buffer
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,36 @@ class ConvergenceStudy:
 # Monte Carlo route
 # ---------------------------------------------------------------------------
 
+def _merge_moments(n_a: int, mean_a: np.ndarray, m2_a: np.ndarray,
+                   n_b: int, mean_b: np.ndarray, m2_b: np.ndarray):
+    """Merge (count, mean, sum of squared deviations) of two disjoint samples.
+
+    Chan, Golub & LeVeque (1979).  Sums of |y - mean|^2 stay accurate when
+    the mean is large against the spread, where the one-pass
+    sum(|y|^2) - n |mean|^2 cancels catastrophically.
+    """
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (n_b / n)
+    m2 = m2_a + m2_b + (delta.real ** 2 + delta.imag ** 2) * (n_a * n_b / n)
+    return n, mean, m2
+
+
 def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 lam: float, xi_grid, n_paths: int, rng: RngStream, *,
                 path_grid: int = 1024, batch_size: int = 10000) -> OperatorResult:
     """Monte Carlo estimate of the operator for real lam > 0.
 
-    Paths are drawn in batches keyed by batch index within the stream, so
-    the estimate is reproducible and independent of batch size splits are
-    reduced in index order.  Standard errors combine the real and
-    imaginary component variances.
+    The estimate averages F and psi over the left-point pairings of
+    F.directions() and h with paths on a grid of ``path_grid`` steps.  The
+    pairings are drawn from their exact joint Gaussian law
+    (``projection_law``), so no path is built; the estimator and its
+    discretisation bias are those of the path average.  Batch b draws from
+    ``rng.generator(batch=b)``, so the result is bit-identical for a fixed
+    (seed, stream_id, batch_size) and changes with ``batch_size``.  Each
+    batch is reduced by two-pass sums and the batches are merged in index
+    order.  Standard errors combine the real and imaginary component
+    variances.
     """
     lam = complex(lam)
     if lam.imag != 0.0 or lam.real <= 0.0:
@@ -108,29 +133,28 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     sp = h.sp
     inv_rt = 1.0 / math.sqrt(lam_r)
     xi = np.asarray(xi_grid, dtype=float)
-    dirs = F.directions() + [h]
     t_grid = np.linspace(0.0, sp.T, path_grid + 1)
-    z_left = left_densities(dirs, t_grid)
-    acc = np.zeros(xi.size, dtype=complex)
-    acc_sq = np.zeros(xi.size)
-    done = 0
+    mu, factor = projection_law(sp, left_densities(F.directions() + [h], t_grid))
+    n = 0
+    mean = np.zeros(xi.size, dtype=complex)
+    m2 = np.zeros(xi.size)
     batch = 0
-    while done < n_paths:
-        nb = min(batch_size, n_paths - done)
-        gen = rng.generator(batch=batch)
-        _, dx = sample_increments(sp, path_grid, nb, gen)
-        proj = dx @ z_left
+    while n < n_paths:
+        nb = min(batch_size, n_paths - n)
+        g = rng.generator(batch=batch).standard_normal((nb, mu.size))
+        proj = mu + g @ factor
         f_vals = eval_from_projections(F, inv_rt * proj[:, :-1])
         s = inv_rt * proj[:, -1]
+        mean_b = np.empty(xi.size, dtype=complex)
+        m2_b = np.empty(xi.size)
         for i in range(xi.size):
             y = f_vals * psi(s + xi[i])
-            acc[i] += y.sum()
-            acc_sq[i] += float(np.sum(y.real ** 2 + y.imag ** 2))
-        done += nb
+            mean_b[i] = y.mean()
+            d = y - mean_b[i]
+            m2_b[i] = float(np.sum(d.real ** 2 + d.imag ** 2))
+        n, mean, m2 = _merge_moments(n, mean, m2, nb, mean_b, m2_b)
         batch += 1
-    mean = acc / n_paths
-    var = (acc_sq - n_paths * np.abs(mean) ** 2) / max(n_paths - 1, 1)
-    stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
+    stderr = np.sqrt(m2 / max(n - 1, 1) / n)
     return OperatorResult(
         xi_grid=xi, values=mean, stderr=stderr, route="mc",
         meta={"lambda": lam_r, "n_paths": n_paths, "path_grid": path_grid,
@@ -325,7 +349,11 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     values = np.empty(xi.size, dtype=complex)
     errs = np.empty(xi.size)
     n_eval = 0
-    chunk = max(1, (1 << 21) // max(len(node_weights), 1))
+    # one exponent buffer for every integrand call of this evaluation;
+    # v is blocked so that rows x block fits in it
+    rows = node_weights.size
+    block = max(1, EXP_BUF // max(rows, 1))
+    buf = np.empty(rows * block, dtype=complex)
     for i, x0 in enumerate(xi):
         hq = h_abs_log_coeffs(lam, float(x0), ctx)
         bound = _psi_log_bound(psi, hq)
@@ -333,12 +361,15 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         def f(v, _x0=float(x0)):
             v = np.asarray(v, dtype=float)
             out = np.empty(v.size, dtype=complex)
-            for k in range(0, v.size, chunk):
-                vv = v[k:k + chunk]
-                e = vlh_exponent(lam, _x0, vv, c_arr, w2_arr, ctx)
+            for k in range(0, v.size, block):
+                vv = v[k:k + block]
+                e = buf[:rows * vv.size].reshape(rows, vv.size)
+                # through the module: the traced engine-level name takes
+                # the six-argument form only (perfbench/spans.py)
+                kernels.vlh_exponent(lam, _x0, vv, c_arr, w2_arr, ctx, out=e)
                 if e.size and float(np.max(e.real)) > EXP_CAP:
                     raise KernelOverflow("kernel exponent exceeds float range")
-                out[k:k + chunk] = node_weights @ np.exp(e)
+                out[k:k + block] = node_weights @ np.exp(e, out=e)
             return (out * psi(v))[None, :]
 
         breaks_fn = lambda lo, hi, _x0=float(x0): phase_breakpoints(

@@ -260,18 +260,28 @@ def k_log(q0: float, norm_w: np.ndarray, norm_a) -> np.ndarray:
 
 
 def vlh_exponent(lam: LambdaParam, xi: float, v: np.ndarray,
-                 c: np.ndarray, w2: np.ndarray, ctx: KernelContext) -> np.ndarray:
+                 c: np.ndarray, w2: np.ndarray, ctx: KernelContext,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Combined exponent of V*L*H, shape (n_directions, len(v)).
 
     The quadratic terms of V and L cancel analytically, leaving a linear
     phase in u per direction plus the direction-independent H exponent.
+    With ``out`` (complex, of that shape) the exponent is built in place
+    and ``out`` is returned; the values are the same as without it.
     """
     n2 = ctx.norm_h_sq
     u = np.asarray(v, dtype=float) - xi
     c = np.atleast_1d(np.asarray(c, dtype=float))
     w2 = np.atleast_1d(np.asarray(w2, dtype=float))
     const = (c * c - n2 * w2) / (2.0 * lam.value * n2)
-    phase = 1j * np.outer(c / n2, u)
+    if out is None:
+        phase = 1j * np.outer(c / n2, u)
+    else:
+        np.multiply.outer(1j * (c / n2), u, out=out)
     arg = lam.sqrt * u - ctx.pair_ha
     h_part = -(arg * arg) / (2.0 * n2)
-    return const[:, None] + phase + h_part[None, :]
+    if out is None:
+        return const[:, None] + phase + h_part[None, :]
+    out += const[:, None]
+    out += h_part
+    return out

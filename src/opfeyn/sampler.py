@@ -107,6 +107,26 @@ def pwz_batch(z_left: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return dx @ z_left
 
 
+def projection_law(sp: ScalePair, z_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact joint law of the left-point pairings of directions with a path.
+
+    ``z_left`` is ``left_densities(ws, t_grid)`` on the uniform grid of
+    ``grid_n = z_left.shape[0]`` steps that ``sample_increments`` uses.
+    The pairings dx @ z_left, with dx independent N(da, db) increments,
+    are Gaussian with mean da @ z_left and covariance G = Zs^T Zs,
+    Zs = sqrt(db) z_left.  Returns (mean, factor) with factor^T factor = G,
+    so ``mean + g @ factor`` for standard normal rows g has the law of
+    ``sample_increments(...)[1] @ z_left``.  G is factored by ``eigh`` with
+    clipped eigenvalues, not Cholesky, because it is singular for a zero
+    direction or for parallel directions.
+    """
+    sp.require_valid()
+    _, da, db = _grid_and_increment_moments(sp, z_left.shape[0])
+    zs = np.sqrt(db)[:, None] * z_left
+    w, v = np.linalg.eigh(zs.T @ zs)
+    return da @ z_left, (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+
 def cylinder_expectation(r: Callable, e_list: Sequence[CambElement],
                          gh_n: int = 64) -> float:
     """Expectation of r((e1,x)~, ..., (en,x)~) for orthonormal directions.

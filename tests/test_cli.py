@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
-from opfeyn.cli import main
+from opfeyn import OperatorResult
+from opfeyn.cli import main, mc_z_scores
 
 QUICK = {
     "scale": {"preset": "wiener"},
@@ -158,3 +161,11 @@ def test_out_dir_from_env(tmp_path, monkeypatch):
 
 def test_default_config_works(tmp_path):
     assert run(tmp_path, "validate", "--quiet") == 0
+
+
+def test_mc_z_scores_treat_zero_stderr_explicitly():
+    mc = OperatorResult(xi_grid=np.zeros(4), values=np.array([1, 1, 2, 2j]),
+                        stderr=np.array([0.5, 0.0, 0.0, 0.25]), route="mc",
+                        meta={})
+    z = mc_z_scores(np.array([2, 1, 3, 2j]), mc)
+    assert z.tolist() == [2.0, 0.0, math.inf, 0.0]

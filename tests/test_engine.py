@@ -12,6 +12,7 @@ from opfeyn import (BadConfig, Envelope, NonPositiveLambda, NotAdmissible,
                     in_gamma, j_q, k_lambda, nu_delta_norm, op_norm_bound,
                     sample_interior_lambda, unit_functional, unit_spot_check,
                     wiener_pair)
+from opfeyn.engine import _merge_moments
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -67,6 +68,58 @@ def test_mc_is_deterministic(wiener):
     b = i_lambda_mc(F, h, psi, 1.0, xi, 5000, RngStream(seed=21), path_grid=64)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_mc_draws_are_keyed_by_seed_stream_and_batch_size(drifted):
+    F = gallery("F4", drifted)
+    h = b_element(drifted)
+    psi = gaussian_psi()
+    xi = np.array([-0.5, 0.5])
+
+    def run(batch_size, stream_id=3):
+        return i_lambda_mc(F, h, psi, 1.0, xi, 2500,
+                           RngStream(seed=21, stream_id=stream_id),
+                           path_grid=64, batch_size=batch_size)
+
+    a, b = run(1000), run(1000)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.stderr, b.stderr)
+    # batches are keyed by index, so another batch size draws other normals
+    assert not np.array_equal(a.values, run(700).values)
+    assert not np.array_equal(a.values, run(1000, stream_id=4).values)
+
+
+def test_mc_route_draws_no_paths(drifted, monkeypatch):
+    import opfeyn.engine
+    import opfeyn.sampler
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MC route sampled path increments")
+
+    monkeypatch.setattr(opfeyn.sampler, "sample_increments", refuse)
+    monkeypatch.setattr(opfeyn.engine, "sample_increments", refuse)
+    res = i_lambda_mc(gallery("F3", drifted), b_element(drifted),
+                      gaussian_psi(), 1.0, np.array([0.0]), 500,
+                      RngStream(seed=2), path_grid=64)
+    assert np.all(np.isfinite(res.values)) and res.stderr[0] > 0.0
+
+
+def test_moment_merge_is_stable_far_from_zero():
+    # a mean of 1e8 against a unit spread: the one-pass sum of squares
+    # minus n |mean|^2 loses every digit, the two-pass merge keeps them
+    gen = np.random.default_rng(5)
+    y = (1e8 + 1e8j) + gen.standard_normal(10000) + 1j * gen.standard_normal(10000)
+    n, mean, m2 = 0, np.zeros(1, dtype=complex), np.zeros(1)
+    for part in np.split(y, [1, 2500, 2501, 7000]):
+        mb = part.mean()
+        d = part - mb
+        n, mean, m2 = _merge_moments(n, mean, m2, part.size, np.array([mb]),
+                                     np.array([np.sum(d.real ** 2 + d.imag ** 2)]))
+    assert n == y.size
+    assert abs(mean[0] - y.mean()) <= 1e-15 * abs(y.mean())
+    assert abs(m2[0] / n - np.var(y)) <= 1e-9 * np.var(y)
+    one_pass = (np.sum(y.real ** 2 + y.imag ** 2) - n * abs(y.mean()) ** 2) / n
+    assert abs(one_pass - np.var(y)) > 1e-3 * np.var(y)
 
 
 def test_mc_rejects_bad_lambda(wiener):

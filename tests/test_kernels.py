@@ -113,6 +113,20 @@ def test_vlh_product_identity(drift_ctx):
     assert np.max(np.abs(combined - direct)) < 1e-10 * np.max(np.abs(direct) + 1)
 
 
+@pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
+def test_vlh_exponent_in_place_matches_allocating_form(drift_ctx, lam_value):
+    lam = LambdaParam.from_value(lam_value)
+    gen = np.random.default_rng(3)
+    c, w2 = gen.normal(size=7), gen.uniform(0.5, 2.0, 7)
+    v = np.linspace(-4.0, 4.0, 33)
+    expected = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx)
+    buf = np.full(7 * 40, np.nan, dtype=complex)
+    out = buf[:7 * v.size].reshape(7, v.size)
+    got = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx, out=out)
+    assert got is out
+    assert np.array_equal(got, expected)
+
+
 def test_parallel_direction_exact_branch(drift_ctx):
     stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp).scaled(3.0))
     assert stats.beta == 0.0

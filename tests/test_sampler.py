@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from opfeyn import (GridMismatch, InvalidGrid, NotOrthonormal, RngStream,
-                    a_unit_element, b_element, cylinder_expectation,
-                    monomial_element, pair_with_a, pwz, sample_increments,
-                    sample_path)
-from opfeyn.sampler import left_densities, pwz_batch
+from opfeyn import (EtaGaussian, GridMismatch, InvalidGrid, NotOrthonormal,
+                    RngStream, a_unit_element, b_element, cylinder_expectation,
+                    gallery, monomial_element, pair_with_a, pwz,
+                    sample_increments, sample_path, unit_functional)
+from opfeyn.sampler import left_densities, projection_law, pwz_batch
 
 
 def test_stream_determinism():
@@ -127,3 +127,24 @@ def test_cylinder_dimension_cap(wiener):
     e = b_element(wiener)
     with pytest.raises(ValueError):
         cylinder_expectation(lambda *u: 1.0, [e, e, e, e])
+
+
+@pytest.mark.parametrize("name", ["unit", "F1_w0_is_h", "F4"])
+def test_projection_law_is_the_exact_left_point_law(drifted, name):
+    # unit: zero atom, so G has a zero row; F1 with w0 = h: two parallel
+    # columns, so G is singular; F4: a regular two-direction Gram matrix
+    h = b_element(drifted)
+    F = {"unit": lambda: unit_functional(drifted),
+         "F1_w0_is_h": lambda: gallery("F1", drifted, w0=h,
+                                       eta=EtaGaussian(mean=0.5, var=1.0)),
+         "F4": lambda: gallery("F4", drifted)}[name]()
+    grid_n = 256
+    t = np.linspace(0.0, drifted.T, grid_n + 1)
+    z = left_densities(F.directions() + [h], t)
+    da = np.diff(drifted.a(t))
+    db = np.diff(drifted.b(t))
+    zs = np.sqrt(db)[:, None] * z
+    G = zs.T @ zs
+    mu, factor = projection_law(drifted, z)
+    assert np.max(np.abs(factor.T @ factor - G)) <= 1e-12
+    assert np.array_equal(mu, da @ z)
