@@ -266,22 +266,17 @@ def vlh_exponent(lam: LambdaParam, xi: float, v: np.ndarray,
 
     The quadratic terms of V and L cancel analytically, leaving a linear
     phase in u per direction plus the direction-independent H exponent.
-    With ``out`` (complex, of that shape) the exponent is built in place
-    and ``out`` is returned; the values are the same as without it.
+    The exponent is built in ``out`` (complex, of that shape) when given,
+    else in a new array, and that array is returned.
     """
     n2 = ctx.norm_h_sq
     u = np.asarray(v, dtype=float) - xi
     c = np.atleast_1d(np.asarray(c, dtype=float))
     w2 = np.atleast_1d(np.asarray(w2, dtype=float))
-    const = (c * c - n2 * w2) / (2.0 * lam.value * n2)
     if out is None:
-        phase = 1j * np.outer(c / n2, u)
-    else:
-        np.multiply.outer(1j * (c / n2), u, out=out)
+        out = np.empty((c.size, u.size), dtype=complex)
+    np.multiply.outer(1j * (c / n2), u, out=out)
+    out += ((c * c - n2 * w2) / (2.0 * lam.value * n2))[:, None]
     arg = lam.sqrt * u - ctx.pair_ha
-    h_part = -(arg * arg) / (2.0 * n2)
-    if out is None:
-        return const[:, None] + phase + h_part[None, :]
-    out += const[:, None]
-    out += h_part
+    out += -(arg * arg) / (2.0 * n2)
     return out

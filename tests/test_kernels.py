@@ -114,17 +114,23 @@ def test_vlh_product_identity(drift_ctx):
 
 
 @pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
-def test_vlh_exponent_in_place_matches_allocating_form(drift_ctx, lam_value):
+def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_value):
     lam = LambdaParam.from_value(lam_value)
     gen = np.random.default_rng(3)
     c, w2 = gen.normal(size=7), gen.uniform(0.5, 2.0, 7)
     v = np.linspace(-4.0, 4.0, 33)
-    expected = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx)
+    # the exponent written out term by term
+    n2, u = drift_ctx.norm_h_sq, v - 0.3
+    arg = lam.sqrt * u - drift_ctx.pair_ha
+    expected = ((c * c - n2 * w2) / (2.0 * lam.value * n2))[:, None] \
+        + 1j * np.outer(c / n2, u) - (arg * arg)[None, :] / (2.0 * n2)
+    fresh = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx)
     buf = np.full(7 * 40, np.nan, dtype=complex)
     out = buf[:7 * v.size].reshape(7, v.size)
     got = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx, out=out)
-    assert got is out
-    assert np.array_equal(got, expected)
+    assert got is out and np.shares_memory(got, buf)
+    assert np.array_equal(got, fresh)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_parallel_direction_exact_branch(drift_ctx):

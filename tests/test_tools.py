@@ -4,15 +4,28 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "criterion01_sweep.py"
+HERE = Path(__file__).resolve().parent
+TOOL = HERE.parent / "tools" / "criterion01_sweep.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    spec = importlib.util.spec_from_file_location("criterion01_sweep", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("criterion01_sweep", TOOL)
+
+
+def test_sweep_functionals_are_criterion_01s(sweep, drifted):
+    # the sweep copies criterion 01's gallery; a change there must show here
+    acceptance = _load("acceptance_criteria", HERE / "test_acceptance.py")
+    ours = [(name, F.describe()) for name, F in sweep.functionals(drifted)]
+    assert ours == [(name, F.describe())
+                    for name, F in acceptance._functionals(drifted)]
 
 
 def test_sweep_covers_criterion_01_grid_and_reports_a_rate(sweep, capsys):

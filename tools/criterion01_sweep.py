@@ -24,21 +24,26 @@ import numpy as np
 from opfeyn import (EtaGaussian, RngStream, b_element, drifted_pair, gallery,
                     gaussian_psi, i_lambda_mc, k_lambda, preset_direction,
                     unit_functional)
+from opfeyn.cli import mc_z_scores
 
 Z_RULE = 3.0
 LAMS = (0.5, 1.0, 2.0)
 XI = np.linspace(-2.0, 2.0, 5)
 
 
+def functionals(sp):
+    """Criterion 01's functional gallery (``_functionals`` in its test file)."""
+    return [("F1_gaussian", gallery("F1", sp, w0=b_element(sp),
+                                    eta=EtaGaussian(mean=0.5, var=1.0))),
+            ("F3", gallery("F3", sp)), ("F4", gallery("F4", sp)),
+            ("unit", unit_functional(sp))]
+
+
 def grid(sp):
     """(label, F, h, lam) in criterion 01's order; stream ids count from 1."""
-    fs = [("F1_gaussian", gallery("F1", sp, w0=b_element(sp),
-                                  eta=EtaGaussian(mean=0.5, var=1.0))),
-          ("F3", gallery("F3", sp)), ("F4", gallery("F4", sp)),
-          ("unit", unit_functional(sp))]
     hs = [(name, preset_direction(sp, name)) for name in ("b", "sstar_b_unit")]
     return [(f"{fn}/{hn}/lam={lam}", F, h, lam)
-            for fn, F in fs for hn, h in hs for lam in LAMS]
+            for fn, F in functionals(sp) for hn, h in hs for lam in LAMS]
 
 
 def max_z(cases, kernel, psi, seed: int, n_paths: int) -> float:
@@ -47,7 +52,7 @@ def max_z(cases, kernel, psi, seed: int, n_paths: int) -> float:
     for stream, ((_, F, h, lam), kv) in enumerate(zip(cases, kernel), start=1):
         mc = i_lambda_mc(F, h, psi, lam, XI, n_paths,
                          RngStream(seed, stream_id=stream), path_grid=1024)
-        zmax = max(zmax, float(np.max(np.abs(kv - mc.values) / mc.stderr)))
+        zmax = max(zmax, float(np.max(mc_z_scores(kv, mc))))
     return zmax
 
 
