@@ -122,8 +122,8 @@ class _Printer:
 def cmd_validate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     sp = cfg.build_scale()
     report = sp.validation_report()
-    for line in report.lines():
-        say.line("  " + line)
+    for check, line in zip(report.checks, report.lines()):
+        (say.info if check.passed else say.line)("  " + line)
     h = cfg.build_h(sp)
     F = cfg.build_F(sp)
     psi = cfg.build_psi(sp, h)

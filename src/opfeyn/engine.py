@@ -25,7 +25,8 @@ from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
 from . import kernels
 from .hilbert import CambElement, a_unit_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam,
-                      h_abs_log_coeffs, kernel_M, kernel_S, vlh_exponent)
+                      h_abs_log_coeffs, kernel_M, kernel_S, principal_sqrt,
+                      vl_coeffs, vlh_exponent)
 from .psi import COMPACT, EXPONENTIAL, GAUSSIAN, PsiFn, divergence_witness_psi
 from .quadrature import (adaptive_simpson, phase_breakpoints, quadratic_cut,
                          quadratic_tail_bound)
@@ -292,8 +293,22 @@ def _require_kernel_admissible(lam: LambdaParam, sp: ScalePair, psi: PsiFn,
                 "state function is not integrable against the delta weight")
 
 
-def _measure_family(F: FresnelFunctional, ctx: KernelContext):
-    """Flatten the spectral measure into per-node (coef, c_hw, w2, a_resid)."""
+def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
+    """Flatten the spectral measure into kernel rows.
+
+    Returns (weights, lin, const, quad, amp): row r of the kernel is
+    weights[r] exp(lin[r] u + const[r] + quad u^2) times H(u), and amp
+    bounds the modulus of the rows' sum by exp(Re log H) (the tail
+    amplitude).  Atoms and discrete line measures give one row per node
+    with quad = 0.  A gaussian line measure scale * N(m, var) along w0 is
+    integrated over its coordinate s in closed form, as one row: node s
+    contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 + lin0 u and
+    B = const0, where (lin0, const0) = vl_coeffs of w0 and a0 its
+    residual drift pairing, and the gaussian mean of that is
+    kappa^{-1/2} exp((A m + B m^2 + A^2 var / 2) / kappa), kappa = 1 -
+    2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
+    principal root is the continuous branch, on the boundary too.
+    """
     m = F.measure
     if isinstance(m, AtomicMeasure):
         stats = [DirectionStats.from_elements(ctx, w) for _, w in m.atoms]
@@ -301,23 +316,34 @@ def _measure_family(F: FresnelFunctional, ctx: KernelContext):
         c = np.array([s.c_hw for s in stats])
         w2 = np.array([s.norm_sq for s in stats])
         ar = np.array([s.a_resid for s in stats])
-        return coefs, c, w2, ar
-    s0 = DirectionStats.from_elements(ctx, m.w0)
-    eta = m.eta
-    if isinstance(eta, EtaAtoms):
-        v = np.array([vv for vv, _ in eta.atoms])
-        coefs = np.array([cc for _, cc in eta.atoms], dtype=complex)
-    elif isinstance(eta, EtaGaussian):
-        s_nodes, s_weights = np.polynomial.hermite.hermgauss(64)
-        v = eta.mean + math.sqrt(2.0 * eta.var) * s_nodes
-        coefs = eta.scale * s_weights / math.sqrt(math.pi)
-    elif isinstance(eta, EtaDensity):
-        nodes, wts, rho = eta._nodes()
-        v = nodes
-        coefs = wts * rho
     else:
-        raise BadConfig(f"unsupported line measure {type(eta).__name__}")
-    return coefs, v * s0.c_hw, v * v * s0.norm_sq, v * s0.a_resid
+        s0 = DirectionStats.from_elements(ctx, m.w0)
+        eta = m.eta
+        if isinstance(eta, EtaGaussian):
+            lin0, b = vl_coeffs(lam, s0.c_hw, s0.norm_sq, ctx)
+            alpha = 1j * lam.inv_sqrt * s0.a_resid
+            mean, var = eta.mean, eta.var
+            kappa = 1.0 - 2.0 * b * var
+            weight = eta.scale / principal_sqrt(kappa)
+            lin = lin0 * (mean + alpha * var) / kappa
+            const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
+            quad = 0.5 * lin0 * lin0 * var / kappa
+            r = -lam.inv_sqrt.imag * s0.a_resid
+            amp = abs(eta.scale) * math.exp(r * mean + 0.5 * r * r * var)
+            return (np.array([weight]), np.array([lin]), np.array([const]),
+                    quad, amp)
+        if isinstance(eta, EtaAtoms):
+            v = np.array([vv for vv, _ in eta.atoms])
+            coefs = np.array([cc for _, cc in eta.atoms], dtype=complex)
+        elif isinstance(eta, EtaDensity):
+            v, wts, rho = eta._nodes()
+            coefs = wts * rho
+        else:
+            raise BadConfig(f"unsupported line measure {type(eta).__name__}")
+        c, w2, ar = v * s0.c_hw, v * v * s0.norm_sq, v * s0.a_resid
+    weights = coefs * np.exp(1j * lam.inv_sqrt * ar)
+    lin, const = vl_coeffs(lam, c, w2, ctx)
+    return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
@@ -339,9 +365,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     if not kq0.member:
         raise NotInFq0("spectral measure fails the exponential-moment condition")
     ctx = KernelContext.from_direction(h)
-    coefs, c_arr, w2_arr, ar_arr = _measure_family(F, ctx)
-    node_weights = coefs * np.exp(1j * lam.inv_sqrt * ar_arr)
-    amp = float(np.sum(np.abs(node_weights)))
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
     m_factor = kernel_M(lam, ctx)
     n2 = ctx.norm_h_sq
     phase_rate = abs(lam.value.imag) / (2.0 * n2)
@@ -351,7 +375,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     n_eval = 0
     # one exponent buffer for every integrand call of this evaluation;
     # v is blocked so that rows x block fits in it
-    rows = node_weights.size
+    rows = weights.size
     block = max(1, EXP_BUF // max(rows, 1))
     buf = np.empty(rows * block, dtype=complex)
     for i, x0 in enumerate(xi):
@@ -366,10 +390,11 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 e = buf[:rows * vv.size].reshape(rows, vv.size)
                 # through the module: the traced engine-level name takes
                 # the six-argument form only (perfbench/spans.py)
-                kernels.vlh_exponent(lam, _x0, vv, c_arr, w2_arr, ctx, out=e)
+                kernels.vlh_exponent(lam, _x0, vv, lin, const, ctx, out=e,
+                                     quad=quad)
                 if e.size and float(np.max(e.real)) > EXP_CAP:
                     raise KernelOverflow("kernel exponent exceeds float range")
-                out[k:k + block] = node_weights @ np.exp(e, out=e)
+                out[k:k + block] = weights @ np.exp(e, out=e)
             return (out * psi(v))[None, :]
 
         breaks_fn = lambda lo, hi, _x0=float(x0): phase_breakpoints(
@@ -553,6 +578,19 @@ def sample_interior_lambda(n: int, q0: float,
     return out
 
 
+def _cubic_gram(sp: ScalePair) -> tuple[np.ndarray, np.ndarray]:
+    """Inner products of the cubic densities 1, t, t^2, t^3 on the scale grid.
+
+    Returns the 4x4 Gram matrix under the b'-weighted inner product and
+    the four drift pairings, so a direction with density g @ (1, t, t^2,
+    t^3) has squared norm g G g^T and drift pairing g @ pair_a.
+    """
+    t = sp.t_nodes
+    basis = np.vstack([np.ones_like(t), t, t * t, t ** 3])
+    sw = sp.weights
+    return (basis * (sp.bprime_nodes * sw)) @ basis.T, basis @ (sp.aprime_nodes * sw)
+
+
 def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
                       q0: float = 0.5, seed: int = 0,
                       slack: float = 1e-12) -> BoundSweepResult:
@@ -566,28 +604,23 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     from .kernels import a_abs_log, h_abs_log, k_log, s_log, vl_abs_log
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(977,))))
-    t = sp.t_nodes
-    basis = np.vstack([np.ones_like(t), t, t * t, t ** 3])
-    sw = sp.weights
-    bp = sp.bprime_nodes
+    gram, pair_a = _cubic_gram(sp)
     ap = sp.aprime_nodes
-    norm_a = math.sqrt(float(np.dot(sw, ap * ap / bp)))
-
-    def draw_dirs(n):
-        z = gen.standard_normal((n, 4)) @ basis
-        n2 = (z * z * bp) @ sw
-        pa = (z * ap) @ sw
-        return z, n2, pa
-
-    zh, n2h, pah = draw_dirs(n_tuples)
-    zw, n2w, paw = draw_dirs(n_tuples)
+    norm_a = math.sqrt(float(np.dot(sp.weights, ap * ap / sp.bprime_nodes)))
+    gh = gen.standard_normal((n_tuples, 4))
+    gw = gen.standard_normal((n_tuples, 4))
+    gh_gram = gh @ gram
+    n2h = np.sum(gh_gram * gh, axis=1)
     # avoid degenerate base directions
     small = n2h < 1e-6
     if small.any():
-        zh[small, 0] += 1.0
-        n2h = (zh * zh * bp) @ sw
-        pah = (zh * ap) @ sw
-    c = (zh * zw * bp) @ sw
+        gh[small, 0] += 1.0
+        gh_gram = gh @ gram
+        n2h = np.sum(gh_gram * gh, axis=1)
+    pah = gh @ pair_a
+    n2w = np.sum((gw @ gram) * gw, axis=1)
+    paw = gw @ pair_a
+    c = np.sum(gh_gram * gw, axis=1)
     lam = sample_interior_lambda(n_tuples, q0, gen)
     u = gen.uniform(-5.0, 5.0, n_tuples)
     proj = c / np.sqrt(n2h)
@@ -626,7 +659,6 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     beta = complex(beta)
     if alpha.real <= 0.0:
         raise BadConfig("gaussian identity needs Re(alpha) > 0")
-    from .kernels import principal_sqrt
     closed = principal_sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
     # |integrand| = exp(-Re(alpha) v^2 + Re(beta) v)
     lo, hi = quadratic_cut(-alpha.real, beta.real, 0.0, TRUNC_DROP)

@@ -259,24 +259,37 @@ def k_log(q0: float, norm_w: np.ndarray, norm_a) -> np.ndarray:
     return np.asarray(norm_w) * np.asarray(norm_a) / math.sqrt(2.0 * q0)
 
 
-def vlh_exponent(lam: LambdaParam, xi: float, v: np.ndarray,
-                 c: np.ndarray, w2: np.ndarray, ctx: KernelContext,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Combined exponent of V*L*H, shape (n_directions, len(v)).
+def vl_coeffs(lam: LambdaParam, c, w2, ctx: KernelContext):
+    """Coefficients (lin, const) of log(V*L) = lin * u + const per direction.
 
-    The quadratic terms of V and L cancel analytically, leaving a linear
-    phase in u per direction plus the direction-independent H exponent.
-    The exponent is built in ``out`` (complex, of that shape) when given,
+    The quadratic terms of V and L cancel analytically, leaving the phase
+    lin = i (h,w) / ||h||^2 and const = ((h,w)^2 - ||h||^2 ||w||^2) /
+    (2 lam ||h||^2), whose real part is <= 0 by Cauchy-Schwarz.
+    """
+    n2 = ctx.norm_h_sq
+    c = np.asarray(c, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    return 1j * (c / n2), (c * c - n2 * w2) / (2.0 * lam.value * n2)
+
+
+def vlh_exponent(lam: LambdaParam, xi: float, v: np.ndarray,
+                 lin: np.ndarray, const: np.ndarray, ctx: KernelContext,
+                 out: np.ndarray | None = None, quad: complex = 0.0) -> np.ndarray:
+    """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi.
+
+    One row r per spectral row, shape (len(lin), len(v)).  ``lin`` and
+    ``const`` are ``vl_coeffs`` for a direction; an integrated gaussian
+    line family also carries the shared u^2 coefficient ``quad``.  The
+    exponent is built in ``out`` (complex, of that shape) when given,
     else in a new array, and that array is returned.
     """
     n2 = ctx.norm_h_sq
     u = np.asarray(v, dtype=float) - xi
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    w2 = np.atleast_1d(np.asarray(w2, dtype=float))
+    lin = np.atleast_1d(lin)
     if out is None:
-        out = np.empty((c.size, u.size), dtype=complex)
-    np.multiply.outer(1j * (c / n2), u, out=out)
-    out += ((c * c - n2 * w2) / (2.0 * lam.value * n2))[:, None]
+        out = np.empty((lin.size, u.size), dtype=complex)
+    np.multiply.outer(lin, u, out=out)
+    out += np.atleast_1d(const)[:, None]
     arg = lam.sqrt * u - ctx.pair_ha
-    out += -(arg * arg) / (2.0 * n2)
+    out += quad * (u * u) - (arg * arg) / (2.0 * n2)
     return out

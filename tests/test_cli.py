@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from opfeyn import OperatorResult
 from opfeyn.cli import main, mc_z_scores
+from opfeyn.scale import ScalePair, ValidationReport
 
 QUICK = {
     "scale": {"preset": "wiener"},
@@ -169,3 +171,24 @@ def test_mc_z_scores_treat_zero_stderr_explicitly():
                         meta={})
     z = mc_z_scores(np.array([2, 1, 3, 2j]), mc)
     assert z.tolist() == [2.0, 0.0, math.inf, 0.0]
+
+
+def test_quiet_validate_prints_only_failed_checks_and_status(tmp_path, capsys,
+                                                            monkeypatch):
+    cfg = write_config(tmp_path)
+    assert run(tmp_path, "validate", "--config", cfg, "--quiet") == 0
+    assert capsys.readouterr().out.splitlines() == ["validate: PASS"]
+    # one check reported as failed must still print under --quiet
+    real = ScalePair.validation_report
+
+    def first_failed(self):
+        checks = real(self).checks
+        return ValidationReport(
+            checks=(dataclasses.replace(checks[0], passed=False),) + checks[1:])
+
+    monkeypatch.setattr(ScalePair, "validation_report", first_failed)
+    code = run(tmp_path, "validate", "--config", cfg, "--quiet")
+    out = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert len(out) == 2 and out[0].startswith("  FAIL  origin_a")
+    assert out[1] == "validate: FAIL"

@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (BadConfig, Envelope, NonPositiveLambda, NotAdmissible,
+from opfeyn import (BadConfig, DirectionStats, Envelope, EtaDensity, EtaGaussian,
+                    KernelContext, LambdaParam, NonPositiveLambda, NotAdmissible,
                     PsiFn, PsiNotIntegrable, RngStream, SequenceLeavesRegion,
                     b_element, bound_chain_sweep, convergence_study,
                     divergence_witness_partial, drifted_pair, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
                     in_gamma, j_q, k_lambda, nu_delta_norm, op_norm_bound,
-                    sample_interior_lambda, unit_functional, unit_spot_check,
-                    wiener_pair)
-from opfeyn.engine import _merge_moments
+                    s_star, sample_interior_lambda, unit_functional,
+                    unit_spot_check, wiener_pair)
+from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -312,3 +314,106 @@ def test_sample_interior_lambda_stays_inside():
     lams = sample_interior_lambda(50, 0.5, gen)
     assert all(l.real > 0 for l in lams)
     assert all(in_gamma(l, 0.5) for l in lams)
+
+
+def test_bound_sweep_gram_matches_node_sums(drifted):
+    gram, pair_a = _cubic_gram(drifted)
+    t, sw = drifted.t_nodes, drifted.weights
+    g = np.random.default_rng(5).standard_normal((6, 4))
+    z = g @ np.vstack([np.ones_like(t), t, t * t, t ** 3])
+    inner = (z[:, None, :] * z[None, :, :] * drifted.bprime_nodes) @ sw
+    norms = np.sqrt(np.diag(inner))
+    assert np.max(np.abs(g @ gram @ g.T - inner)
+                  / np.outer(norms, norms)) < 1e-12
+    pair = (z * drifted.aprime_nodes) @ sw
+    assert np.max(np.abs(g @ pair_a - pair)) < 1e-12 * np.max(np.abs(pair))
+
+
+def test_bound_sweep_memory_does_not_grow_with_the_grid(drifted):
+    tracemalloc.start()
+    try:
+        bound_chain_sweep(drifted, 10000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def _gaussian_lines(sp):
+    """(label, functional, base direction); w0 = h gives a_resid = 0."""
+    h = b_element(sp)
+    eta = EtaGaussian(mean=0.5, var=1.0, scale=1.2 - 0.3j)
+    # off-centre, with a_resid != 0: the row's sup exceeds |scale| at 1.3j
+    off = EtaGaussian(mean=1.0, var=1.0, scale=1.2 - 0.3j)
+    return [("F1_w0_h", gallery("F1", sp, w0=h, eta=eta), h),
+            ("F3", gallery("F3", sp), h),
+            ("F1_sstar_b", gallery("F1", sp, w0=s_star(h), eta=off), h)]
+
+
+def _analytic_row(F, lam, h):
+    ctx = KernelContext.from_direction(h)
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
+    assert weights.size == 1
+
+    def row(u):
+        return weights[0] * np.exp(lin[0] * u + const[0] + quad * u * u)
+
+    return ctx, row, amp
+
+
+ROW_LAMBDAS = (1.0, 0.8 + 0.6j, 0.3 - 1.2j, -1.1j, 1.3j)
+
+
+@pytest.mark.parametrize("lam_value", ROW_LAMBDAS)
+def test_gaussian_row_matches_inline_hermite_rows(drifted, lam_value):
+    lam = LambdaParam.from_value(lam_value)
+    u = np.linspace(-3.0, 3.0, 61)
+    for _, F, h in _gaussian_lines(drifted):
+        ctx, row, _ = _analytic_row(F, lam, h)
+        eta, st = F.measure.eta, DirectionStats.from_elements(ctx, F.measure.w0)
+        x, w = np.polynomial.hermite.hermgauss(64)
+        s = eta.mean + math.sqrt(2.0 * eta.var) * x
+        n2 = ctx.norm_h_sq
+        coef = (eta.scale * w / math.sqrt(math.pi)
+                * np.exp(1j * lam.inv_sqrt * s * st.a_resid))
+        vl = (1j * np.outer(s * st.c_hw / n2, u)
+              + ((s * st.c_hw) ** 2 - n2 * s * s * st.norm_sq)[:, None]
+              / (2.0 * lam.value * n2))
+        hermite = coef @ np.exp(vl)
+        assert np.max(np.abs(hermite - row(u))) < 1e-12 * max(
+            1.0, np.max(np.abs(hermite)))
+
+
+@pytest.mark.parametrize("lam_value", ROW_LAMBDAS)
+def test_gaussian_row_amp_bounds_the_row(drifted, lam_value):
+    lam = LambdaParam.from_value(lam_value)
+    u = np.linspace(-30.0, 30.0, 2001)
+    for _, F, h in _gaussian_lines(drifted):
+        _, row, amp = _analytic_row(F, lam, h)
+        assert np.max(np.abs(row(u))) <= amp * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("lam_value", (1.0, 0.8 + 0.6j, -1.1j))
+def test_gaussian_row_matches_the_density_of_the_same_eta(drifted, lam_value):
+    # the same gaussian given as an EtaDensity: its pdf on mean +- 12 sd,
+    # integrated by the discrete node rows
+    psi = gaussian_psi()
+    xi = np.array([0.7])
+    for label, F, h in _gaussian_lines(drifted):
+        eta = F.measure.eta
+        sd = math.sqrt(eta.var)
+
+        def pdf(v, eta=eta, sd=sd):
+            return (eta.scale * np.exp(-0.5 * ((v - eta.mean) / sd) ** 2)
+                    / (sd * math.sqrt(2.0 * math.pi)))
+
+        density = EtaDensity(fn=pdf, radius=abs(eta.mean) + 12.0 * sd,
+                             n_panels=1024)
+        G = gallery("F1", drifted, w0=F.measure.w0, eta=density)
+        if lam_value.real == 0.0:
+            a = j_q(F, h, psi, -lam_value.imag, xi, delta=0.5).values
+            b = j_q(G, h, psi, -lam_value.imag, xi, delta=0.5).values
+        else:
+            a = k_lambda(F, h, psi, lam_value, xi).values
+            b = k_lambda(G, h, psi, lam_value, xi).values
+        assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b)), label

@@ -11,7 +11,7 @@ from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
                     kernel_S, kernel_V, monomial_element, principal_sqrt,
                     s_star, wiener_pair, zero_element)
 from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
-                            s_log, vl_abs_log, vlh_exponent)
+                            s_log, vl_abs_log, vl_coeffs, vlh_exponent)
 
 interior_lam = st.builds(
     complex,
@@ -105,8 +105,9 @@ def test_vlh_product_identity(drift_ctx):
     lam = LambdaParam.from_value(0.4 - 0.9j)
     xi = 0.7
     v = np.array([-1.3, 0.0, 0.8, 2.2])
-    combined = np.exp(vlh_exponent(lam, xi, v, np.array([stats.c_hw]),
-                                   np.array([stats.norm_sq]), drift_ctx))[0]
+    lin, const = vl_coeffs(lam, np.array([stats.c_hw]),
+                           np.array([stats.norm_sq]), drift_ctx)
+    combined = np.exp(vlh_exponent(lam, xi, v, lin, const, drift_ctx))[0]
     direct = np.array([kernel_V(lam, xi, vv, stats, drift_ctx)
                        * kernel_L(lam, xi, vv, drift_ctx)
                        * kernel_H(lam, xi, vv, drift_ctx) for vv in v])
@@ -118,16 +119,19 @@ def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_valu
     lam = LambdaParam.from_value(lam_value)
     gen = np.random.default_rng(3)
     c, w2 = gen.normal(size=7), gen.uniform(0.5, 2.0, 7)
+    quad = -0.3 + 0.2j
     v = np.linspace(-4.0, 4.0, 33)
     # the exponent written out term by term
     n2, u = drift_ctx.norm_h_sq, v - 0.3
     arg = lam.sqrt * u - drift_ctx.pair_ha
     expected = ((c * c - n2 * w2) / (2.0 * lam.value * n2))[:, None] \
-        + 1j * np.outer(c / n2, u) - (arg * arg)[None, :] / (2.0 * n2)
-    fresh = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx)
+        + 1j * np.outer(c / n2, u) + quad * u * u \
+        - (arg * arg)[None, :] / (2.0 * n2)
+    lin, const = vl_coeffs(lam, c, w2, drift_ctx)
+    fresh = vlh_exponent(lam, 0.3, v, lin, const, drift_ctx, quad=quad)
     buf = np.full(7 * 40, np.nan, dtype=complex)
     out = buf[:7 * v.size].reshape(7, v.size)
-    got = vlh_exponent(lam, 0.3, v, c, w2, drift_ctx, out=out)
+    got = vlh_exponent(lam, 0.3, v, lin, const, drift_ctx, out=out, quad=quad)
     assert got is out and np.shares_memory(got, buf)
     assert np.array_equal(got, fresh)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))

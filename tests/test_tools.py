@@ -36,3 +36,26 @@ def test_sweep_covers_criterion_01_grid_and_reports_a_rate(sweep, capsys):
     assert 0.0 <= summary["false_alarm_rate"] <= 1.0
     assert summary["alarms"] == sum(
         float(line.split("= ")[1]) > 3.0 for line in out if line.startswith("seed "))
+
+
+def test_report_diff_reports_identical_files_and_per_column_differences(
+        tmp_path, capsys):
+    diff = _load("report_diff", HERE.parent / "tools" / "report_diff.py")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for d in (a, b):
+        (d / "paths.csv").write_text("t,path_0\n0.0,0.0\n1.0,0.5\n")
+    (a / "evaluate.csv").write_text(
+        "route,xi,re,stderr\nkernel,0.0,1.0,\nmc,0.0,1.0,0.1\n")
+    (b / "evaluate.csv").write_text(
+        "route,xi,re,stderr\nkernel,0.0,1.5,\nmc,0.0,1.0,0.1\n")
+    assert diff.main([str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "evaluate.csv: identical", "paths.csv: identical"]
+    assert diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "evaluate.csv:",
+        "  route=kernel re: max abs 0.5, max rel 0.333",
+        "  route=mc identical",
+        "paths.csv: identical"]
