@@ -8,7 +8,7 @@ and checks every magnitude bound, admissibility region, and divergence
 witness that the closed form comes with.
 """
 
-from .errors import (ArgOutOfRange, BadConfig, ConfigError, GridMismatch,
+from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
                      InvalidGrid, KernelOverflow, MeasureUnderflow,
                      MismatchedScalePair, NonPositiveLambda,
                      NonPositiveVariance, NonzeroOrigin, NotAdmissible,
@@ -18,22 +18,19 @@ from .errors import (ArgOutOfRange, BadConfig, ConfigError, GridMismatch,
                      ZeroLambda)
 from .scale import (ScalePair, ValidationReport, drifted_pair, preset_scale,
                     quad, total_variation_a, validate, wiener_pair)
-from .hilbert import (CambElement, GramSchmidtPair, a_element, a_unit_element,
-                      b_element, combine, d_inv, d_op, from_density,
-                      gram_schmidt_pair, inner, monomial_element, pair_with_a,
-                      preset_direction, s_star, zero_element)
-from .sampler import (GbmpPath, RngStream, cylinder_expectation, pwz,
-                      sample_increments, sample_path)
+from .hilbert import (CambElement, a_element, a_unit_element, b_element,
+                      combine, from_density, inner, monomial_element,
+                      pair_with_a, preset_direction, s_star, zero_element)
+from .sampler import RngStream, cylinder_expectation, sample_increments
 from .psi import (Envelope, PsiFn, bump_psi, divergence_witness_psi,
                   envelope_margin, gaussian_psi, preset_psi,
                   shifted_gaussian_psi)
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
                       FresnelFunctional, Kq0Result, LineMeasure, convolve,
-                      eval_F, eval_from_projections, gallery, kq0_integral,
-                      total_norm, unit_functional)
-from .kernels import (DirectionStats, KernelContext, LambdaParam, in_gamma,
-                      kernel_A, kernel_H, kernel_H_expanded, kernel_L,
-                      kernel_M, kernel_S, kernel_V, kernel_k, principal_sqrt)
+                      eval_from_projections, gallery, kq0_integral,
+                      unit_functional)
+from .kernels import (DirectionStats, KernelContext, LambdaParam, kernel_M,
+                      kernel_S, principal_sqrt)
 from .engine import (BoundSweepResult, ConvergenceStudy, DivergencePartial,
                      GaussianIdentityResult, OperatorResult, WeightedNorm,
                      bound_chain_sweep, convergence_study,

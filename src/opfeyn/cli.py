@@ -30,9 +30,9 @@ from .config import RunConfig, config_from_dict, load_config
 from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, unit_spot_check)
-from .errors import (ArgOutOfRange, BadConfig, ConfigError, NonPositiveLambda,
-                     NotAdmissible, NotInFq0, OpfeynError, PsiNotIntegrable,
-                     SequenceLeavesRegion, ZeroLambda)
+from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
+                     NonPositiveLambda, NotAdmissible, NotInFq0, OpfeynError,
+                     PsiNotIntegrable, SequenceLeavesRegion, ZeroLambda)
 from .sampler import RngStream, left_densities, sample_increments
 from .scale import wiener_pair
 
@@ -43,7 +43,7 @@ EXIT_CHECK = 4
 
 _ADMISSIBILITY_ERRORS = (NotAdmissible, NotInFq0, PsiNotIntegrable,
                          SequenceLeavesRegion, BadConfig, NonPositiveLambda,
-                         ArgOutOfRange, ZeroLambda)
+                         ArgOutOfRange, ZeroLambda, InfiniteDrift)
 
 WITNESS_RADII = (5.0, 10.0, 20.0, 40.0)
 CONVERGE_GAP_TARGET = 1e-3

@@ -123,7 +123,6 @@ class RunConfig:
         w0 = f.get("w0")
         if not isinstance(w0, dict):
             raise ConfigError("F.w0: expected an object with a direction preset")
-        _check_keys(w0, _H_KEYS, "F.w0")
         try:
             return preset_direction(sp, w0["preset"], degree=w0.get("degree"))
         except (KeyError, ValueError) as e:
@@ -133,7 +132,6 @@ class RunConfig:
     def _build_eta(eta: dict | None):
         if not isinstance(eta, dict):
             raise ConfigError("F.eta: expected an object")
-        _check_keys(eta, _ETA_KEYS, "F.eta")
         kind = eta.get("kind")
         if kind == "gaussian":
             scale = complex(eta.get("scale_re", 1.0), eta.get("scale_im", 0.0))

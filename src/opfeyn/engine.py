@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
-                     NonPositiveLambda, NotAdmissible, NotInFq0,
-                     PsiNotIntegrable, QuadratureError, SequenceLeavesRegion)
+from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
+                     MismatchedScalePair, NonPositiveLambda, NotAdmissible,
+                     NotInFq0, PsiNotIntegrable, QuadratureError,
+                     SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
-                      FresnelFunctional, LineMeasure, eval_from_projections,
-                      kq0_integral, unit_functional)
+                      FresnelFunctional, eval_from_projections, kq0_integral,
+                      unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam,
@@ -565,6 +566,8 @@ class BoundSweepResult:
 def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample parameters from the interior of the admissible region."""
+    if q0 <= 0:
+        raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
     out = np.empty(n, dtype=complex)
     filled = 0
     thresh = 1.0 / math.sqrt(2.0 * q0)

@@ -17,6 +17,10 @@ class NonzeroOrigin(OpfeynError):
     """Drift or variance does not vanish at t = 0 within tolerance."""
 
 
+class InfiniteDrift(OpfeynError):
+    """The drift has infinite energy or infinite total variation on [0, T]."""
+
+
 class OutOfDomain(OpfeynError):
     """A time argument lies outside [0, T]."""
 
@@ -26,7 +30,13 @@ class OutOfDomain(OpfeynError):
 # ---------------------------------------------------------------------------
 
 class MismatchedScalePair(OpfeynError):
-    """Two elements built over different scale pairs were combined."""
+    """Two elements built over different scale pairs were combined.
+
+    Scale pairs are compared by identity, not by value: a ``ScalePair``
+    holds closures, whose equality cannot be decided.  Two separate
+    ``drifted_pair(0.3, 0.5)`` calls therefore clash; build one pair and
+    share it.
+    """
 
 
 class ZeroDirection(OpfeynError):
@@ -39,10 +49,6 @@ class ZeroDirection(OpfeynError):
 
 class InvalidGrid(OpfeynError):
     """A sampling grid is empty, unordered, or otherwise unusable."""
-
-
-class GridMismatch(OpfeynError):
-    """A path and a direction do not share the same scale pair."""
 
 
 class NotOrthonormal(OpfeynError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (MeasureUnderflow, MismatchedScalePair, UnknownExample,
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
 from .psi import Envelope
-from .sampler import GbmpPath, pwz
 from .scale import ScalePair
 
 UNDERFLOW_TOL = 1e-8
@@ -240,15 +239,6 @@ class Kq0Result:
     member: bool
 
 
-def eval_F(F: FresnelFunctional, x: GbmpPath) -> complex:
-    """Evaluate the functional on a sampled path."""
-    m = F.measure
-    if isinstance(m, AtomicMeasure):
-        return complex(sum(c * np.exp(1j * pwz(w, x)) for c, w in m.atoms))
-    u = pwz(m.w0, x)
-    return complex(m.eta.hat(np.array([u]))[0])
-
-
 def eval_from_projections(F: FresnelFunctional, proj: np.ndarray) -> np.ndarray:
     """Evaluate on a batch given pairings with F.directions(), shape (n, n_dirs)."""
     m = F.measure
@@ -256,11 +246,6 @@ def eval_from_projections(F: FresnelFunctional, proj: np.ndarray) -> np.ndarray:
         wts = np.array([c for c, _ in m.atoms], dtype=complex)
         return np.exp(1j * proj) @ wts
     return m.eta.hat(proj[:, 0])
-
-
-def total_norm(F: FresnelFunctional) -> float:
-    """Total variation norm of the spectral measure."""
-    return F.measure.total_norm()
 
 
 def kq0_integral(F: FresnelFunctional, q0: float) -> Kq0Result:

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import MismatchedScalePair, ZeroDirection
 from .scale import ScalePair
 
-PARALLEL_TOL_SQ = 1e-13
-
 
 @dataclass(frozen=True)
 class CambElement:
@@ -141,16 +139,6 @@ def from_density(sp: ScalePair, z, primitive: Callable | None = None,
     )
 
 
-def d_op(w: CambElement) -> Callable:
-    """Return the density closure z = Dw of an element."""
-    return w.density
-
-
-def d_inv(sp: ScalePair, z, label: str = "") -> CambElement:
-    """Inverse of the density map: integrate z against db into an element."""
-    return from_density(sp, z, label=label)
-
-
 def combine(w1: CambElement, w2: CambElement, c1: float = 1.0,
             c2: float = 1.0, label: str = "") -> CambElement:
     """Linear combination c1*w1 + c2*w2."""
@@ -184,39 +172,6 @@ def pair_with_a(w: CambElement) -> float:
     """Pairing of an element with the drift: integral of z against da."""
     sp = w.sp
     return float(np.dot(sp.weights, w.z_nodes * sp.aprime_nodes))
-
-
-@dataclass(frozen=True)
-class GramSchmidtPair:
-    """Orthonormal frame spanned by a base direction h and a second one w.
-
-    ``e1`` points along h; ``beta_w`` is the component of w orthogonal to
-    h, with ``e2 = None`` exactly when w is parallel to h at tolerance.
-    """
-
-    e1: CambElement
-    e2: CambElement | None
-    proj: float
-    beta_w: float
-
-
-def gram_schmidt_pair(h: CambElement, w: CambElement) -> GramSchmidtPair:
-    """Orthonormalize (h, w); h must have positive norm."""
-    _require_same_sp(h, w)
-    norm_h = h.norm
-    if norm_h <= 0.0:
-        raise ZeroDirection("base direction h has zero norm")
-    e1 = h.unit()
-    proj = inner(w, e1)
-    beta_sq = w.norm_sq - proj * proj
-    # beta_sq carries cancellation noise of order eps * ||w||^2, so the
-    # parallel test must run on the squared scale
-    if beta_sq < PARALLEL_TOL_SQ * max(w.norm_sq, 1.0):
-        return GramSchmidtPair(e1=e1, e2=None, proj=proj, beta_w=0.0)
-    beta = math.sqrt(beta_sq)
-    e2 = combine(w, e1, 1.0, -proj, label="e2").scaled(1.0 / beta)
-    object.__setattr__(e2, "norm_sq", 1.0)
-    return GramSchmidtPair(e1=e1, e2=e2, proj=proj, beta_w=beta)
 
 
 def s_star(w: CambElement) -> CambElement:

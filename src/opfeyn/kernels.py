@@ -21,6 +21,9 @@ from .hilbert import CambElement, a_element, inner, pair_with_a
 from .scale import ScalePair
 
 TWO_PI = 2.0 * math.pi
+# a direction w is parallel to the base direction h when the squared
+# norm of its orthogonal component is below this share of max(||w||^2, 1)
+PARALLEL_TOL_SQ = 1e-13
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -82,11 +85,6 @@ class LambdaParam:
         return abs(self.inv_sqrt.imag) < 1.0 / math.sqrt(2.0 * q0)
 
 
-def in_gamma(lam: complex | LambdaParam, q0: float) -> bool:
-    lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
-    return lam.in_gamma(q0)
-
-
 @dataclass(frozen=True)
 class KernelContext:
     """Per-(scale pair, base direction) data shared by all kernel factors."""
@@ -130,7 +128,7 @@ class DirectionStats:
         beta_sq = w2 - proj * proj
         # the difference w2 - proj^2 carries cancellation noise of order
         # eps * w2, so parallelism must be decided on the squared scale
-        if beta_sq < 1e-13 * max(w2, 1.0):
+        if beta_sq < PARALLEL_TOL_SQ * max(w2, 1.0):
             return cls(c_hw=c, norm_sq=w2, norm=math.sqrt(max(w2, 0.0)),
                        pair_wa=pa, beta=0.0, a_resid=0.0)
         beta = math.sqrt(beta_sq)
@@ -148,50 +146,6 @@ def kernel_M(lam: LambdaParam, ctx: KernelContext) -> complex:
     return principal_sqrt(lam.value / (TWO_PI * ctx.norm_h_sq))
 
 
-def kernel_V(lam: LambdaParam, xi: float, v: float,
-             stats: DirectionStats, ctx: KernelContext) -> complex:
-    """Direction factor exp{[(i lam u + (h,w))^2 - ||h||^2 ||w||^2] / (2 lam ||h||^2)}."""
-    u = v - xi
-    n2 = ctx.norm_h_sq
-    num = (1j * lam.value * u + stats.c_hw) ** 2 - n2 * stats.norm_sq
-    return cmath.exp(num / (2.0 * lam.value * n2))
-
-
-def kernel_L(lam: LambdaParam, xi: float, v: float, ctx: KernelContext) -> complex:
-    """Counter-Gaussian exp{lam u^2 / (2 ||h||^2)} cancelling V's quadratic part."""
-    u = v - xi
-    return cmath.exp(lam.value * u * u / (2.0 * ctx.norm_h_sq))
-
-
-def kernel_H(lam: LambdaParam, xi: float, v: float, ctx: KernelContext) -> complex:
-    """Drift-shifted Gaussian exp{-(sqrt(lam) u - (h,a))^2 / (2 ||h||^2)}."""
-    u = v - xi
-    arg = lam.sqrt * u - ctx.pair_ha
-    return cmath.exp(-(arg * arg) / (2.0 * ctx.norm_h_sq))
-
-
-def kernel_H_expanded(lam: LambdaParam, xi: float, v: float,
-                      ctx: KernelContext) -> complex:
-    """H with the exponent split into explicit real and imaginary parts."""
-    u = v - xi
-    n2 = ctx.norm_h_sq
-    p = ctx.pair_ha
-    r, s = lam.sqrt.real, lam.sqrt.imag
-    real_part = (-(r * r - s * s) * u * u + 2.0 * r * u * p - p * p) / (2.0 * n2)
-    imag_part = -s * u * (r * u - p) / n2
-    return cmath.exp(complex(real_part, imag_part))
-
-
-def kernel_A(lam: LambdaParam, stats: DirectionStats) -> complex:
-    """Residual drift phase exp{i lam^{-1/2} (w,a - projection onto h)}.
-
-    Equals 1 exactly when the direction is parallel to the base direction.
-    """
-    if stats.beta == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(1j * lam.inv_sqrt * stats.a_resid)
-
-
 def kernel_S(lam: LambdaParam, ctx: KernelContext) -> float:
     """Interior magnitude bound exp{(sec(arg lam) + 1) (h,a)^2 / (4 ||h||^2)}."""
     if lam.value.real <= 0.0:
@@ -199,13 +153,6 @@ def kernel_S(lam: LambdaParam, ctx: KernelContext) -> float:
     sec = abs(lam.value) / lam.value.real
     p = ctx.pair_ha
     return math.exp((sec + 1.0) * p * p / (4.0 * ctx.norm_h_sq))
-
-
-def kernel_k(q0: float, norm_w: float, norm_a: float) -> float:
-    """Exponential moment weight exp{(2 q0)^{-1/2} ||w|| ||a||}."""
-    if q0 <= 0:
-        raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
-    return math.exp(norm_w * norm_a / math.sqrt(2.0 * q0))
 
 
 # ---------------------------------------------------------------------------

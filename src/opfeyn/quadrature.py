@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
-
 PHASE_STEP = math.pi / 4.0
 # per-panel error floor: Richardson estimates below a few dozen ulps of the
 # local integrand magnitude are rounding noise, not discretization error
@@ -147,34 +145,15 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
                       n_eval=n_eval, converged=converged)
 
 
-def integrate_or_raise(f, lo, hi, *, rel_tol=1e-10, abs_tol=1e-14,
-                       breakpoints=None, max_rounds=40) -> QuadResult:
-    """adaptive_simpson, raising QuadratureError if the budget was not met."""
-    res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                           breakpoints=breakpoints, max_rounds=max_rounds)
-    tol = np.maximum(abs_tol, rel_tol * np.abs(res.values))
-    if not res.converged and np.any(res.err > tol):
-        worst = float(np.max(res.err / np.maximum(tol, 1e-300)))
-        raise QuadratureError(
-            f"adaptive quadrature missed tolerance by factor {worst:.3g}")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # log-envelope truncation helpers
 # ---------------------------------------------------------------------------
-
-def quadratic_peak(q2: float, q1: float, q0: float) -> tuple[float, float]:
-    """Vertex location and value of Q(v) = q2 v^2 + q1 v + q0 with q2 < 0."""
-    v0 = -q1 / (2.0 * q2)
-    return v0, q0 + q1 * v0 + q2 * v0 * v0
-
 
 def quadratic_cut(q2: float, q1: float, q0: float, drop: float) -> tuple[float, float]:
     """Interval outside which Q(v) falls ``drop`` below its maximum (q2 < 0)."""
     if q2 >= 0.0:
         raise ValueError("quadratic_cut needs a concave exponent")
-    v0, _ = quadratic_peak(q2, q1, q0)
+    v0 = -q1 / (2.0 * q2)
     d = math.sqrt(drop / -q2)
     return v0 - d, v0 + d
 

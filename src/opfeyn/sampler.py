@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, NotOrthonormal
+from .errors import InvalidGrid, NotOrthonormal
 from .hilbert import CambElement, inner, pair_with_a
 from .scale import ScalePair
 
@@ -42,15 +42,6 @@ class RngStream:
         return RngStream(seed=self.seed, stream_id=(self.stream_id << 20) ^ (k + 1))
 
 
-@dataclass(frozen=True)
-class GbmpPath:
-    """A sampled path on a uniform grid; x[0] = 0 by construction."""
-
-    sp: ScalePair
-    t_grid: np.ndarray
-    x: np.ndarray
-
-
 def _grid_and_increment_moments(sp: ScalePair, grid_n: int):
     if grid_n < 1:
         raise InvalidGrid(f"need at least one step, got grid_n = {grid_n}")
@@ -75,36 +66,13 @@ def sample_increments(sp: ScalePair, grid_n: int, n_paths: int,
     return t, dx
 
 
-def sample_path(sp: ScalePair, grid_n: int, rng: RngStream) -> GbmpPath:
-    """Sample a single path on a uniform grid with ``grid_n`` steps."""
-    t, dx = sample_increments(sp, grid_n, 1, rng.generator())
-    x = np.empty(grid_n + 1)
-    x[0] = 0.0
-    np.cumsum(dx[0], out=x[1:])
-    return GbmpPath(sp=sp, t_grid=t, x=x)
-
-
-def pwz(w: CambElement, path: GbmpPath) -> float:
-    """Stochastic pairing of a direction with a path.
-
-    Left-point Riemann-Stieltjes sum of the direction's density against
-    the path increments.  Gaussian with mean pair_with_a(w) and variance
-    ||w||^2 under the path law.
-    """
-    if w.sp is not path.sp:
-        raise GridMismatch("direction and path live over different scale pairs")
-    z_left = w.density(path.t_grid[:-1])
-    return float(np.dot(z_left, np.diff(path.x)))
-
-
 def left_densities(ws: Sequence[CambElement], t_grid: np.ndarray) -> np.ndarray:
-    """Stack left-point density samples into a (grid_n, n_dirs) matrix."""
+    """Stack left-point density samples into a (grid_n, n_dirs) matrix.
+
+    ``dx @ left_densities(ws, t_grid)`` for increments dx over ``t_grid``
+    gives the pairing of every path with every direction.
+    """
     return np.column_stack([w.density(t_grid[:-1]) for w in ws])
-
-
-def pwz_batch(z_left: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Pairings for a batch: (n_paths, grid_n) @ (grid_n, n_dirs)."""
-    return dx @ z_left
 
 
 def projection_law(sp: ScalePair, z_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveVariance, NonzeroOrigin, OutOfDomain
+from .errors import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
+                     OutOfDomain)
 
 ORIGIN_TOL = 1e-12
 
@@ -141,8 +142,8 @@ class ScalePair:
                 continue
             if check.name in ("origin_a", "origin_b"):
                 raise NonzeroOrigin(check.message)
-            if check.name == "variance_increasing":
-                raise NonPositiveVariance(check.message)
+            if check.name in ("drift_energy_finite", "drift_variation_finite"):
+                raise InfiniteDrift(check.message)
             raise NonPositiveVariance(check.message)
 
 

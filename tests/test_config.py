@@ -50,6 +50,11 @@ def test_unknown_keys_named():
     with pytest.raises(ConfigError, match="shift"):
         config_from_dict(minimal(xi_grid={"min": 0, "max": 1, "count": 3,
                                           "shift": 2}))
+    # F.w0 is checked whether or not the functional uses it
+    for name in ("F2", "F3"):
+        with pytest.raises(ConfigError, match="tilt"):
+            config_from_dict(minimal(F={"name": name, "mean": 0.0, "var": 1.0,
+                                        "w0": {"preset": "b", "tilt": 1}}))
 
 
 def test_scale_validation():

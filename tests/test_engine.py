@@ -11,7 +11,7 @@ from opfeyn import (BadConfig, DirectionStats, Envelope, EtaDensity, EtaGaussian
                     b_element, bound_chain_sweep, convergence_study,
                     divergence_witness_partial, drifted_pair, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
-                    in_gamma, j_q, k_lambda, nu_delta_norm, op_norm_bound,
+                    j_q, k_lambda, nu_delta_norm, op_norm_bound,
                     s_star, sample_interior_lambda, unit_functional,
                     unit_spot_check, wiener_pair)
 from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
@@ -137,7 +137,7 @@ def test_mc_rejects_bad_lambda(wiener):
 def test_kernel_rejects_out_of_region(wiener):
     # small |lam| near the negative imaginary axis exits the region
     lam = 1e-4 - 1e-2j
-    assert not in_gamma(lam, 0.5)
+    assert not LambdaParam.from_value(lam).in_gamma(0.5)
     with pytest.raises(NotAdmissible):
         k_lambda(unit_functional(wiener), b_element(wiener), gaussian_psi(),
                  lam, np.array([0.0]), q0=0.5)
@@ -313,7 +313,7 @@ def test_sample_interior_lambda_stays_inside():
     gen = np.random.default_rng(0)
     lams = sample_interior_lambda(50, 0.5, gen)
     assert all(l.real > 0 for l in lams)
-    assert all(in_gamma(l, 0.5) for l in lams)
+    assert all(LambdaParam.from_value(l).in_gamma(0.5) for l in lams)
 
 
 def test_bound_sweep_gram_matches_node_sums(drifted):

@@ -7,10 +7,22 @@ from scipy import integrate
 from opfeyn import (AtomicMeasure, Envelope, EtaAtoms, EtaDensity, EtaGaussian,
                     FresnelFunctional, LineMeasure, MeasureUnderflow,
                     MismatchedScalePair, RngStream, UnknownExample,
-                    UnsupportedVariant, b_element, convolve, eval_F,
+                    UnsupportedVariant, b_element, convolve,
                     eval_from_projections, gallery, kq0_integral,
-                    monomial_element, s_star, sample_path, total_norm,
+                    monomial_element, s_star, sample_increments,
                     unit_functional, zero_element)
+from opfeyn.sampler import left_densities
+
+
+def _on_paths(F, t, dx):
+    """F on each path, from the batched projections."""
+    return eval_from_projections(F, dx @ left_densities(F.directions(), t))
+
+
+def _pairing(w, t, dx_row):
+    """Left-point sum of w's density against one path's increments."""
+    z = w.density(t[:-1])
+    return sum(z[k] * dx_row[k] for k in range(dx_row.size))
 
 
 def test_eta_gaussian_hat_oracle():
@@ -73,34 +85,31 @@ def test_eval_consistency_atomic(wiener):
     w2 = monomial_element(wiener, 1)
     F = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=(
         (0.7 + 0.2j, w1), (-0.3j, w2))), label="test")
-    path = sample_path(wiener, 256, RngStream(seed=3))
-    from opfeyn import pwz
-    direct = (0.7 + 0.2j) * np.exp(1j * pwz(w1, path)) \
-        + (-0.3j) * np.exp(1j * pwz(w2, path))
-    assert abs(eval_F(F, path) - direct) < 1e-12
-    proj = np.array([[pwz(w1, path), pwz(w2, path)]])
-    assert abs(eval_from_projections(F, proj)[0] - direct) < 1e-12
+    t, dx = sample_increments(wiener, 256, 3, RngStream(seed=3).generator())
+    direct = np.array([(0.7 + 0.2j) * np.exp(1j * _pairing(w1, t, row))
+                       + (-0.3j) * np.exp(1j * _pairing(w2, t, row))
+                       for row in dx])
+    assert np.max(np.abs(_on_paths(F, t, dx) - direct)) < 1e-12
 
 
 def test_eval_consistency_line(wiener):
     F = gallery("F3", wiener)
-    path = sample_path(wiener, 256, RngStream(seed=4))
-    from opfeyn import pwz
-    u = pwz(s_star(b_element(wiener)), path)
+    t, dx = sample_increments(wiener, 256, 3, RngStream(seed=4).generator())
+    u = np.array([_pairing(s_star(b_element(wiener)), t, row) for row in dx])
     # gaussian eta with var 2: transform exp(-u^2)
-    assert abs(eval_F(F, path) - math.exp(-u * u)) < 1e-12
+    assert np.max(np.abs(_on_paths(F, t, dx) - np.exp(-u * u))) < 1e-12
 
 
 def test_total_norm(wiener):
     F = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=(
         (3.0 + 4.0j, b_element(wiener)), (1.0, monomial_element(wiener, 1)))))
-    assert abs(total_norm(F) - 6.0) < 1e-15
+    assert abs(F.measure.total_norm() - 6.0) < 1e-15
 
 
 def test_unit_functional_is_one(wiener):
     F = unit_functional(wiener)
-    path = sample_path(wiener, 64, RngStream(seed=6))
-    assert abs(eval_F(F, path) - 1.0) < 1e-15
+    t, dx = sample_increments(wiener, 64, 3, RngStream(seed=6).generator())
+    assert np.max(np.abs(_on_paths(F, t, dx) - 1.0)) < 1e-15
     assert abs(kq0_integral(F, 0.5).value - 1.0) < 1e-15
 
 
@@ -135,11 +144,10 @@ def test_convolution_transform_product(wiener):
                           label="F")
     G = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=((1.0, w2),)), label="G")
     FG = convolve(F, G)
-    for k in range(5):
-        path = sample_path(wiener, 128, RngStream(seed=100 + k))
-        lhs = eval_F(FG, path)
-        rhs = eval_F(F, path) * eval_F(G, path)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+    t, dx = sample_increments(wiener, 128, 5, RngStream(seed=100).generator())
+    lhs = _on_paths(FG, t, dx)
+    rhs = _on_paths(F, t, dx) * _on_paths(G, t, dx)
+    assert np.all(np.abs(lhs - rhs) < 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
 def test_convolution_variant_errors(wiener, drifted):

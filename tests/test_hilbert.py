@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfeyn import (MismatchedScalePair, ZeroDirection, a_element,
-                    a_unit_element, b_element, combine, d_inv, d_op,
-                    drifted_pair, from_density, gram_schmidt_pair, inner,
+from opfeyn import (DirectionStats, KernelContext, MismatchedScalePair,
+                    ZeroDirection, a_element, a_unit_element, b_element,
+                    combine, drifted_pair, from_density, inner,
                     monomial_element, pair_with_a, preset_direction, s_star,
                     wiener_pair, zero_element)
 
@@ -56,20 +56,17 @@ def test_inner_monomial_oracle(wiener):
 def test_gram_schmidt_oracle(wiener):
     # h = b (unit norm on the driftless pair), w has density t:
     # projection 1/2, orthogonal component sqrt(1/3 - 1/4)
-    gs = gram_schmidt_pair(b_element(wiener), monomial_element(wiener, 1))
-    assert abs(gs.proj - 0.5) < 1e-12
-    assert abs(gs.beta_w - math.sqrt(1.0 / 12.0)) < 1e-10
-    assert abs(gs.e1.norm - 1.0) < 1e-12
-    assert abs(gs.e2.norm - 1.0) < 1e-10
-    assert abs(inner(gs.e1, gs.e2)) < 1e-10
+    ctx = KernelContext.from_direction(b_element(wiener))
+    stats = DirectionStats.from_elements(ctx, monomial_element(wiener, 1))
+    assert abs(stats.c_hw - 0.5) < 1e-12
+    assert abs(stats.beta - math.sqrt(1.0 / 12.0)) < 1e-10
 
 
 def test_gram_schmidt_parallel_branch(wiener):
-    w = b_element(wiener).scaled(2.0)
-    gs = gram_schmidt_pair(b_element(wiener), w)
-    assert gs.e2 is None
-    assert gs.beta_w == 0.0
-    assert abs(gs.proj - 2.0) < 1e-12
+    ctx = KernelContext.from_direction(b_element(wiener))
+    stats = DirectionStats.from_elements(ctx, b_element(wiener).scaled(2.0))
+    assert stats.beta == 0.0
+    assert abs(stats.c_hw - 2.0) < 1e-12
 
 
 def test_s_star_oracle(wiener):
@@ -82,9 +79,9 @@ def test_s_star_oracle(wiener):
 
 
 def test_d_op_d_inv_roundtrip(drifted):
-    w = d_inv(drifted, lambda t: np.cos(t))
+    w = from_density(drifted, lambda t: np.cos(t))
     t = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(d_op(w)(t), np.cos(t), atol=1e-12)
+    assert np.allclose(w.density(t), np.cos(t), atol=1e-12)
     # value is the db-primitive of the density
     assert abs(w.value(np.array([0.0]))[0]) < 1e-12
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
-                    ZeroDirection, ZeroLambda, b_element, in_gamma, kernel_A,
-                    kernel_H, kernel_H_expanded, kernel_k, kernel_L, kernel_M,
-                    kernel_S, kernel_V, monomial_element, principal_sqrt,
-                    s_star, wiener_pair, zero_element)
+                    ZeroDirection, ZeroLambda, b_element, bound_chain_sweep,
+                    kernel_M, kernel_S, monomial_element, principal_sqrt,
+                    s_star, sample_interior_lambda, wiener_pair, zero_element)
 from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
                             s_log, vl_abs_log, vl_coeffs, vlh_exponent)
 
@@ -49,12 +47,10 @@ def test_from_q_is_boundary():
 
 def test_region_membership():
     # -iq belongs iff |q| > q0; positive reals always belong
-    assert in_gamma(-1j * 1.0, q0=0.5)
-    assert not in_gamma(-1j * 0.25, q0=0.5)
-    assert not in_gamma(-1j * 0.5, q0=0.5)
-    assert in_gamma(1j * 1.0, q0=0.5)
-    assert in_gamma(1.0, q0=0.5)
-    assert in_gamma(1e-6, q0=0.5)
+    for lam, member in ((-1j * 1.0, True), (-1j * 0.25, False),
+                        (-1j * 0.5, False), (1j * 1.0, True), (1.0, True),
+                        (1e-6, True)):
+        assert LambdaParam.from_value(lam).in_gamma(q0=0.5) is member
 
 
 @settings(max_examples=50)
@@ -90,28 +86,40 @@ def test_context_rejects_zero_direction(ctx):
 
 
 def test_h_forms_agree(drift_ctx):
+    # Re of the kernel exponent without direction rows is the log |H| that
+    # the bound sweep compares against S
     lam = LambdaParam.from_value(0.7 + 1.3j)
+    v = np.array([-2.0, 0.3, 1.7])
     for xi in (-1.5, 0.0, 2.0):
-        for v in (-2.0, 0.3, 1.7):
-            d = kernel_H(lam, xi, v, drift_ctx) - kernel_H_expanded(lam, xi, v, drift_ctx)
-            assert abs(d) < 1e-12
+        e = vlh_exponent(lam, xi, v, np.array([0.0]), np.array([0.0]),
+                         drift_ctx)[0]
+        hl = h_abs_log(np.array([lam.value]), v - xi, drift_ctx.pair_ha,
+                       drift_ctx.norm_h_sq)
+        assert np.max(np.abs(e.real - hl)) < 1e-12
 
 
 def test_vlh_product_identity(drift_ctx):
-    # exp of the combined exponent equals the pointwise product V*L*H
+    # exp of the combined exponent equals the pointwise product V*L*H of
+    # the paper's factors, and V*L, quadratic terms included, collapses to
+    # exp(lin u + const); w = h covers the parallel direction
     sp = drift_ctx.sp
-    w = s_star(b_element(sp))
-    stats = DirectionStats.from_elements(drift_ctx, w)
     lam = LambdaParam.from_value(0.4 - 0.9j)
+    lv, n2, p = lam.value, drift_ctx.norm_h_sq, drift_ctx.pair_ha
     xi = 0.7
     v = np.array([-1.3, 0.0, 0.8, 2.2])
-    lin, const = vl_coeffs(lam, np.array([stats.c_hw]),
-                           np.array([stats.norm_sq]), drift_ctx)
-    combined = np.exp(vlh_exponent(lam, xi, v, lin, const, drift_ctx))[0]
-    direct = np.array([kernel_V(lam, xi, vv, stats, drift_ctx)
-                       * kernel_L(lam, xi, vv, drift_ctx)
-                       * kernel_H(lam, xi, vv, drift_ctx) for vv in v])
-    assert np.max(np.abs(combined - direct)) < 1e-10 * np.max(np.abs(direct) + 1)
+    u = v - xi
+    for w in (s_star(b_element(sp)), b_element(sp)):
+        stats = DirectionStats.from_elements(drift_ctx, w)
+        V = np.exp(((1j * lv * u + stats.c_hw) ** 2 - n2 * stats.norm_sq)
+                   / (2.0 * lv * n2))
+        L = np.exp(lv * u * u / (2.0 * n2))
+        H = np.exp(-(lam.sqrt * u - p) ** 2 / (2.0 * n2))
+        lin, const = vl_coeffs(lam, np.array([stats.c_hw]),
+                               np.array([stats.norm_sq]), drift_ctx)
+        assert np.max(np.abs(V * L - np.exp(lin[0] * u + const[0]))) < 1e-12
+        combined = np.exp(vlh_exponent(lam, xi, v, lin, const, drift_ctx))[0]
+        direct = V * L * H
+        assert np.max(np.abs(combined - direct)) < 1e-10 * np.max(np.abs(direct) + 1)
 
 
 @pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
@@ -141,8 +149,7 @@ def test_parallel_direction_exact_branch(drift_ctx):
     stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp).scaled(3.0))
     assert stats.beta == 0.0
     assert stats.a_resid == 0.0
-    lam = LambdaParam.from_value(1.0 + 2.0j)
-    assert kernel_A(lam, stats) == 1.0 + 0.0j
+    assert a_abs_log(1.0 + 2.0j, 0.0) == 0
 
 
 @settings(max_examples=50)
@@ -184,7 +191,7 @@ def test_a_bounded_by_k(drift_ctx):
     stats = DirectionStats.from_elements(drift_ctx, w)
     q0 = 0.5
     for lam_c in (1.0, 0.6 - 0.8j, -1j * 0.9, 2.0 + 2.0j):
-        if not in_gamma(lam_c, q0):
+        if not LambdaParam.from_value(lam_c).in_gamma(q0):
             continue
         al = a_abs_log(np.array([lam_c]), np.array([stats.a_resid]))[0]
         kl = k_log(q0, np.array([stats.norm]), drift_ctx.norm_a)[0]
@@ -202,17 +209,13 @@ def test_kernel_s_domain(ctx):
     assert kernel_S(LambdaParam.from_value(1.0), ctx) >= 1.0
 
 
-def test_kernel_k_domain():
-    with pytest.raises(ArgOutOfRange):
-        kernel_k(0.0, 1.0, 1.0)
-    assert kernel_k(0.5, 0.0, 1.0) == 1.0
-
-
-def test_counter_gaussian_cancels(drift_ctx):
-    # V's quadratic term times L collapses to a pure linear phase in u:
-    # |V(lam,xi,v) L(lam,xi,v)| is independent of v for parallel w = h
-    lam = LambdaParam.from_value(0.5 + 1.5j)
-    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp))
-    mags = [abs(kernel_V(lam, 0.0, v, stats, drift_ctx)
-                * kernel_L(lam, 0.0, v, drift_ctx)) for v in (-2.0, 0.0, 3.0)]
-    assert max(mags) - min(mags) < 1e-12
+def test_kernel_k_domain(drifted_mod):
+    # the weight k needs a threshold q0 > 0; the bound sweep's parameter
+    # sampler rejects any other before k is formed
+    gen = np.random.default_rng(1)
+    for q0 in (0.0, -1.0):
+        with pytest.raises(ArgOutOfRange):
+            sample_interior_lambda(5, q0, gen)
+        with pytest.raises(ArgOutOfRange):
+            bound_chain_sweep(drifted_mod, 10, q0=q0)
+    assert k_log(0.5, np.array([0.0]), 1.0)[0] == 0.0

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from opfeyn import (EtaGaussian, GridMismatch, InvalidGrid, NotOrthonormal,
-                    RngStream, a_unit_element, b_element, cylinder_expectation,
-                    gallery, monomial_element, pair_with_a, pwz,
-                    sample_increments, sample_path, unit_functional)
-from opfeyn.sampler import left_densities, projection_law, pwz_batch
+from opfeyn import (EtaGaussian, InvalidGrid, NotOrthonormal, RngStream,
+                    a_unit_element, b_element, combine, cylinder_expectation,
+                    gallery, monomial_element, pair_with_a, sample_increments,
+                    unit_functional)
+from opfeyn.sampler import left_densities, projection_law
 
 
 def test_stream_determinism():
@@ -51,13 +51,6 @@ def test_sample_increment_moments(drifted, gen):
     assert np.all(np.abs(dx.var(axis=0, ddof=1) - db) < 4.0 * se_var)
 
 
-def test_sample_path_starts_at_zero(wiener):
-    p = sample_path(wiener, 64, RngStream(seed=1))
-    assert p.x[0] == 0.0
-    assert p.x.size == 65
-    assert p.t_grid.size == 65
-
-
 def test_invalid_grid(wiener, gen):
     with pytest.raises(InvalidGrid):
         sample_increments(wiener, 0, 5, gen)
@@ -68,25 +61,22 @@ def test_pwz_gaussian_law(drifted):
     w = b_element(drifted)
     n = 40000
     t, dx = sample_increments(drifted, 256, n, RngStream(seed=5).generator())
-    proj = pwz_batch(left_densities([w], t), dx)[:, 0]
+    proj = (dx @ left_densities([w], t))[:, 0]
     mean, var = pair_with_a(w), w.norm_sq
     assert abs(proj.mean() - mean) < 4.0 * math.sqrt(var / n)
     assert abs(proj.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
 
 
 def test_pwz_single_path_matches_batch(drifted):
-    w = monomial_element(drifted, 1)
-    path = sample_path(drifted, 128, RngStream(seed=9))
-    single = pwz(w, path)
-    batch = pwz_batch(left_densities([w], path.t_grid),
-                      np.diff(path.x)[None, :])[0, 0]
-    assert abs(single - batch) < 1e-12
-
-
-def test_pwz_grid_mismatch(wiener, drifted):
-    path = sample_path(wiener, 32, RngStream(seed=2))
-    with pytest.raises(GridMismatch):
-        pwz(b_element(drifted), path)
+    # the batched pairings are the left-point sums of each path's increments
+    ws = [monomial_element(drifted, 1), b_element(drifted)]
+    t, dx = sample_increments(drifted, 128, 3, RngStream(seed=9).generator())
+    batch = dx @ left_densities(ws, t)
+    for i, row in enumerate(dx):
+        for j, w in enumerate(ws):
+            z = w.density(t[:-1])
+            single = sum(z[k] * row[k] for k in range(row.size))
+            assert abs(single - batch[i, j]) < 1e-12
 
 
 def test_cylinder_second_moment(wiener, drifted):
@@ -110,8 +100,10 @@ def test_cylinder_product_of_orthonormal(wiener):
 
 
 def combine_orthonormal(sp):
-    from opfeyn import gram_schmidt_pair
-    return gram_schmidt_pair(b_element(sp), monomial_element(sp, 1)).e2
+    # on the driftless unit pair, t - 1/2 is orthogonal to b and has
+    # squared norm 1/12
+    return combine(monomial_element(sp, 1), b_element(sp), 1.0,
+                   -0.5).scaled(math.sqrt(12.0))
 
 
 def test_cylinder_rejects_non_orthonormal(wiener):

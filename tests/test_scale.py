@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opfeyn import (NonPositiveVariance, NonzeroOrigin, OutOfDomain, ScalePair,
-                    drifted_pair, preset_scale, quad, total_variation_a,
-                    validate, wiener_pair)
+from opfeyn import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
+                    OutOfDomain, ScalePair, drifted_pair, preset_scale, quad,
+                    total_variation_a, validate, wiener_pair)
+from opfeyn.cli import _ADMISSIBILITY_ERRORS
 from opfeyn.scale import simpson_weights
 
 
@@ -58,6 +59,24 @@ def test_decreasing_variance_rejected():
     assert not validate(sp)["variance_increasing"].passed
     with pytest.raises(NonPositiveVariance):
         sp.require_valid()
+
+
+def test_infinite_drift_rejected():
+    # a = 2 sqrt(t): a' = 1/sqrt(t) is infinite at t = 0, so the drift
+    # energy and total variation on the grid are infinite; the CLI exits 3
+    def a_prime(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.0, 1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), np.inf)
+
+    sp = ScalePair(T=1.0, a=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)),
+                   a_prime=a_prime, b=lambda t: np.asarray(t, dtype=float),
+                   b_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    rep = validate(sp)
+    assert rep["variance_increasing"].passed
+    assert not rep["drift_energy_finite"].passed
+    with pytest.raises(InfiniteDrift):
+        sp.require_valid()
+    assert issubclass(InfiniteDrift, _ADMISSIBILITY_ERRORS)
 
 
 def test_bad_horizon_and_grid():
