@@ -219,3 +219,20 @@ def test_kernel_k_domain(drifted_mod):
         with pytest.raises(ArgOutOfRange):
             bound_chain_sweep(drifted_mod, 10, q0=q0)
     assert k_log(0.5, np.array([0.0]), 1.0)[0] == 0.0
+
+
+def test_counter_gaussian_cancels(drift_ctx):
+    # V's quadratic term times L collapses to a pure linear phase in u:
+    # |V(lam,xi,v) L(lam,xi,v)| is independent of v for parallel w = h
+    lam = LambdaParam.from_value(0.5 + 1.5j)
+    lv, n2 = lam.value, drift_ctx.norm_h_sq
+    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp))
+    u = np.array([-2.0, 0.0, 3.0])
+    V = np.exp(((1j * lv * u + stats.c_hw) ** 2 - n2 * stats.norm_sq)
+               / (2.0 * lv * n2))
+    L = np.exp(lv * u * u / (2.0 * n2))
+    mags = np.abs(V * L)
+    assert mags.max() - mags.min() < 1e-12
+    lin, const = vl_coeffs(lam, np.array([stats.c_hw]),
+                           np.array([stats.norm_sq]), drift_ctx)
+    assert abs(lin[0].real) < 1e-12
