@@ -21,16 +21,16 @@ from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
                      NotInFq0, PsiNotIntegrable, QuadratureError,
                      SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
-                      FresnelFunctional, eval_from_projections, kq0_integral,
-                      unit_functional)
+                      FresnelFunctional, Kq0Result, eval_from_projections,
+                      kq0_integral, unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, pair_with_a
-from .kernels import (DirectionStats, KernelContext, LambdaParam,
-                      h_abs_log_coeffs, kernel_M, kernel_S, principal_sqrt,
-                      vl_coeffs, vlh_exponent)
+from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
+                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M,
+                      principal_sqrt, s_log, vl_abs_log, vl_coeffs,
+                      vlh_exponent)
 from .psi import COMPACT, EXPONENTIAL, GAUSSIAN, PsiFn, divergence_witness_psi
-from .quadrature import (adaptive_simpson, phase_breakpoints, quadratic_cut,
-                         quadratic_tail_bound)
+from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
 from .sampler import sample_increments  # noqa: F401
@@ -168,97 +168,43 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # truncation bookkeeping for the kernel route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LogBound:
-    """Piecewise-quadratic upper bound for log|integrand|, split at v = 0."""
-
-    left: tuple[float, float, float]
-    right: tuple[float, float, float]
-
-    def _side_peak(self, coeffs, side: int) -> float:
-        q2, q1, q0 = coeffs
-        if q2 > 0.0:
-            return math.inf
-        if q2 < 0.0:
-            v = -q1 / (2.0 * q2)
-            v = max(v, 0.0) if side > 0 else min(v, 0.0)
-            return q2 * v * v + q1 * v + q0
-        if q1 * side < 0.0:
-            return q0
-        return math.inf
-
-    def peak(self) -> float:
-        return max(self._side_peak(self.left, -1), self._side_peak(self.right, +1))
-
-    def _side_cut(self, coeffs, side: int, target: float) -> float:
-        q2, q1, q0 = coeffs
-        if q2 < 0.0:
-            disc = q1 * q1 - 4.0 * q2 * (q0 - target)
-            if disc <= 0.0:
-                return 0.0
-            r = math.sqrt(disc)
-            v = (-q1 - side * r) / (2.0 * q2)
-            return max(v, 0.0) if side > 0 else min(v, 0.0)
-        # linear decay on this side (slope pointing down)
-        return (target - q0) / q1
-
-    def cut(self, drop: float) -> tuple[float, float]:
-        target = self.peak() - drop
-        lo = self._side_cut(self.left, -1, target)
-        hi = self._side_cut(self.right, +1, target)
-        if hi <= lo:
-            hi = lo + 1.0
-        return lo, hi
-
-    def tails(self, lo: float, hi: float) -> float:
-        l2, l1, l0 = self.left
-        r2, r1, r0 = self.right
-        return (quadratic_tail_bound(l2, l1, l0, lo, -1)
-                + quadratic_tail_bound(r2, r1, r0, hi, +1))
-
-
 def _psi_log_bound(psi: PsiFn, extra: tuple[float, float, float],
-                   growth: float = 0.0):
+                   growth: float = 0.0) -> LogBound:
     """Combine the state-function envelope with an extra quadratic exponent.
 
-    Returns either ("compact", lo, hi) or a _LogBound.  ``growth`` adds a
-    +growth*v^2 term (the gaussian weight of the delta norms).
+    ``growth`` adds a +growth*v^2 term (the gaussian weight of the delta
+    norms).  Raises PsiNotIntegrable when the envelope does not make the
+    bound decay on both sides.
     """
     e2, e1, e0 = extra
     e2 = e2 + growth
     env = psi.envelope
     log_c = math.log(env.scale)
     if env.kind == COMPACT:
-        return ("compact", -env.radius, env.radius)
+        return LogBound(support=(-env.radius, env.radius))
     if env.kind == GAUSSIAN:
         coeffs = (e2 - env.rate, e1, e0 + log_c)
-        return _LogBound(left=coeffs, right=coeffs)
-    if env.kind == EXPONENTIAL:
-        return _LogBound(left=(e2, e1 + env.rate, e0 + log_c),
+        bound = LogBound(left=coeffs, right=coeffs)
+    elif env.kind == EXPONENTIAL:
+        bound = LogBound(left=(e2, e1 + env.rate, e0 + log_c),
                          right=(e2, e1 - env.rate, e0 + log_c))
-    raise ValueError(env.kind)
-
-
-def _truncated_interval(bound, drop: float):
-    if isinstance(bound, tuple):
-        _, lo, hi = bound
-        return lo, hi, 0.0
+    else:
+        raise ValueError(env.kind)
     if not math.isfinite(bound.peak()):
         raise PsiNotIntegrable(
             "state-function envelope does not control the kernel tail")
-    lo, hi = bound.cut(drop)
-    return lo, hi, None
+    return bound
 
 
-def _integrate_with_tail_check(f, bound, drop, *, rel_tol, abs_tol,
+def _integrate_with_tail_check(f, bound: LogBound, drop, *, rel_tol, abs_tol,
                                breaks_fn, amp: float):
     """Integrate with one truncation retry if the tail bound is too heavy."""
     for attempt in range(2):
-        lo, hi, fixed_tail = _truncated_interval(bound, drop)
+        lo, hi = bound.cut(drop)
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
                                breakpoints=breaks_fn(lo, hi))
         value = res.values[0]
-        tail = fixed_tail if fixed_tail is not None else amp * bound.tails(lo, hi)
+        tail = bound.tails(lo, hi, amp)
         tol = max(TAIL_REL * abs(value), abs_tol)
         if tail <= tol:
             if not res.converged and np.any(res.err > np.maximum(
@@ -273,25 +219,24 @@ def _integrate_with_tail_check(f, bound, drop, *, rel_tol, abs_tol,
 # kernel route
 # ---------------------------------------------------------------------------
 
-def _require_kernel_admissible(lam: LambdaParam, sp: ScalePair, psi: PsiFn,
-                               q0: float, delta: float | None) -> None:
+def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
+                               q0: float) -> Kq0Result:
+    """Check lam against the admissible region for threshold q0 and F
+    against the exponential-moment condition; return F's moment integral."""
     if lam.is_interior:
         if not lam.in_gamma(q0):
             raise NotAdmissible(
                 f"lambda = {lam.value} lies outside the admissible region "
                 f"for q0 = {q0}")
-        return
-    q = lam.boundary_q
-    if q is None or abs(q) <= q0:
-        raise NotAdmissible(
-            f"boundary parameter needs |q| > q0 = {q0}, got lambda = {lam.value}")
-    if sp.var_a > 0.0:
-        if delta is None:
-            raise PsiNotIntegrable(
-                "boundary evaluation with drift needs a delta weight exponent")
-        if not psi.delta_admissible(delta, sp.var_a):
-            raise PsiNotIntegrable(
-                "state function is not integrable against the delta weight")
+    else:
+        q = lam.boundary_q
+        if q is None or abs(q) <= q0:
+            raise NotAdmissible(
+                f"boundary parameter needs |q| > q0 = {q0}, got lambda = {lam.value}")
+    kq0 = kq0_integral(F, q0)
+    if not kq0.member:
+        raise NotInFq0("spectral measure fails the exponential-moment condition")
+    return kq0
 
 
 def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
@@ -360,11 +305,15 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     if F.sp is not h.sp:
         raise MismatchedScalePair("functional and base direction share no scale pair")
-    sp = h.sp
-    _require_kernel_admissible(lam, sp, psi, q0, delta)
-    kq0 = kq0_integral(F, q0)
-    if not kq0.member:
-        raise NotInFq0("spectral measure fails the exponential-moment condition")
+    kq0 = _require_kernel_admissible(F, lam, q0)
+    var_a = h.sp.var_a
+    if not lam.is_interior and var_a > 0.0:
+        if delta is None:
+            raise PsiNotIntegrable(
+                "boundary evaluation with drift needs a delta weight exponent")
+        if not psi.delta_admissible(delta, var_a):
+            raise PsiNotIntegrable(
+                "state function is not integrable against the delta weight")
     ctx = KernelContext.from_direction(h)
     weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
     m_factor = kernel_M(lam, ctx)
@@ -472,19 +421,11 @@ def op_norm_bound(F: FresnelFunctional, h: CambElement, lam, *,
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     ctx = KernelContext.from_direction(h)
-    kq0 = kq0_integral(F, q0)
-    if not kq0.member:
-        raise NotInFq0("spectral measure fails the exponential-moment condition")
-    mod = abs(lam.value)
-    m_mod = math.sqrt(mod / (2.0 * math.pi * ctx.norm_h_sq))
+    kq0 = _require_kernel_admissible(F, lam, q0)
+    m_mod = abs(kernel_M(lam, ctx))
     if lam.is_interior:
-        if not lam.in_gamma(q0):
-            raise NotAdmissible(
-                f"lambda = {lam.value} is outside the admissible region")
-        return kernel_S(lam, ctx) * m_mod * kq0.value
-    q = lam.boundary_q
-    if q is None or abs(q) <= q0:
-        raise NotAdmissible(f"boundary parameter needs |q| > q0 = {q0}")
+        s = math.exp(s_log(lam.value, ctx.pair_ha, ctx.norm_h_sq))
+        return s * m_mod * kq0.value
     return m_mod * kq0.value
 
 
@@ -604,7 +545,6 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     comparisons run in log space.  Violations are inequality failures
     beyond the stated relative slack; a clean sweep returns zero for all.
     """
-    from .kernels import a_abs_log, h_abs_log, k_log, s_log, vl_abs_log
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(977,))))
     gram, pair_a = _cubic_gram(sp)
@@ -663,8 +603,9 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     if alpha.real <= 0.0:
         raise BadConfig("gaussian identity needs Re(alpha) > 0")
     closed = principal_sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
-    # |integrand| = exp(-Re(alpha) v^2 + Re(beta) v)
-    lo, hi = quadratic_cut(-alpha.real, beta.real, 0.0, TRUNC_DROP)
+    # log|integrand| = -Re(alpha) v^2 + Re(beta) v
+    q = (-alpha.real, beta.real, 0.0)
+    lo, hi = LogBound(left=q, right=q).cut(TRUNC_DROP)
 
     def f(v):
         v = np.asarray(v, dtype=float)

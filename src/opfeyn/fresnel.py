@@ -16,11 +16,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (MeasureUnderflow, MismatchedScalePair, UnknownExample,
-                     UnsupportedVariant)
+from .errors import (ArgOutOfRange, MeasureUnderflow, MismatchedScalePair,
+                     UnknownExample, UnsupportedVariant)
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
-from .psi import Envelope
+from .psi import EXPONENTIAL, Envelope
 from .scale import ScalePair
 
 UNDERFLOW_TOL = 1e-8
@@ -144,7 +144,7 @@ class EtaDensity:
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when the envelope loses."""
         env = self.envelope
-        if env is not None and env.kind == "exponential" and mu >= env.rate:
+        if env is not None and env.kind == EXPONENTIAL and mu >= env.rate:
             return math.inf
         v, w, rho = self._nodes()
         return float(np.dot(w, np.abs(rho) * np.exp(mu * np.abs(v))))
@@ -256,9 +256,9 @@ def kq0_integral(F: FresnelFunctional, q0: float) -> Kq0Result:
     raised.
     """
     if q0 <= 0:
-        raise ValueError(f"threshold q0 must be positive, got {q0}")
+        raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
     m = F.measure
-    norm_a = a_element(m.sp if isinstance(m, AtomicMeasure) else m.w0.sp).norm
+    norm_a = a_element(m.sp).norm
     inv = 1.0 / math.sqrt(2.0 * q0)
     if isinstance(m, AtomicMeasure):
         val = float(sum(abs(c) * math.exp(inv * w.norm * norm_a)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MismatchedScalePair, ZeroDirection
-from .scale import ScalePair
+from .scale import ScalePair, _eval_on
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,14 @@ class CambElement:
         """Evaluate z = Dw at the given times."""
         t = np.asarray(t, dtype=float)
         if self.z_fn is not None:
-            out = np.asarray(self.z_fn(t), dtype=float)
-            if out.ndim == 0:
-                out = np.full(t.shape, float(out))
-            return out
+            return _eval_on(self.z_fn, t)
         return np.interp(t, self.sp.t_nodes, self.z_nodes)
 
     def value(self, t) -> np.ndarray:
         """Evaluate w(t), the running integral of the density against db."""
         t = np.asarray(t, dtype=float)
         if self.primitive is not None:
-            out = np.asarray(self.primitive(t), dtype=float)
-            if out.ndim == 0:
-                out = np.full(t.shape, float(out))
-            return out
+            return _eval_on(self.primitive, t)
         return np.interp(t, self.sp.t_nodes, self.w_nodes)
 
     @property
@@ -100,10 +94,7 @@ def _primitive_nodes(sp: ScalePair, z_fn: Callable | None,
     if z_fn is not None:
         mids = t[:-1] + 0.5 * h
         f_nodes = z_nodes * sp.bprime_nodes
-        f_mid = np.asarray(z_fn(mids), dtype=float)
-        if f_mid.ndim == 0:
-            f_mid = np.full(mids.shape, float(f_mid))
-        f_mid = f_mid * np.asarray(sp.b_prime(mids), dtype=float)
+        f_mid = _eval_on(z_fn, mids) * np.asarray(sp.b_prime(mids), dtype=float)
         panel = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
     else:
         f_nodes = z_nodes * sp.bprime_nodes
@@ -118,9 +109,7 @@ def from_density(sp: ScalePair, z, primitive: Callable | None = None,
                  label: str = "") -> CambElement:
     """Build an element from a density closure or a node vector."""
     if callable(z):
-        z_nodes = np.asarray(z(sp.t_nodes), dtype=float)
-        if z_nodes.ndim == 0:
-            z_nodes = np.full(sp.t_nodes.shape, float(z_nodes))
+        z_nodes = _eval_on(z, sp.t_nodes)
         z_fn = z
     else:
         z_nodes = np.asarray(z, dtype=float)

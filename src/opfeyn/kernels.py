@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgOutOfRange, ZeroLambda, ZeroDirection
-from .hilbert import CambElement, a_element, inner, pair_with_a
+from .hilbert import CambElement, inner, pair_with_a
 from .scale import ScalePair
 
 TWO_PI = 2.0 * math.pi
@@ -93,15 +93,13 @@ class KernelContext:
     h: CambElement
     norm_h_sq: float
     pair_ha: float
-    norm_a: float
 
     @classmethod
     def from_direction(cls, h: CambElement) -> "KernelContext":
         n2 = h.norm_sq
         if n2 <= 0.0:
             raise ZeroDirection("kernel base direction must have positive norm")
-        return cls(sp=h.sp, h=h, norm_h_sq=n2, pair_ha=pair_with_a(h),
-                   norm_a=a_element(h.sp).norm)
+        return cls(sp=h.sp, h=h, norm_h_sq=n2, pair_ha=pair_with_a(h))
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,6 @@ class DirectionStats:
 
     c_hw: float
     norm_sq: float
-    norm: float
-    pair_wa: float
     beta: float
     a_resid: float
 
@@ -123,18 +119,14 @@ class DirectionStats:
     def from_elements(cls, ctx: KernelContext, w: CambElement) -> "DirectionStats":
         c = inner(ctx.h, w)
         w2 = w.norm_sq
-        pa = pair_with_a(w)
         proj = c / math.sqrt(ctx.norm_h_sq)
         beta_sq = w2 - proj * proj
         # the difference w2 - proj^2 carries cancellation noise of order
         # eps * w2, so parallelism must be decided on the squared scale
         if beta_sq < PARALLEL_TOL_SQ * max(w2, 1.0):
-            return cls(c_hw=c, norm_sq=w2, norm=math.sqrt(max(w2, 0.0)),
-                       pair_wa=pa, beta=0.0, a_resid=0.0)
-        beta = math.sqrt(beta_sq)
-        a_resid = pa - (c / ctx.norm_h_sq) * ctx.pair_ha
-        return cls(c_hw=c, norm_sq=w2, norm=math.sqrt(max(w2, 0.0)),
-                   pair_wa=pa, beta=beta, a_resid=a_resid)
+            return cls(c_hw=c, norm_sq=w2, beta=0.0, a_resid=0.0)
+        a_resid = pair_with_a(w) - (c / ctx.norm_h_sq) * ctx.pair_ha
+        return cls(c_hw=c, norm_sq=w2, beta=math.sqrt(beta_sq), a_resid=a_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +136,6 @@ class DirectionStats:
 def kernel_M(lam: LambdaParam, ctx: KernelContext) -> complex:
     """Gaussian normalizer sqrt(lambda / (2 pi ||h||^2))."""
     return principal_sqrt(lam.value / (TWO_PI * ctx.norm_h_sq))
-
-
-def kernel_S(lam: LambdaParam, ctx: KernelContext) -> float:
-    """Interior magnitude bound exp{(sec(arg lam) + 1) (h,a)^2 / (4 ||h||^2)}."""
-    if lam.value.real <= 0.0:
-        raise ArgOutOfRange("interior bound needs a parameter with positive real part")
-    sec = abs(lam.value) / lam.value.real
-    p = ctx.pair_ha
-    return math.exp((sec + 1.0) * p * p / (4.0 * ctx.norm_h_sq))
 
 
 # ---------------------------------------------------------------------------

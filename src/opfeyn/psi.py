@@ -187,18 +187,3 @@ def divergence_witness_psi(pair_ha: float) -> PsiFn:
     return PsiFn(fn=fn,
                  envelope=Envelope(EXPONENTIAL, scale=scale, rate=rate),
                  label="divergence_witness")
-
-
-def preset_psi(preset: str, *, radius: float | None = None,
-               amp: float = 1.0, pair_ha: float | None = None) -> PsiFn:
-    if preset == "gaussian":
-        return gaussian_psi()
-    if preset == "bump":
-        if radius is None:
-            raise ValueError("bump preset needs a radius")
-        return bump_psi(radius, amp)
-    if preset == "divergence_witness":
-        if pair_ha is None:
-            raise ValueError("divergence_witness preset needs pair_ha")
-        return divergence_witness_psi(pair_ha)
-    raise ValueError(f"unknown state-function preset {preset!r}")

@@ -146,17 +146,8 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# log-envelope truncation helpers
+# truncation bound
 # ---------------------------------------------------------------------------
-
-def quadratic_cut(q2: float, q1: float, q0: float, drop: float) -> tuple[float, float]:
-    """Interval outside which Q(v) falls ``drop`` below its maximum (q2 < 0)."""
-    if q2 >= 0.0:
-        raise ValueError("quadratic_cut needs a concave exponent")
-    v0 = -q1 / (2.0 * q2)
-    d = math.sqrt(drop / -q2)
-    return v0 - d, v0 + d
-
 
 def quadratic_tail_bound(q2: float, q1: float, q0: float,
                          edge: float, side: int) -> float:
@@ -173,3 +164,67 @@ def quadratic_tail_bound(q2: float, q1: float, q0: float,
     if q_edge > 700.0:
         return math.inf
     return math.exp(q_edge) / -slope
+
+
+@dataclass(frozen=True)
+class LogBound:
+    """Truncation interval of a line integral and the tail it leaves out.
+
+    ``left`` and ``right`` are the coefficients (q2, q1, q0) of quadratics
+    bounding log|integrand| on v <= 0 and on v >= 0; each side's vertex is
+    clamped to its half-line.  A compact ``support`` takes their place:
+    the integrand vanishes outside it, so it is the interval and the tail
+    is 0.
+    """
+
+    left: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    right: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    support: tuple[float, float] | None = None
+
+    def _side_peak(self, coeffs, side: int) -> float:
+        q2, q1, q0 = coeffs
+        if q2 > 0.0:
+            return math.inf
+        if q2 < 0.0:
+            v = -q1 / (2.0 * q2)
+            v = max(v, 0.0) if side > 0 else min(v, 0.0)
+            return q2 * v * v + q1 * v + q0
+        if q1 * side < 0.0:
+            return q0
+        return math.inf
+
+    def peak(self) -> float:
+        """Maximum of the quadratic bound; inf when a side does not decay."""
+        return max(self._side_peak(self.left, -1), self._side_peak(self.right, +1))
+
+    def _side_cut(self, coeffs, side: int, target: float) -> float:
+        q2, q1, q0 = coeffs
+        if q2 < 0.0:
+            disc = q1 * q1 - 4.0 * q2 * (q0 - target)
+            if disc <= 0.0:
+                return 0.0
+            r = math.sqrt(disc)
+            v = (-q1 - side * r) / (2.0 * q2)
+            return max(v, 0.0) if side > 0 else min(v, 0.0)
+        # linear decay on this side (slope pointing down)
+        return (target - q0) / q1
+
+    def cut(self, drop: float) -> tuple[float, float]:
+        """Interval outside which the bound is ``drop`` below its peak."""
+        if self.support is not None:
+            return self.support
+        target = self.peak() - drop
+        lo = self._side_cut(self.left, -1, target)
+        hi = self._side_cut(self.right, +1, target)
+        if hi <= lo:
+            hi = lo + 1.0
+        return lo, hi
+
+    def tails(self, lo: float, hi: float, amp: float = 1.0) -> float:
+        """Bound for the integral of amp * exp(bound) outside [lo, hi]."""
+        if self.support is not None:
+            return 0.0
+        l2, l1, l0 = self.left
+        r2, r1, r0 = self.right
+        return amp * (quadratic_tail_bound(l2, l1, l0, lo, -1)
+                      + quadratic_tail_bound(r2, r1, r0, hi, +1))

@@ -38,9 +38,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.Generator(np.random.Philox(seq))
 
-    def child(self, k: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream_id=(self.stream_id << 20) ^ (k + 1))
-
 
 def _grid_and_increment_moments(sp: ScalePair, grid_n: int):
     if grid_n < 1:

@@ -1,11 +1,12 @@
-"""Drift/variance scale pair and quadrature against dt, db(t), d|a|(t).
+"""Drift/variance scale pair and its quadrature grid.
 
 A scale pair consists of an absolutely continuous drift ``a`` with
 ``a(0) = 0`` and a strictly increasing variance function ``b`` with
 ``b(0) = 0``.  Both are supplied as closures together with their
-derivatives.  Every one-dimensional time integral in the package is
-computed here by composite Simpson quadrature on a uniform grid, so all
-inner products downstream share a single, positive-weight discretization.
+derivatives.  Every one-dimensional time integral in the package is a
+dot product with the pair's composite Simpson weights on one uniform
+grid (against dt, db = b' dt or |da| = |a'| dt), so all inner products
+downstream share a single, positive-weight discretization.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .errors import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
                      OutOfDomain)
 
 ORIGIN_TOL = 1e-12
-
-MEASURES = ("dt", "db", "da_abs")
 
 
 def simpson_weights(n_panels: int, width: float) -> np.ndarray:
@@ -180,46 +179,6 @@ def _build_report(sp: ScalePair) -> ValidationReport:
             "total variation of a over [0, T]"),
     )
     return ValidationReport(checks)
-
-
-def validate(sp: ScalePair) -> ValidationReport:
-    """Check the defining conditions of a scale pair, one line per condition."""
-    return sp.validation_report()
-
-
-def quad(sp: ScalePair, g, measure: str, t: float | None = None):
-    """Integrate ``g`` over [0, t] against dt, db, or d|a|.
-
-    ``g`` must accept a vector of times.  ``measure`` selects the weight:
-    ``"dt"`` integrates plainly, ``"db"`` weights by b'(s), ``"da_abs"``
-    weights by |a'(s)|.  The grid is a fresh uniform partition of [0, t]
-    with ``sp.grid_n`` panels.
-    """
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    if t is None:
-        t = sp.T
-    if t < -ORIGIN_TOL or t > sp.T + ORIGIN_TOL:
-        raise OutOfDomain(f"t = {t} outside [0, {sp.T}]")
-    t = min(max(t, 0.0), sp.T)
-    if t == 0.0:
-        return 0.0
-    s = np.linspace(0.0, t, sp.grid_n + 1)
-    w = simpson_weights(sp.grid_n, t)
-    raw = np.asarray(g(s))
-    if raw.ndim == 0:
-        raw = np.full(s.shape, raw[()])
-    if measure == "db":
-        w = w * _eval_on(sp.b_prime, s)
-    elif measure == "da_abs":
-        w = w * np.abs(_eval_on(sp.a_prime, s))
-    val = np.dot(w, raw)
-    return val.item()
-
-
-def total_variation_a(sp: ScalePair, t: float | None = None) -> float:
-    """Total variation of the drift over [0, t]."""
-    return float(quad(sp, lambda s: np.ones_like(s), "da_abs", t))
 
 
 # ---------------------------------------------------------------------------

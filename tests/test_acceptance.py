@@ -19,8 +19,8 @@ from scipy import integrate
 
 from opfeyn import (EtaGaussian, RngStream, b_element, bound_chain_sweep,
                     convergence_study, convolve, divergence_witness_partial,
-                    drifted_pair, eval_from_projections, from_density,
-                    gallery, gaussian_identity_check, gaussian_psi,
+                    eval_from_projections, from_density, gallery,
+                    gaussian_identity_check, gaussian_psi,
                     i_lambda_mc, inner, k_lambda, nu_delta_norm,
                     op_norm_bound, pair_with_a, preset_direction,
                     sample_increments, sample_interior_lambda,

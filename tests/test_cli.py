@@ -4,7 +4,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from opfeyn import OperatorResult
 from opfeyn.cli import main, mc_z_scores

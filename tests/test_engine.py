@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (BadConfig, DirectionStats, Envelope, EtaDensity, EtaGaussian,
-                    KernelContext, LambdaParam, NonPositiveLambda, NotAdmissible,
-                    PsiFn, PsiNotIntegrable, RngStream, SequenceLeavesRegion,
-                    b_element, bound_chain_sweep, convergence_study,
-                    divergence_witness_partial, drifted_pair, gallery,
+from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
+                    EtaDensity, EtaGaussian, KernelContext, LambdaParam,
+                    NonPositiveLambda, NotAdmissible, PsiFn, PsiNotIntegrable,
+                    RngStream, SequenceLeavesRegion, b_element, bump_psi,
+                    bound_chain_sweep, convergence_study,
+                    divergence_witness_partial, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
-                    j_q, k_lambda, nu_delta_norm, op_norm_bound,
+                    j_q, k_lambda, nu_delta_norm, op_norm_bound, pair_with_a,
                     s_star, sample_interior_lambda, unit_functional,
-                    unit_spot_check, wiener_pair)
-from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
+                    unit_spot_check)
+from opfeyn.engine import (_cubic_gram, _measure_family, _merge_moments,
+                           _psi_log_bound)
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -214,6 +216,63 @@ def test_op_norm_bound_values(wiener):
     ref = 1.0 / math.sqrt(2.0 * math.pi)
     assert abs(interior - ref) < 1e-12
     assert abs(boundary - ref) < 1e-12
+
+
+def test_op_norm_bound_with_drift(drifted):
+    # S = exp{(sec(arg lam) + 1) (h,a)^2 / (4 ||h||^2)} times |M| = (|lam| /
+    # (2 pi ||h||^2))^{1/2}; the unit functional has kq0 = 1
+    F = unit_functional(drifted)
+    h = b_element(drifted)
+    lam = 1.0 + 1.0j
+    n2, p = h.norm_sq, pair_with_a(h)
+    sec = abs(lam) / lam.real
+    ref = (math.exp((sec + 1.0) * p * p / (4.0 * n2))
+           * math.sqrt(abs(lam) / (2.0 * math.pi * n2)))
+    assert abs(op_norm_bound(F, h, lam) - ref) < 1e-14 * ref
+
+
+def test_kernel_entry_points_reject_nonpositive_q0(drifted):
+    # the exponential-moment integral needs q0 > 0 and says so with the
+    # typed ArgOutOfRange, on the boundary too, where no region check does
+    F = gallery("F4", drifted)
+    h = b_element(drifted)
+    with pytest.raises(ArgOutOfRange):
+        j_q(F, h, gaussian_psi(), 1.0, np.array([0.0]), q0=0.0, delta=0.5)
+    with pytest.raises(ArgOutOfRange):
+        op_norm_bound(F, h, -1j, q0=-1.0)
+
+
+def test_log_bound_of_an_exponential_envelope():
+    # log 2 - |v| plus the extra exponent -v^2/2 + 4 v: the left side
+    # (-1/2, 5, log 2) has its vertex at v = 5, clamped to 0; the right side
+    # (-1/2, 3, log 2) peaks inside v >= 0, at v = 3
+    psi = PsiFn(fn=lambda v: 2.0 * np.exp(-np.abs(v)),
+                envelope=Envelope("exponential", scale=2.0, rate=1.0))
+    extra = (-0.5, 4.0, 0.0)
+    bound = _psi_log_bound(psi, extra)
+    assert bound.left != bound.right
+
+    def g(v):
+        return -0.5 * v * v + 4.0 * v + math.log(2.0) - np.abs(v)
+
+    grid_peak = np.max(g(np.linspace(-20.0, 20.0, 400001)))
+    assert abs(bound.peak() - grid_peak) < 1e-12
+    drop = 8.0
+    lo, hi = bound.cut(drop)
+    assert lo < 0.0 < 3.0 < hi
+    assert abs(g(lo) - (grid_peak - drop)) < 1e-12
+    assert abs(g(hi) - (grid_peak - drop)) < 1e-12
+    outside = (integrate.quad(lambda v: math.exp(g(v)), -np.inf, lo)[0]
+               + integrate.quad(lambda v: math.exp(g(v)), hi, np.inf)[0])
+    assert outside <= bound.tails(lo, hi) < 10.0 * outside
+
+    # a compact support is the interval, with nothing left outside it
+    compact = _psi_log_bound(bump_psi(2.0), extra)
+    assert compact.cut(drop) == (-2.0, 2.0)
+    assert compact.tails(-2.0, 2.0, amp=5.0) == 0.0
+    # an extra exponent that grows faster than the envelope decays
+    with pytest.raises(PsiNotIntegrable):
+        _psi_log_bound(psi, (0.5, 0.0, 0.0))
 
 
 def test_op_norm_bound_rejects(wiener):

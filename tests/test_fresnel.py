@@ -10,7 +10,7 @@ from opfeyn import (AtomicMeasure, Envelope, EtaAtoms, EtaDensity, EtaGaussian,
                     UnsupportedVariant, b_element, convolve,
                     eval_from_projections, gallery, kq0_integral,
                     monomial_element, s_star, sample_increments,
-                    unit_functional, zero_element)
+                    unit_functional)
 from opfeyn.sampler import left_densities
 
 

@@ -8,7 +8,7 @@ from opfeyn import (DirectionStats, KernelContext, MismatchedScalePair,
                     ZeroDirection, a_element, a_unit_element, b_element,
                     combine, drifted_pair, from_density, inner,
                     monomial_element, pair_with_a, preset_direction, s_star,
-                    wiener_pair, zero_element)
+                    zero_element)
 
 LN2 = math.log(2.0)
 

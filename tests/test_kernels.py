@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
-                    ZeroDirection, ZeroLambda, b_element, bound_chain_sweep,
-                    kernel_M, kernel_S, monomial_element, principal_sqrt,
-                    s_star, sample_interior_lambda, wiener_pair, zero_element)
+                    ZeroDirection, ZeroLambda, a_element, b_element,
+                    bound_chain_sweep, kernel_M, monomial_element,
+                    principal_sqrt, s_star, sample_interior_lambda,
+                    wiener_pair, zero_element)
 from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
                             s_log, vl_abs_log, vl_coeffs, vlh_exponent)
 
@@ -194,7 +195,8 @@ def test_a_bounded_by_k(drift_ctx):
         if not LambdaParam.from_value(lam_c).in_gamma(q0):
             continue
         al = a_abs_log(np.array([lam_c]), np.array([stats.a_resid]))[0]
-        kl = k_log(q0, np.array([stats.norm]), drift_ctx.norm_a)[0]
+        kl = k_log(q0, np.array([math.sqrt(stats.norm_sq)]),
+                   a_element(sp).norm)[0]
         assert al <= kl + 1e-12
 
 
@@ -203,10 +205,13 @@ def test_kernel_m_normalizer(ctx):
     assert abs(kernel_M(lam, ctx) - math.sqrt(2.0 / (2.0 * math.pi))) < 1e-14
 
 
-def test_kernel_s_domain(ctx):
-    with pytest.raises(ArgOutOfRange):
-        kernel_S(LambdaParam.from_q(1.0), ctx)
-    assert kernel_S(LambdaParam.from_value(1.0), ctx) >= 1.0
+def test_kernel_s_domain(ctx, drift_ctx):
+    # log S = (sec(arg lam) + 1) (h,a)^2 / (4 ||h||^2): 0 without drift,
+    # positive with it, and (1 + 1) p^2 / (4 n2) at lam = 1
+    assert s_log(1.0, ctx.pair_ha, ctx.norm_h_sq) == 0.0
+    for lam_c in (1.0, 0.5 + 2.0j, 3.0 - 0.1j):
+        assert s_log(lam_c, drift_ctx.pair_ha, drift_ctx.norm_h_sq) > 0.0
+    assert abs(s_log(1.0, 0.3, 2.0) - 0.0225) < 1e-16
 
 
 def test_kernel_k_domain(drifted_mod):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (Envelope, PsiFn, bump_psi, divergence_witness_psi,
-                    envelope_margin, gaussian_psi, preset_psi,
-                    shifted_gaussian_psi)
+from opfeyn import (ConfigError, Envelope, PsiFn, b_element, bump_psi,
+                    config_from_dict, divergence_witness_psi, envelope_margin,
+                    gaussian_psi, pair_with_a, shifted_gaussian_psi)
 
 
 @pytest.mark.parametrize("psi", [
@@ -109,16 +109,24 @@ def test_witness_shape():
         divergence_witness_psi(0.0)
 
 
-def test_preset_psi_dispatch():
-    assert preset_psi("gaussian").label == "gaussian"
-    assert preset_psi("bump", radius=1.0).label.startswith("bump")
-    assert preset_psi("divergence_witness", pair_ha=0.3).label == "divergence_witness"
-    with pytest.raises(ValueError):
-        preset_psi("bump")
-    with pytest.raises(ValueError):
-        preset_psi("divergence_witness")
-    with pytest.raises(ValueError):
-        preset_psi("nope")
+def test_preset_psi_dispatch(drifted):
+    # RunConfig.build_psi is the one dispatch from a preset name
+    h = b_element(drifted)
+
+    def build(psi):
+        cfg = config_from_dict({"scale": {"preset": "wiener"}, "psi": psi})
+        return cfg.build_psi(drifted, h)
+
+    assert build("gaussian").label == "gaussian"
+    bump = build({"preset": "bump", "radius": 2.0, "amp": 3.0})
+    assert bump.envelope == bump_psi(2.0, 3.0).envelope
+    assert bump.label == "bump(r=2)"
+    assert build("bump").envelope == Envelope("compact", 1.0, radius=1.0)
+    witness = build("divergence_witness")
+    assert witness.label == "divergence_witness"
+    assert witness.envelope == divergence_witness_psi(pair_with_a(h)).envelope
+    with pytest.raises(ConfigError):
+        build("nope")
 
 
 def test_scalar_fn_broadcasts():

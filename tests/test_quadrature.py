@@ -1,11 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from scipy import integrate
 
-from opfeyn.quadrature import (adaptive_simpson, phase_breakpoints,
-                               quadratic_cut, quadratic_tail_bound)
+from opfeyn.quadrature import (LogBound, adaptive_simpson, phase_breakpoints,
+                               quadratic_tail_bound)
 
 
 def as_family(*fns):
@@ -93,12 +92,16 @@ def test_rounding_floor_accepts_cancellation():
 def test_quadratic_helpers():
     # -2 v^2 + 4 v + 1 peaks at v = 1 with value 3
     peak = 3.0
-    lo, hi = quadratic_cut(-2.0, 4.0, 1.0, drop=8.0)
+    q = (-2.0, 4.0, 1.0)
+    bound = LogBound(left=q, right=q)
+    assert bound.peak() == peak
+    lo, hi = bound.cut(8.0)
     assert abs(0.5 * (lo + hi) - 1.0) < 1e-15
     assert abs((-2.0 * lo * lo + 4.0 * lo + 1.0) - (peak - 8.0)) < 1e-12
     assert abs((-2.0 * hi * hi + 4.0 * hi + 1.0) - (peak - 8.0)) < 1e-12
-    with pytest.raises(ValueError):
-        quadratic_cut(0.0, 1.0, 0.0, drop=1.0)
+    # a side that grows has no peak, so no cut
+    q = (0.0, 1.0, 0.0)
+    assert LogBound(left=q, right=q).peak() == math.inf
 
 
 def test_quadratic_tail_bound_dominates():

@@ -32,13 +32,6 @@ def test_batch_keying_is_stable():
     assert not np.array_equal(x0, x5)
 
 
-def test_child_streams_differ():
-    s = RngStream(seed=7, stream_id=0)
-    a = s.child(1).generator().standard_normal(8)
-    b = s.child(2).generator().standard_normal(8)
-    assert not np.array_equal(a, b)
-
-
 def test_sample_increment_moments(drifted, gen):
     # increments are N(da, db) over each step; check first two moments
     n = 40000

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from opfeyn import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
-                    OutOfDomain, ScalePair, drifted_pair, preset_scale, quad,
-                    total_variation_a, validate, wiener_pair)
+                    OutOfDomain, ScalePair, drifted_pair, preset_scale)
 from opfeyn.cli import _ADMISSIBILITY_ERRORS
 from opfeyn.scale import simpson_weights
 
@@ -29,7 +26,7 @@ def test_simpson_exact_on_cubics(c0, c1, c2, c3):
 
 
 def test_wiener_pair_validates(wiener):
-    rep = validate(wiener)
+    rep = wiener.validation_report()
     assert rep.passed
     assert {c.name for c in rep.checks} == {
         "origin_a", "origin_b", "variance_increasing",
@@ -37,7 +34,7 @@ def test_wiener_pair_validates(wiener):
 
 
 def test_drifted_pair_validates(drifted):
-    assert validate(drifted).passed
+    assert drifted.validation_report().passed
     assert abs(drifted.var_a - 0.3) < 1e-12
 
 
@@ -46,7 +43,7 @@ def test_nonzero_origin_rejected():
                    a_prime=lambda t: np.ones_like(np.asarray(t)),
                    b=lambda t: np.asarray(t, dtype=float),
                    b_prime=lambda t: np.ones_like(np.asarray(t)))
-    assert not validate(sp)["origin_a"].passed
+    assert not sp.validation_report()["origin_a"].passed
     with pytest.raises(NonzeroOrigin):
         sp.require_valid()
 
@@ -56,7 +53,7 @@ def test_decreasing_variance_rejected():
                    a_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                    b=lambda t: -np.asarray(t, dtype=float),
                    b_prime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
-    assert not validate(sp)["variance_increasing"].passed
+    assert not sp.validation_report()["variance_increasing"].passed
     with pytest.raises(NonPositiveVariance):
         sp.require_valid()
 
@@ -71,7 +68,7 @@ def test_infinite_drift_rejected():
     sp = ScalePair(T=1.0, a=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)),
                    a_prime=a_prime, b=lambda t: np.asarray(t, dtype=float),
                    b_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    rep = validate(sp)
+    rep = sp.validation_report()
     assert rep["variance_increasing"].passed
     assert not rep["drift_energy_finite"].passed
     with pytest.raises(InfiniteDrift):
@@ -90,35 +87,24 @@ def test_bad_horizon_and_grid():
 
 def test_quad_dt_oracle(wiener):
     # int_0^1 t^2 dt = 1/3
-    val = quad(wiener, lambda t: t**2, "dt")
+    val = np.dot(wiener.weights, wiener.t_nodes ** 2)
     assert abs(val - 1.0 / 3.0) < 1e-12
 
 
 def test_quad_db_oracle(drifted):
     # b' = 1 + t, so int_0^1 t db = int t (1 + t) dt = 1/2 + 1/3 = 5/6
-    val = quad(drifted, lambda t: t, "db")
+    val = np.dot(drifted.weights, drifted.t_nodes * drifted.bprime_nodes)
     assert abs(val - 5.0 / 6.0) < 1e-12
 
 
 def test_quad_da_abs_oracle(drifted):
     # |a'| = 0.3, so int_0^1 t |da| = 0.3 / 2
-    val = quad(drifted, lambda t: t, "da_abs")
+    val = np.dot(drifted.weights, drifted.t_nodes * np.abs(drifted.aprime_nodes))
     assert abs(val - 0.15) < 1e-12
 
 
-def test_quad_partial_upper_limit(drifted):
-    # b(1/2) = 1/2 + 0.5/4 = 5/8
-    val = quad(drifted, lambda t: np.ones_like(t), "db", t=0.5)
-    assert abs(val - 0.625) < 1e-10
-
-
-def test_quad_rejects_unknown_measure(wiener):
-    with pytest.raises(ValueError):
-        quad(wiener, lambda t: t, "dq")
-
-
 def test_total_variation_linear_drift(drifted):
-    assert abs(total_variation_a(drifted) - 0.3) < 1e-12
+    assert abs(drifted.var_a - 0.3) < 1e-12
 
 
 def test_total_variation_oscillating_drift():
@@ -129,7 +115,7 @@ def test_total_variation_oscillating_drift():
                    b=lambda t: np.asarray(t, dtype=float),
                    b_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
                    grid_n=2048)
-    assert abs(total_variation_a(sp) - 4.0) < 1e-6
+    assert abs(sp.var_a - 4.0) < 1e-6
 
 
 def test_preset_scale_errors():
@@ -148,5 +134,5 @@ def test_preset_scale_errors():
 def test_drifted_preset_norms(alpha, beta):
     # ||b||^2 = b(T) and TV(a) = alpha T for a linear drift
     sp = drifted_pair(alpha, beta)
-    assert abs(quad(sp, lambda t: np.ones_like(t), "db") - (1.0 + beta)) < 1e-10
+    assert abs(np.dot(sp.weights, sp.bprime_nodes) - (1.0 + beta)) < 1e-10
     assert abs(sp.var_a - alpha) < 1e-10

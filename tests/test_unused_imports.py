@@ -32,7 +32,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    files = [p for p in sorted((ROOT / "src" / "opfeyn").glob("*.py"))
-             if p.name != "__init__.py"] + sorted((ROOT / "tools").glob("*.py"))
+    files = ([p for p in sorted((ROOT / "src" / "opfeyn").glob("*.py"))
+              if p.name != "__init__.py"]
+             + sorted((ROOT / "tools").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py")))
     assert files
     assert [u for p in files for u in _unused_imports(p)] == []
