@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BadConfig, ConfigError
 from .fresnel import EtaAtoms, EtaGaussian, FresnelFunctional, gallery, unit_functional
 from .hilbert import CambElement, pair_with_a, preset_direction
 from .psi import PsiFn, bump_psi, divergence_witness_psi, gaussian_psi
@@ -115,7 +115,7 @@ class RunConfig:
                 w0 = self._build_w0(sp, f)
                 eta = self._build_eta(f.get("eta"))
                 return gallery("F1", sp, w0=w0, eta=eta)
-        except ValueError as e:
+        except BadConfig as e:
             raise ConfigError(f"F: {e}") from e
         raise ConfigError(f"F.name: unknown functional {name!r}")
 

@@ -24,12 +24,12 @@ from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
                       FresnelFunctional, Kq0Result, eval_from_projections,
                       kq0_integral, unit_functional)
 from . import kernels
-from .hilbert import CambElement, a_unit_element, pair_with_a
+from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
                       h_abs_log, h_abs_log_coeffs, k_log, kernel_M,
                       principal_sqrt, s_log, vl_abs_log, vl_coeffs,
                       vlh_exponent)
-from .psi import COMPACT, EXPONENTIAL, GAUSSIAN, PsiFn, divergence_witness_psi
+from .psi import COMPACT, GAUSSIAN, PsiFn, divergence_witness_psi, gaussian_psi
 from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
@@ -40,12 +40,15 @@ TRUNC_DROP = 40.0
 TAIL_REL = 1e-10
 EXP_CAP = 700.0
 EXP_BUF = 1 << 16     # complex elements in k_lambda's exponent buffer
+XI_GROUP = 8          # evaluation points integrated as one quadrature family
 
 
 @dataclass(frozen=True)
 class OperatorResult:
     """Operator values on an evaluation grid, with per-point standard errors
-    when the route is stochastic."""
+    when the route is stochastic.  On the kernel routes ``meta["quad_err"]``
+    is a per-point error bound, and ``meta["n_eval"]`` counts integrand
+    nodes once per group of up to ``XI_GROUP`` points."""
 
     xi_grid: np.ndarray
     values: np.ndarray
@@ -185,32 +188,39 @@ def _psi_log_bound(psi: PsiFn, extra: tuple[float, float, float],
     if env.kind == GAUSSIAN:
         coeffs = (e2 - env.rate, e1, e0 + log_c)
         bound = LogBound(left=coeffs, right=coeffs)
-    elif env.kind == EXPONENTIAL:
+    else:  # EXPONENTIAL, the one kind Envelope admits besides these two
         bound = LogBound(left=(e2, e1 + env.rate, e0 + log_c),
                          right=(e2, e1 - env.rate, e0 + log_c))
-    else:
-        raise ValueError(env.kind)
     if not math.isfinite(bound.peak()):
         raise PsiNotIntegrable(
             "state-function envelope does not control the kernel tail")
     return bound
 
 
-def _integrate_with_tail_check(f, bound: LogBound, drop, *, rel_tol, abs_tol,
-                               breaks_fn, amp: float):
-    """Integrate with one truncation retry if the tail bound is too heavy."""
+def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
+                               centres, *, rel_tol, abs_tol, amp: float):
+    """Integrate a family on the union of its members' truncation cuts.
+
+    Row j of f's output has truncation bound bounds[j] and a phase of rate
+    ``phase_rate`` centred at centres[j]; the panels keep every row's
+    quarter-period breakpoints, and each row's tail is certified at the
+    shared ends against its own tolerance, with one retry at a wider drop.
+    Returns per-row values and errors (quadrature plus tail) and n_eval.
+    """
+    drop = TRUNC_DROP
     for attempt in range(2):
-        lo, hi = bound.cut(drop)
+        cuts = np.array([b.cut(drop) for b in bounds])
+        lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
+        breaks = [phase_breakpoints(lo, hi, phase_rate, c) for c in centres]
+        breaks = [p for p in breaks if p is not None]
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                               breakpoints=breaks_fn(lo, hi))
-        value = res.values[0]
-        tail = bound.tails(lo, hi, amp)
-        tol = max(TAIL_REL * abs(value), abs_tol)
-        if tail <= tol:
+                               breakpoints=np.concatenate(breaks) if breaks else None)
+        tails = np.array([b.tails(lo, hi, amp) for b in bounds])
+        if np.all(tails <= np.maximum(TAIL_REL * np.abs(res.values), abs_tol)):
             if not res.converged and np.any(res.err > np.maximum(
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
-            return value, float(res.err[0] + tail), res.n_eval
+            return res.values, res.err + tails, res.n_eval
         drop += math.log(1e6)
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
@@ -301,6 +311,12 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     threshold q0, plus purely imaginary -iq with |q| > q0; on the
     boundary with a genuine drift the state function must be integrable
     against the gaussian delta-weight.
+
+    The kernel depends on v and xi only through v - xi, so groups of up
+    to ``XI_GROUP`` consecutive points (single points for kernels of more
+    than ``XI_GROUP`` rows) are integrated as one quadrature family; the
+    group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
+    per point; ``meta["n_eval"]`` counts nodes once per group.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     if F.sp is not h.sp:
@@ -317,44 +333,43 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     ctx = KernelContext.from_direction(h)
     weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
     m_factor = kernel_M(lam, ctx)
-    n2 = ctx.norm_h_sq
-    phase_rate = abs(lam.value.imag) / (2.0 * n2)
+    phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
     xi = np.asarray(xi_grid, dtype=float)
-    values = np.empty(xi.size, dtype=complex)
-    errs = np.empty(xi.size)
-    n_eval = 0
-    # one exponent buffer for every integrand call of this evaluation;
-    # v is blocked so that rows x block fits in it
+    # a group takes rows x points exponentials per shared node, which past
+    # XI_GROUP rows outweighs the nodes it saves.  One buffer serves every
+    # integrand call; v is blocked so that rows x group x block fits in it
     rows = weights.size
-    block = max(1, EXP_BUF // max(rows, 1))
-    buf = np.empty(rows * block, dtype=complex)
-    for i, x0 in enumerate(xi):
-        hq = h_abs_log_coeffs(lam, float(x0), ctx)
-        bound = _psi_log_bound(psi, hq)
+    group = XI_GROUP if rows <= XI_GROUP else 1
+    width = rows * min(xi.size, group)
+    block = max(1, EXP_BUF // max(width, 1))
+    buf = np.empty(width * block, dtype=complex)
 
-        def f(v, _x0=float(x0)):
-            v = np.asarray(v, dtype=float)
-            out = np.empty(v.size, dtype=complex)
+    def integrand(xs):
+        def f(v):
+            out = np.empty((xs.size, v.size), dtype=complex)
             for k in range(0, v.size, block):
                 vv = v[k:k + block]
-                e = buf[:rows * vv.size].reshape(rows, vv.size)
+                e = buf[:rows * xs.size * vv.size].reshape(rows, xs.size, vv.size)
                 # through the module: the traced engine-level name takes
                 # the six-argument form only (perfbench/spans.py)
-                kernels.vlh_exponent(lam, _x0, vv, lin, const, ctx, out=e,
-                                     quad=quad)
+                kernels.vlh_exponent(lam, xs[:, None], vv, lin, const, ctx,
+                                     out=e, quad=quad)
                 if e.size and float(np.max(e.real)) > EXP_CAP:
                     raise KernelOverflow("kernel exponent exceeds float range")
-                out[k:k + block] = weights @ np.exp(e, out=e)
-            return (out * psi(v))[None, :]
+                out[:, k:k + block] = (weights @ np.exp(e, out=e).reshape(
+                    rows, -1)).reshape(xs.size, vv.size)
+            return out * psi(v)
+        return f
 
-        breaks_fn = lambda lo, hi, _x0=float(x0): phase_breakpoints(
-            lo, hi, phase_rate, _x0)
-        val, err, ne = _integrate_with_tail_check(
-            f, bound, TRUNC_DROP, rel_tol=rel_tol, abs_tol=abs_tol,
-            breaks_fn=breaks_fn, amp=amp)
-        values[i] = m_factor * val
-        errs[i] = abs(m_factor) * err
-        n_eval += ne
+    parts = [_integrate_with_tail_check(
+        integrand(xs),
+        [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx)) for x0 in xs],
+        phase_rate, xs, rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
+        for xs in (xi[k:k + group] for k in range(0, xi.size, group))]
+    # the empty arrays keep the result shape and dtype for an empty grid
+    values = m_factor * np.concatenate([p[0] for p in parts] + [np.zeros(0, complex)])
+    errs = abs(m_factor) * np.concatenate([p[1] for p in parts] + [np.zeros(0)])
+    n_eval = sum(p[2] for p in parts)
     return OperatorResult(
         xi_grid=xi, values=values, stderr=None, route="kernel",
         meta={"lambda": lam.value, "q0": q0, "delta": delta,
@@ -441,13 +456,13 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
     bound = _psi_log_bound(psi, (0.0, 0.0, 0.0), growth=growth)
 
     def f(v):
-        v = np.asarray(v, dtype=float)
-        return (np.abs(psi(v)) * np.exp(growth * v * v))[None, :]
+        # one exp of the summed logs: |psi| exp(growth v^2) is 0 * inf far out
+        with np.errstate(divide="ignore"):
+            return np.exp(np.log(np.abs(psi(v))) + growth * v * v)[None, :]
 
     val, _, _ = _integrate_with_tail_check(
-        f, bound, TRUNC_DROP, rel_tol=1e-11, abs_tol=1e-14,
-        breaks_fn=lambda lo, hi: None, amp=1.0)
-    return WeightedNorm(value=float(abs(val)), finite=True)
+        f, [bound], 0.0, [0.0], rel_tol=1e-11, abs_tol=1e-14, amp=1.0)
+    return WeightedNorm(value=float(abs(val[0])), finite=True)
 
 
 def divergence_witness_partial(sp: ScalePair, R: float, *,
@@ -479,7 +494,6 @@ def divergence_witness_partial(sp: ScalePair, R: float, *,
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
 
     def f(v):
-        v = np.asarray(v, dtype=float)
         e = vlh_exponent(lam, 0.0, v, np.array([0.0]), np.array([0.0]), ctx)
         return np.exp(e[0])[None, :] * psi(v)[None, :]
 
@@ -603,23 +617,16 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     if alpha.real <= 0.0:
         raise BadConfig("gaussian identity needs Re(alpha) > 0")
     closed = principal_sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
-    # log|integrand| = -Re(alpha) v^2 + Re(beta) v
+    # log|integrand| = -Re(alpha) v^2 + Re(beta) v; breakpoints follow the
+    # phase -Im(alpha) v^2 + Im(beta) v, whose stationary point is
+    # Im(beta) / (2 Im(alpha)), not the magnitude peak
     q = (-alpha.real, beta.real, 0.0)
     lo, hi = LogBound(left=q, right=q).cut(TRUNC_DROP)
-
-    def f(v):
-        v = np.asarray(v, dtype=float)
-        return np.exp(-alpha * v * v + beta * v)[None, :]
-
-    # breakpoints follow the phase -Im(alpha) v^2 + Im(beta) v, whose
-    # stationary point is Im(beta) / (2 Im(alpha)), not the magnitude peak
-    if alpha.imag != 0.0:
-        phase_center = beta.imag / (2.0 * alpha.imag)
-    else:
-        phase_center = 0.0
+    centre = beta.imag / (2.0 * alpha.imag) if alpha.imag != 0.0 else 0.0
     res = adaptive_simpson(
-        f, lo, hi, rel_tol=1e-11, abs_tol=1e-15,
-        breakpoints=phase_breakpoints(lo, hi, abs(alpha.imag), phase_center))
+        lambda v: np.exp(-alpha * v * v + beta * v)[None, :], lo, hi,
+        rel_tol=1e-11, abs_tol=1e-15,
+        breakpoints=phase_breakpoints(lo, hi, abs(alpha.imag), centre))
     return GaussianIdentityResult(numeric=complex(res.values[0]),
                                   closed_form=complex(closed))
 
@@ -632,8 +639,6 @@ def unit_spot_check(sp: ScalePair, lam: float = 1.0) -> tuple[complex, float]:
     quadrature accuracy.  For the driftless unit pair at lam = 1 both
     equal 1/(2 sqrt(pi)).
     """
-    from .hilbert import b_element
-    from .psi import gaussian_psi
     if lam <= 0:
         raise BadConfig("spot check needs real lam > 0")
     h = b_element(sp)

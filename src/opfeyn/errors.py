@@ -108,7 +108,7 @@ class SequenceLeavesRegion(OpfeynError):
 
 
 class BadConfig(OpfeynError):
-    """An engine routine received an inconsistent configuration."""
+    """A routine received an inconsistent configuration."""
 
 
 # ---------------------------------------------------------------------------

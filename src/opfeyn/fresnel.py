@@ -16,8 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (ArgOutOfRange, MeasureUnderflow, MismatchedScalePair,
-                     UnknownExample, UnsupportedVariant)
+from .errors import (ArgOutOfRange, BadConfig, MeasureUnderflow,
+                     MismatchedScalePair, UnknownExample, UnsupportedVariant)
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
 from .psi import EXPONENTIAL, Envelope
@@ -68,7 +68,7 @@ class EtaGaussian:
 
     def __post_init__(self):
         if self.var <= 0:
-            raise ValueError("gaussian line measure needs var > 0")
+            raise BadConfig("gaussian line measure needs var > 0")
 
     def hat(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -105,7 +105,7 @@ class EtaDensity:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("density radius must be positive")
+            raise BadConfig("density radius must be positive")
         if self.envelope is not None:
             tail = self.envelope.tail_mass(self.radius)
             if tail > UNDERFLOW_TOL * max(self.total_mass(), 1e-300):
@@ -309,13 +309,13 @@ def gallery(name: str, sp: ScalePair, *, w0: CambElement | None = None,
     """
     if name == "F1":
         if w0 is None or eta is None:
-            raise ValueError("F1 needs a direction w0 and a line measure eta")
+            raise BadConfig("F1 needs a direction w0 and a line measure eta")
         return FresnelFunctional(measure=LineMeasure(w0=w0, eta=eta), label="F1")
     if name == "F2":
         if w0 is None or mean is None or var is None:
-            raise ValueError("F2 needs w0, mean and var")
+            raise BadConfig("F2 needs w0, mean and var")
         if var <= 0:
-            raise ValueError("F2 needs var > 0; the degenerate limit is excluded")
+            raise BadConfig("F2 needs var > 0; the degenerate limit is excluded")
         return FresnelFunctional(
             measure=LineMeasure(w0=w0, eta=EtaGaussian(mean=mean, var=var)),
             label="F2")

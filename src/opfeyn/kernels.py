@@ -202,24 +202,25 @@ def vl_coeffs(lam: LambdaParam, c, w2, ctx: KernelContext):
     return 1j * (c / n2), (c * c - n2 * w2) / (2.0 * lam.value * n2)
 
 
-def vlh_exponent(lam: LambdaParam, xi: float, v: np.ndarray,
+def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
                  lin: np.ndarray, const: np.ndarray, ctx: KernelContext,
                  out: np.ndarray | None = None, quad: complex = 0.0) -> np.ndarray:
     """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi.
 
-    One row r per spectral row, shape (len(lin), len(v)).  ``lin`` and
-    ``const`` are ``vl_coeffs`` for a direction; an integrated gaussian
-    line family also carries the shared u^2 coefficient ``quad``.  The
-    exponent is built in ``out`` (complex, of that shape) when given,
-    else in a new array, and that array is returned.
+    One row r per spectral row, shape (len(lin), len(v)), or (len(lin),
+    n, len(v)) for a column ``xi`` of n points.  ``lin`` and ``const`` are
+    ``vl_coeffs`` for a direction; an integrated gaussian line family also
+    carries the shared u^2 coefficient ``quad``.  The exponent is built in
+    ``out`` (complex, of that shape) when given, else in a new array, and
+    that array is returned.
     """
     n2 = ctx.norm_h_sq
     u = np.asarray(v, dtype=float) - xi
     lin = np.atleast_1d(lin)
     if out is None:
-        out = np.empty((lin.size, u.size), dtype=complex)
+        out = np.empty((lin.size,) + u.shape, dtype=complex)
     np.multiply.outer(lin, u, out=out)
-    out += np.atleast_1d(const)[:, None]
+    out += np.atleast_1d(const).reshape((-1,) + (1,) * u.ndim)
     arg = lam.sqrt * u - ctx.pair_ha
     out += quad * (u * u) - (arg * arg) / (2.0 * n2)
     return out

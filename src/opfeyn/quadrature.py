@@ -50,11 +50,9 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
 
 
 def _initial_edges(lo, hi, breakpoints, min_panels=8):
-    edges = [lo, hi]
-    if breakpoints is not None:
-        edges.extend(float(p) for p in np.atleast_1d(breakpoints)
-                     if lo < p < hi)
-    edges = np.unique(np.asarray(edges, dtype=float))
+    pts = np.atleast_1d(np.asarray([] if breakpoints is None else breakpoints,
+                                   dtype=float))
+    edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
     if edges.size - 1 < min_panels:
         fill = np.linspace(lo, hi, min_panels + 1)
         edges = np.unique(np.concatenate([edges, fill]))
@@ -96,8 +94,6 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
         nodes = a[:, None] + width[:, None] * offs[None, :]
         vals = np.asarray(f(nodes.ravel()))
         n_eval += nodes.size
-        if vals.ndim == 1:
-            vals = vals[None, :]
         k = vals.shape[0]
         F = vals.reshape(k, a.size, 5)
         if accepted_val is None:
@@ -135,8 +131,6 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
         mid_nodes = a[:, None] + width[:, None] * np.array([[0.0, 0.5, 1.0]])
         vals = np.asarray(f(mid_nodes.ravel()))
         n_eval += mid_nodes.size
-        if vals.ndim == 1:
-            vals = vals[None, :]
         F = vals.reshape(vals.shape[0], a.size, 3)
         coarse = (width / 6.0) * (F[:, :, 0] + 4.0 * F[:, :, 1] + F[:, :, 2])
         accepted_val = accepted_val + coarse.sum(axis=1)

@@ -112,6 +112,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_degenerate_f2_variance_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, F={"name": "F2", "w0": {"preset": "b"},
+                                    "mean": 0.0, "var": 0})
+    assert run(tmp_path, "validate", "--config", cfg) == 2
+    assert "var > 0" in capsys.readouterr().err
+
+
 def test_config_boundary_gate_exits_2(tmp_path):
     cfg = write_config(tmp_path, q=0.2)
     assert run(tmp_path, "evaluate", "--config", cfg) == 2

@@ -6,15 +6,17 @@ import pytest
 from scipy import integrate
 
 from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
-                    EtaDensity, EtaGaussian, KernelContext, LambdaParam,
-                    NonPositiveLambda, NotAdmissible, PsiFn, PsiNotIntegrable,
-                    RngStream, SequenceLeavesRegion, b_element, bump_psi,
+                    EtaAtoms, EtaDensity, EtaGaussian, KernelContext,
+                    LambdaParam, NonPositiveLambda, NotAdmissible, PsiFn,
+                    PsiNotIntegrable, RngStream, SequenceLeavesRegion,
+                    b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
                     divergence_witness_partial, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
                     j_q, k_lambda, nu_delta_norm, op_norm_bound, pair_with_a,
-                    s_star, sample_interior_lambda, unit_functional,
-                    unit_spot_check)
+                    s_star, sample_interior_lambda, shifted_gaussian_psi,
+                    unit_functional, unit_spot_check)
+from opfeyn import engine
 from opfeyn.engine import (_cubic_gram, _measure_family, _merge_moments,
                            _psi_log_bound)
 
@@ -207,6 +209,25 @@ def test_nu_delta_norm_divergence(drifted):
     assert res.value == math.inf
 
 
+def test_nu_delta_norm_just_below_the_envelope_rate(drifted):
+    # growth g = delta Var(a) a little below the envelope rate: the cut
+    # ends lie where |psi| underflows and exp(g v^2) overflows.  Closed
+    # form of |amp| int exp(-(v - m)^2 / (2 s^2) + g v^2) dv, a = 1/(2 s^2)
+    def closed(amp, m, s, delta):
+        a, g = 1.0 / (2.0 * s * s), delta * drifted.var_a
+        return (abs(amp) * math.sqrt(math.pi / (a - g))
+                * math.exp((a * m) ** 2 / (a - g) - a * m * m))
+
+    res = nu_delta_norm(gaussian_psi(), 1.6, drifted)   # g = 0.48, rate 0.5
+    assert res.finite
+    assert abs(closed(1.0 / math.sqrt(2.0 * math.pi), 0.0, 1.0, 1.6) - 5.0) < 1e-12
+    assert abs(res.value - 5.0) < 1e-9 * 5.0
+    psi = shifted_gaussian_psi(1 - 0.5j, 0.7, 0.9)      # g = 0.3, rate 0.309
+    ref = closed(1 - 0.5j, 0.7, 0.9, 1.0)
+    assert abs(ref - 4.68) < 5e-3
+    assert abs(nu_delta_norm(psi, 1.0, drifted).value - ref) < 1e-9 * ref
+
+
 def test_op_norm_bound_values(wiener):
     F = unit_functional(wiener)
     h = b_element(wiener)
@@ -273,6 +294,72 @@ def test_log_bound_of_an_exponential_envelope():
     # an extra exponent that grows faster than the envelope decays
     with pytest.raises(PsiNotIntegrable):
         _psi_log_bound(psi, (0.5, 0.0, 0.0))
+
+
+def test_boundary_grid_agrees_with_one_point_calls(drifted):
+    # a 21-point grid is integrated in groups on shared intervals; each
+    # value stays within both sides' certified errors of its own call.
+    # The one-point calls run at rel_tol 1e-14: at the default tolerance
+    # their Simpson error estimate is 1.6x too small at xi = -2 and 2
+    F = gallery("F4", drifted)
+    h = b_element(drifted)
+    psi = shifted_gaussian_psi(1.0, 0.0, 0.3)
+    xi = np.linspace(-10.0, 10.0, 21)
+    grid = j_q(F, h, psi, 1.5, xi, q0=0.5, delta=0.5)
+    for j in range(xi.size):
+        one = j_q(F, h, psi, 1.5, xi[j:j + 1], q0=0.5, delta=0.5,
+                  rel_tol=1e-14)
+        gap = abs(grid.values[j] - one.values[0])
+        assert gap <= grid.meta["quad_err"][j] + one.meta["quad_err"][0]
+
+
+def test_empty_grid_gives_empty_arrays(drifted):
+    res = k_lambda(gallery("F3", drifted), b_element(drifted), gaussian_psi(),
+                   1.0 + 0.5j, np.array([]))
+    assert res.values.shape == (0,) and res.values.dtype == complex
+    assert res.meta["quad_err"].shape == (0,)
+    assert res.meta["n_eval"] == 0
+
+
+def test_one_quadrature_per_group_of_points(drifted, monkeypatch):
+    calls = []
+    integrate_family = engine.adaptive_simpson
+
+    def counting(f, lo, hi, **kw):
+        calls.append((lo, hi))
+        return integrate_family(f, lo, hi, **kw)
+
+    monkeypatch.setattr(engine, "adaptive_simpson", counting)
+    F, h = gallery("F4", drifted), b_element(drifted)
+    k_lambda(F, h, gaussian_psi(), 1.0 + 0.5j, np.linspace(-2.0, 2.0, 5))
+    assert len(calls) == 1
+    # groups of 8: nine points take two integrations
+    j_q(F, h, gaussian_psi(), 1.5, np.linspace(-2.0, 2.0, 9), q0=0.5, delta=0.5)
+    assert len(calls) == 3
+    # past XI_GROUP rows a group costs more exponentials than it saves
+    # nodes, so a nine-row kernel integrates its points one by one
+    atoms = tuple((float(v), 0.1 + 0j) for v in np.linspace(-1.0, 1.0, 9))
+    G = gallery("F1", drifted, w0=h, eta=EtaAtoms(atoms=atoms))
+    xi = np.array([-1.0, 0.0, 1.5])
+    grid = k_lambda(G, h, gaussian_psi(), 1.0 + 0.5j, xi)
+    assert len(calls) == 6
+    for j in range(xi.size):
+        one = k_lambda(G, h, gaussian_psi(), 1.0 + 0.5j, xi[j:j + 1])
+        assert grid.values[j] == one.values[0]
+
+
+def test_grid_memory_does_not_grow_with_the_grid(drifted):
+    F, h = gallery("F4", drifted), b_element(drifted)
+    psi = shifted_gaussian_psi(1.0, 0.0, 0.3)
+    peaks = []
+    for n in (8, 64):
+        tracemalloc.start()
+        try:
+            j_q(F, h, psi, 1.5, np.linspace(-10.0, 10.0, n), q0=0.5, delta=0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_op_norm_bound_rejects(wiener):

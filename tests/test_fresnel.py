@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (AtomicMeasure, Envelope, EtaAtoms, EtaDensity, EtaGaussian,
-                    FresnelFunctional, LineMeasure, MeasureUnderflow,
-                    MismatchedScalePair, RngStream, UnknownExample,
-                    UnsupportedVariant, b_element, convolve,
+from opfeyn import (AtomicMeasure, BadConfig, Envelope, EtaAtoms, EtaDensity,
+                    EtaGaussian, FresnelFunctional, LineMeasure,
+                    MeasureUnderflow, MismatchedScalePair, RngStream,
+                    UnknownExample, UnsupportedVariant, b_element, convolve,
                     eval_from_projections, gallery, kq0_integral,
                     monomial_element, s_star, sample_increments,
                     unit_functional)
@@ -31,7 +31,7 @@ def test_eta_gaussian_hat_oracle():
     expected = (1.5 - 0.5j) * np.exp(-0.5 * 2.0 * u * u + 1j * 0.7 * u)
     assert np.allclose(eta.hat(u), expected, atol=1e-15)
     assert abs(eta.total_mass() - abs(1.5 - 0.5j)) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         EtaGaussian(mean=0.0, var=0.0)
 
 
@@ -76,7 +76,7 @@ def test_eta_density_tail_check():
     assert abs(eta.total_mass() - 2.0) < 3e-6
     # exponential weight at the envelope rate diverges
     assert eta.exp_moment(1.0) == math.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         EtaDensity(fn=rho, radius=-1.0)
 
 
@@ -167,7 +167,7 @@ def test_atomic_measure_checks_pairs(wiener, drifted):
 def test_gallery_dispatch(wiener):
     assert gallery("F3", wiener).label == "F3"
     assert gallery("F4", wiener).label == "F4"
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         gallery("F2", wiener, w0=b_element(wiener), mean=0.0, var=0.0)
     with pytest.raises(UnknownExample):
         gallery("F9", wiener)
