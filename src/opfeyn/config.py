@@ -134,9 +134,11 @@ class RunConfig:
             raise ConfigError("F.eta: expected an object")
         kind = eta.get("kind")
         if kind == "gaussian":
-            scale = complex(eta.get("scale_re", 1.0), eta.get("scale_im", 0.0))
-            return EtaGaussian(mean=eta.get("mean", 0.0),
-                               var=eta.get("var", 1.0), scale=scale)
+            scale = complex(_num(eta, "scale_re", "F.eta", default=1.0),
+                            _num(eta, "scale_im", "F.eta", default=0.0))
+            return EtaGaussian(mean=_num(eta, "mean", "F.eta", default=0.0),
+                               var=_num(eta, "var", "F.eta", default=1.0),
+                               scale=scale)
         if kind == "atoms":
             atoms = eta.get("atoms")
             if not isinstance(atoms, list) or not atoms:

@@ -12,7 +12,7 @@ overlap, which is the package's central cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,8 +47,10 @@ XI_GROUP = 8          # evaluation points integrated as one quadrature family
 class OperatorResult:
     """Operator values on an evaluation grid, with per-point standard errors
     when the route is stochastic.  On the kernel routes ``meta["quad_err"]``
-    is a per-point error bound, and ``meta["n_eval"]`` counts integrand
-    nodes once per group of up to ``XI_GROUP`` points."""
+    is a per-point error (the quadrature estimate plus the certified tail),
+    ``meta["n_eval"]`` counts integrand nodes once per group of up to
+    ``XI_GROUP`` points, and ``meta["quad_rounds"]`` is the largest number
+    of refinement rounds a group took."""
 
     xi_grid: np.ndarray
     values: np.ndarray
@@ -205,7 +207,7 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
     ``phase_rate`` centred at centres[j]; the panels keep every row's
     quarter-period breakpoints, and each row's tail is certified at the
     shared ends against its own tolerance, with one retry at a wider drop.
-    Returns per-row values and errors (quadrature plus tail) and n_eval.
+    Returns the QuadResult with each row's tail bound added to its error.
     """
     drop = TRUNC_DROP
     for attempt in range(2):
@@ -220,7 +222,7 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
             if not res.converged and np.any(res.err > np.maximum(
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
-            return res.values, res.err + tails, res.n_eval
+            return replace(res, err=res.err + tails)
         drop += math.log(1e6)
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
@@ -316,7 +318,8 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     to ``XI_GROUP`` consecutive points (single points for kernels of more
     than ``XI_GROUP`` rows) are integrated as one quadrature family; the
     group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
-    per point; ``meta["n_eval"]`` counts nodes once per group.
+    per point; ``meta["n_eval"]`` counts nodes once per group, and
+    ``meta["quad_rounds"]`` is the largest round count over the groups.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     if F.sp is not h.sp:
@@ -367,14 +370,14 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         phase_rate, xs, rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
         for xs in (xi[k:k + group] for k in range(0, xi.size, group))]
     # the empty arrays keep the result shape and dtype for an empty grid
-    values = m_factor * np.concatenate([p[0] for p in parts] + [np.zeros(0, complex)])
-    errs = abs(m_factor) * np.concatenate([p[1] for p in parts] + [np.zeros(0)])
-    n_eval = sum(p[2] for p in parts)
+    values = m_factor * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)])
+    errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])
     return OperatorResult(
         xi_grid=xi, values=values, stderr=None, route="kernel",
         meta={"lambda": lam.value, "q0": q0, "delta": delta,
               "rel_tol": rel_tol, "abs_tol": abs_tol,
-              "quad_err": errs, "n_eval": n_eval,
+              "quad_err": errs, "n_eval": sum(p.n_eval for p in parts),
+              "quad_rounds": max((p.rounds for p in parts), default=0),
               "kq0_integral": kq0.value})
 
 
@@ -460,9 +463,9 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
         with np.errstate(divide="ignore"):
             return np.exp(np.log(np.abs(psi(v))) + growth * v * v)[None, :]
 
-    val, _, _ = _integrate_with_tail_check(
+    res = _integrate_with_tail_check(
         f, [bound], 0.0, [0.0], rel_tol=1e-11, abs_tol=1e-14, amp=1.0)
-    return WeightedNorm(value=float(abs(val[0])), finite=True)
+    return WeightedNorm(value=float(abs(res.values[0])), finite=True)
 
 
 def divergence_witness_partial(sp: ScalePair, R: float, *,

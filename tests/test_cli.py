@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from opfeyn import OperatorResult
 from opfeyn.cli import main, mc_z_scores
@@ -117,6 +118,14 @@ def test_degenerate_f2_variance_exits_2(tmp_path, capsys):
                                     "mean": 0.0, "var": 0})
     assert run(tmp_path, "validate", "--config", cfg) == 2
     assert "var > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["mean", "var", "scale_re", "scale_im"])
+def test_non_numeric_gaussian_eta_exits_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, F={"name": "F1", "w0": {"preset": "b"},
+                                    "eta": {"kind": "gaussian", key: "x"}})
+    assert run(tmp_path, "validate", "--config", cfg) == 2
+    assert f"F.eta.{key}: expected a number" in capsys.readouterr().err
 
 
 def test_config_boundary_gate_exits_2(tmp_path):

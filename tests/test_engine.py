@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,66 @@ def test_boundary_grid_agrees_with_one_point_calls(drifted):
                   rel_tol=1e-14)
         gap = abs(grid.values[j] - one.values[0])
         assert gap <= grid.meta["quad_err"][j] + one.meta["quad_err"][0]
+
+
+def test_boundary_error_estimate_covers_the_gap(drifted):
+    # the reported error must cover the distance to a far tighter run; the
+    # Simpson panels' Richardson estimate reported 3.45e-12 at xi = -2
+    # against a gap of 5.70e-12
+    F, h = gallery("F4", drifted), b_element(drifted)
+    psi = shifted_gaussian_psi(1.0, 0.0, 0.3)
+    for x in (-2.0, 2.0):
+        res = j_q(F, h, psi, 1.5, [x], delta=0.5)
+        tight = j_q(F, h, psi, 1.5, [x], delta=0.5, rel_tol=1e-14)
+        assert res.meta["quad_err"][0] >= abs(res.values[0] - tight.values[0])
+
+
+def test_boundary_far_point_matches_scipy(drifted, monkeypatch):
+    # far from the drift the H factor oscillates fast over the narrow psi;
+    # the Simpson panels raised QuadratureError here
+    seen = []
+    integrate_family = engine.adaptive_simpson
+
+    def recording(f, lo, hi, **kw):
+        res = integrate_family(f, lo, hi, **kw)
+        seen.append((f, lo, hi, kw["breakpoints"], res))
+        return res
+
+    monkeypatch.setattr(engine, "adaptive_simpson", recording)
+    res = j_q(gallery("F4", drifted), b_element(drifted),
+              shifted_gaussian_psi(1.0, 0.0, 0.1), 1.5, [-60.0], delta=0.5)
+    assert abs(abs(res.values[0]) - 3.358e-5) < 1e-8
+    # the integrand's L1 norm is 7.8e3 against a value of 8.4e-5, so both
+    # engines stop at the rounding floor: scipy warns of roundoff, and the
+    # two agree within the sum of their error estimates (2.5e-11 apart)
+    f, lo, hi, breaks, quad = seen[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref, ref_err = integrate.quad(
+            lambda v: f(np.array([v]))[0, 0], lo, hi, complex_func=True,
+            points=breaks, limit=2000, epsabs=0.0, epsrel=1e-12)
+    assert abs(quad.values[0] - ref) <= quad.err[0] + abs(ref_err)
+
+
+def test_rounds_reported_in_meta(drifted, monkeypatch):
+    rounds = []
+    integrate_family = engine.adaptive_simpson
+
+    def recording(f, lo, hi, **kw):
+        res = integrate_family(f, lo, hi, **kw)
+        rounds.append(res.rounds)
+        return res
+
+    monkeypatch.setattr(engine, "adaptive_simpson", recording)
+    F, h = gallery("F4", drifted), b_element(drifted)
+    # two groups of points that need different numbers of rounds
+    xi = np.linspace(-2.0, 2.0, 12)
+    res = j_q(F, h, shifted_gaussian_psi(1.0, 0.0, 0.3), 1.5, xi, delta=0.5)
+    assert len(rounds) == 2 and min(rounds) < max(rounds)
+    assert res.meta["quad_rounds"] == max(rounds)
+    res = k_lambda(F, h, gaussian_psi(), 1.0 + 0.5j, [0.0])
+    assert res.meta["quad_rounds"] == rounds[-1]
+    assert k_lambda(F, h, gaussian_psi(), 1.0, []).meta["quad_rounds"] == 0
 
 
 def test_empty_grid_gives_empty_arrays(drifted):

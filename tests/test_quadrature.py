@@ -3,7 +3,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from opfeyn.quadrature import (LogBound, adaptive_simpson, phase_breakpoints,
+from opfeyn.quadrature import (CHUNK_BYTES, GK_GAUSS, GK_KRONROD, GK_NODES,
+                               LogBound, adaptive_simpson, phase_breakpoints,
                                quadratic_tail_bound)
 
 
@@ -47,6 +48,42 @@ def test_error_estimate_is_honest():
     ref, _ = integrate.quad(lambda v: math.exp(math.sin(4 * v)), 0.0, 3.0,
                             epsabs=1e-13, epsrel=1e-13)
     assert abs(res.values[0].real - ref) <= max(res.err[0] * 10, 1e-12)
+
+
+def test_gauss_kronrod_tables_integrate_monomials():
+    # one panel on [-1, 1]: K15 is exact through degree 22, G7 through 13
+    assert abs(GK_KRONROD.sum() - 2.0) < 1e-15
+    assert abs(GK_GAUSS.sum() - 2.0) < 1e-15
+    assert np.all(np.diff(GK_NODES) > 0.0)
+    for d in range(23):
+        exact = (1.0 + (-1.0) ** d) / (d + 1.0)
+        assert abs(GK_KRONROD @ GK_NODES ** d - exact) < 1e-15, d
+        if d <= 13:
+            assert abs(GK_GAUSS @ GK_NODES ** d - exact) < 1e-15, d
+    # the two rules differ, so |K15 - G7| measures something
+    assert abs(GK_GAUSS @ GK_NODES ** 14 - 2.0 / 15.0) > 1e-6
+
+
+def test_rounds_are_counted_and_memory_is_chunked():
+    # 10000 initial panels at 15 complex nodes each are several
+    # chunks; every integrand call stays within the byte budget
+    sizes = []
+
+    def f(v):
+        out = np.stack([np.exp(1j * v), np.cos(v) + 0j])
+        sizes.append(out.nbytes)
+        return out
+
+    res = adaptive_simpson(f, 0.0, 4.0, breakpoints=np.linspace(0.0, 4.0, 10001))
+    assert res.converged and res.rounds == 1
+    assert res.n_eval == 10000 * 15
+    assert len(sizes) > 2 and max(sizes) <= CHUNK_BYTES
+    assert abs(res.values[0] - (np.exp(4j) - 1.0) / 1j) < 1e-13
+    assert abs(res.values[1] - math.sin(4.0)) < 1e-13
+    # a needle at an initial node takes more rounds than a smooth integrand
+    needle = adaptive_simpson(as_family(lambda v: np.exp(-1e4 * (v - 0.5) ** 2)),
+                              0.0, 1.0, breakpoints=[0.5])
+    assert needle.converged and needle.rounds > 1
 
 
 def test_phase_breakpoints_spacing():
