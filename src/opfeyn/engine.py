@@ -205,7 +205,7 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
 
     Row j of f's output has truncation bound bounds[j] and a phase of rate
     ``phase_rate`` centred at centres[j]; the panels keep every row's
-    quarter-period breakpoints, and each row's tail is certified at the
+    phase within a quarter period, and each row's tail is certified at the
     shared ends against its own tolerance, with one retry at a wider drop.
     Returns the QuadResult with each row's tail bound added to its error.
     """
@@ -213,10 +213,8 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
     for attempt in range(2):
         cuts = np.array([b.cut(drop) for b in bounds])
         lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
-        breaks = [phase_breakpoints(lo, hi, phase_rate, c) for c in centres]
-        breaks = [p for p in breaks if p is not None]
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                               breakpoints=np.concatenate(breaks) if breaks else None)
+                               breakpoints=phase_breakpoints(lo, hi, phase_rate, centres))
         tails = np.array([b.tails(lo, hi, amp) for b in bounds])
         if np.all(tails <= np.maximum(TAIL_REL * np.abs(res.values), abs_tol)):
             if not res.converged and np.any(res.err > np.maximum(
@@ -314,10 +312,9 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     boundary with a genuine drift the state function must be integrable
     against the gaussian delta-weight.
 
-    The kernel depends on v and xi only through v - xi, so groups of up
-    to ``XI_GROUP`` consecutive points (single points for kernels of more
-    than ``XI_GROUP`` rows) are integrated as one quadrature family; the
-    group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
+    The kernel depends on v and xi only through v - xi, so groups of up to
+    ``XI_GROUP`` consecutive points are integrated as one quadrature family;
+    the group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
     per point; ``meta["n_eval"]`` counts nodes once per group, and
     ``meta["quad_rounds"]`` is the largest round count over the groups.
     """
@@ -338,12 +335,9 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
     xi = np.asarray(xi_grid, dtype=float)
-    # a group takes rows x points exponentials per shared node, which past
-    # XI_GROUP rows outweighs the nodes it saves.  One buffer serves every
-    # integrand call; v is blocked so that rows x group x block fits in it
+    # one buffer serves every integrand call, v blocked to fit in it
     rows = weights.size
-    group = XI_GROUP if rows <= XI_GROUP else 1
-    width = rows * min(xi.size, group)
+    width = rows * min(xi.size, XI_GROUP)
     block = max(1, EXP_BUF // max(width, 1))
     buf = np.empty(width * block, dtype=complex)
 
@@ -368,7 +362,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         integrand(xs),
         [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx)) for x0 in xs],
         phase_rate, xs, rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
-        for xs in (xi[k:k + group] for k in range(0, xi.size, group))]
+        for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
     # the empty arrays keep the result shape and dtype for an empty grid
     values = m_factor * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)])
     errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])

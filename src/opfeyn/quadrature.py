@@ -8,10 +8,10 @@ where the error estimate of any family member exceeds its share of the
 budget.  The estimate is QUADPACK's heuristic resasc min(1, (200 |K15 -
 G7| / resasc)^1.5), as the Richardson estimate of the earlier Simpson
 panels was a heuristic too: neither is a proven bound.  Oscillatory
-integrands get an initial partition bounded by a quarter-period of the
-quadratic phase per panel.  The engine keeps the name
-``adaptive_simpson`` because the benchmark tracer (perfbench/spans.py)
-hooks that name.
+integrands get an initial partition whose panels keep every family
+member's quadratic phase within a quarter period.  The engine keeps the
+name ``adaptive_simpson`` because the benchmark tracer
+(perfbench/spans.py) hooks that name.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ ROUND_FLOOR = 32.0 * EPS
 # bytes of one integrand call's (k, nodes) output; a round is evaluated in
 # chunks of panels within it, so memory does not grow with the panel count
 CHUNK_BYTES = 1 << 18
+PHASE_CAP = 16384     # most quarter-period offsets a partition uses per side
+MIN_PANELS = 8        # fewest panels of an initial partition
+MAX_PANELS = 1 << 19  # most panels a refinement round may bisect into
 
 # G7/K15 on [-1, 1] (QUADPACK qk15): Kronrod abscissae from the end point
 # inwards, their weights, and the Gauss weights of the odd-indexed abscissae
@@ -59,31 +62,34 @@ class QuadResult:
 
 
 def phase_breakpoints(lo: float, hi: float, rate: float,
-                      center: float, cap: int = 16384) -> np.ndarray | None:
-    """Interior points keeping the phase rate*(v-center)^2 within pi/4 per panel."""
+                      center: float | np.ndarray) -> np.ndarray | None:
+    """Interior points keeping every phase rate*(v-c)^2 within pi/4 per panel.
+
+    ``center`` is one c or an array: right of the extreme centres' midpoint
+    the smallest one's points serve all of them, left of it the largest's.
+    """
     if rate <= 0.0 or hi <= lo:
         return None
-    u_lo, u_hi = lo - center, hi - center
-    phi_max = rate * max(u_lo * u_lo, u_hi * u_hi)
-    n_steps = int(phi_max / PHASE_STEP)
+    c_lo, c_hi = float(np.min(center)), float(np.max(center))
+    reach = max(c_hi - lo, hi - c_lo)  # farthest any centre is from an end
+    n_steps = int(rate * (reach * reach) / PHASE_STEP)
     if n_steps < 4:
         return None
-    ks = np.arange(1, n_steps + 1)
-    us = np.sqrt(ks * PHASE_STEP / rate)
-    if us.size > cap:
-        us = us[:: us.size // cap + 1]
-    pts = np.concatenate([center - us, center + us])
+    us = np.sqrt(np.arange(1, n_steps + 1) * PHASE_STEP / rate)
+    if us.size > PHASE_CAP:
+        us = us[:: us.size // PHASE_CAP + 1]
+    far = us[us > 0.5 * (c_hi - c_lo)]  # offsets reaching past the midpoint
+    pts = np.concatenate([c_hi - far[::-1], c_lo + far])
     pts = pts[(pts > lo) & (pts < hi)]
-    pts.sort()
     return pts if pts.size else None
 
 
-def _initial_edges(lo, hi, breakpoints, min_panels=8):
+def _initial_edges(lo, hi, breakpoints):
     pts = np.atleast_1d(np.asarray([] if breakpoints is None else breakpoints,
                                    dtype=float))
     edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
-    if edges.size - 1 < min_panels:
-        fill = np.linspace(lo, hi, min_panels + 1)
+    if edges.size - 1 < MIN_PANELS:
+        fill = np.linspace(lo, hi, MIN_PANELS + 1)
         edges = np.unique(np.concatenate([edges, fill]))
     return edges
 
@@ -120,7 +126,7 @@ def _panel_sums(f, a, b, step):
 
 def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
                      abs_tol: float = 1e-14, breakpoints=None,
-                     max_rounds: int = 40, max_panels: int = 1 << 19) -> QuadResult:
+                     max_rounds: int = 40) -> QuadResult:
     """Integrate a family of functions over [lo, hi] with G7/K15 panels.
 
     Parameters
@@ -173,7 +179,7 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
             break
         a_bad = a[~ok]
         b_bad = b[~ok]
-        if rounds == max_rounds or 2 * a_bad.size > max_panels:
+        if rounds == max_rounds or 2 * a_bad.size > MAX_PANELS:
             accepted_val = accepted_val + kron[:, ~ok].sum(axis=1)
             # rounds exhausted: the panels left are taken unresolved
             accepted_err = accepted_err + (np.inf if rounds == max_rounds

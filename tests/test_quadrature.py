@@ -4,7 +4,8 @@ import numpy as np
 from scipy import integrate
 
 from opfeyn.quadrature import (CHUNK_BYTES, GK_GAUSS, GK_KRONROD, GK_NODES,
-                               LogBound, adaptive_simpson, phase_breakpoints,
+                               PHASE_CAP, PHASE_STEP, LogBound,
+                               adaptive_simpson, phase_breakpoints,
                                quadratic_tail_bound)
 
 
@@ -91,6 +92,35 @@ def test_phase_breakpoints_spacing():
     assert np.all(bp > -2.0) and np.all(bp < 2.0)
     # quadratic phase rate*(v-c)^2 advances by at most ~pi/4 per cell near center
     assert bp.size >= 8
+
+
+def test_phase_breakpoints_bound_every_centre():
+    # one point set serves a family of centres: no panel turns any centre's
+    # phase by more than two quarter periods (its total variation when the
+    # centre lies inside), and a lone centre may come as a 1-element array
+    gen = np.random.default_rng(7)
+    with_points = 0
+    for _ in range(2000):
+        lo = gen.uniform(-20.0, 5.0)
+        hi = lo + gen.uniform(0.5, 30.0)
+        rate = 10.0 ** gen.uniform(-2.0, 0.5)
+        centres = gen.uniform(lo - 5.0, hi + 5.0, gen.integers(1, 9))
+        reach = max(centres.max() - lo, hi - centres.min())
+        assert rate * reach * reach < PHASE_CAP * PHASE_STEP  # no thinning
+        one = phase_breakpoints(lo, hi, rate, centres[0])
+        same = phase_breakpoints(lo, hi, rate, centres[:1])
+        assert (one is None and same is None) or np.array_equal(one, same)
+        bp = phase_breakpoints(lo, hi, rate, centres)
+        if bp is None:
+            continue
+        with_points += 1
+        edges = np.concatenate([[lo], bp, [hi]])
+        a, b = edges[:-1, None], edges[1:, None]
+        phi_a, phi_b = rate * (a - centres) ** 2, rate * (b - centres) ** 2
+        inside = (a < centres) & (centres < b)
+        turn = np.where(inside, phi_a + phi_b, np.abs(phi_b - phi_a))
+        assert turn.max() <= 2.0 * PHASE_STEP * (1.0 + 1e-9)
+    assert with_points > 1500
 
 
 def test_phase_breakpoints_zero_rate():
