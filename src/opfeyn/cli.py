@@ -120,27 +120,22 @@ class _Printer:
 
 
 def cmd_validate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
-    sp = cfg.build_scale()
-    report = sp.validation_report()
+    report = cfg.scale.validation_report()
     for check, line in zip(report.checks, report.lines()):
         (say.info if check.passed else say.line)("  " + line)
-    h = cfg.build_h(sp)
-    F = cfg.build_F(sp)
-    psi = cfg.build_psi(sp, h)
-    say.info(f"  built scale={sp.name} h={h.label} F={F.label} psi={psi.label}")
+    labels = {"scale": cfg.scale.name, "h": cfg.h.label, "F": cfg.F.label,
+              "psi": cfg.psi.label}
+    say.info("  built " + " ".join(f"{k}={v}" for k, v in labels.items()))
     ok = report.passed
     say.line(f"validate: {'PASS' if ok else 'FAIL'}")
     summary = {"ok": ok,
-               "checks": {c.name: c.passed for c in report.checks},
-               "scale": sp.name, "h": h.label, "F": F.label, "psi": psi.label}
+               "checks": {c.name: c.passed for c in report.checks}, **labels}
     return (EXIT_OK if ok else EXIT_CHECK), summary, []
 
 
 def cmd_sample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
-    sp = cfg.build_scale()
-    h = cfg.build_h(sp)
     rng = RngStream(seed=seed, stream_id=0)
-    t, dx = sample_increments(sp, cfg.path_grid, cfg.sample_count,
+    t, dx = sample_increments(cfg.scale, cfg.path_grid, cfg.sample_count,
                               rng.generator())
     x = np.concatenate([np.zeros((cfg.sample_count, 1)), np.cumsum(dx, axis=1)],
                        axis=1)
@@ -149,9 +144,9 @@ def cmd_sample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
             for i in range(t.size)]
     _write_csv(out / "paths.csv", header, rows)
 
-    proj = dx @ left_densities([h], t)[:, 0]
+    proj = dx @ left_densities([cfg.h], t)[:, 0]
     say.info(f"  {cfg.sample_count} paths on {cfg.path_grid} steps, "
-             f"projections onto {h.label}: "
+             f"projections onto {cfg.h.label}: "
              f"mean {proj.mean():.4g}, sd {proj.std(ddof=1):.4g}")
     say.line(f"sample: wrote {out / 'paths.csv'}")
     summary = {"n_paths": cfg.sample_count, "grid": cfg.path_grid,
@@ -172,11 +167,7 @@ def mc_z_scores(values: np.ndarray, mc: OperatorResult) -> np.ndarray:
 
 
 def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
-    sp = cfg.build_scale()
-    h = cfg.build_h(sp)
-    F = cfg.build_F(sp)
-    psi = cfg.build_psi(sp, h)
-    xi = cfg.xi_grid
+    F, h, psi, xi = cfg.F, cfg.h, cfg.psi, cfg.xi_grid
     rows = []
     z_max = None
     per_lambda = []
@@ -225,12 +216,9 @@ def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
 def cmd_converge(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     if cfg.q is None:
         raise ConfigError("q: required for converge")
-    sp = cfg.build_scale()
-    h = cfg.build_h(sp)
-    F = cfg.build_F(sp)
-    psi = cfg.build_psi(sp, h)
-    study = convergence_study(F, h, psi, cfg.q, cfg.xi_grid, q0=cfg.q0,
-                              delta=cfg.delta, n_steps=cfg.converge_steps)
+    study = convergence_study(cfg.F, cfg.h, cfg.psi, cfg.q, cfg.xi_grid,
+                              q0=cfg.q0, delta=cfg.delta,
+                              n_steps=cfg.converge_steps)
     rows = [[str(n + 1), _fmt(study.lam_values[n].real),
              _fmt(study.lam_values[n].imag), _fmt(study.gaps[n])]
             for n in range(len(study.gaps))]
@@ -252,8 +240,7 @@ def cmd_converge(cfg: RunConfig, seed: int, out: Path, say: _Printer):
 
 
 def cmd_bounds(cfg: RunConfig, seed: int, out: Path, say: _Printer):
-    sp = cfg.build_scale()
-    res = bound_chain_sweep(sp, cfg.bound_tuples, q0=cfg.q0, seed=seed)
+    res = bound_chain_sweep(cfg.scale, cfg.bound_tuples, q0=cfg.q0, seed=seed)
     rows = [[name, str(res.violations[name]), _fmt(res.worst_slack[name])]
             for name in sorted(res.violations)]
     _write_csv(out / "bounds.csv", ["check", "violations", "worst_slack"], rows)
@@ -269,8 +256,7 @@ def cmd_bounds(cfg: RunConfig, seed: int, out: Path, say: _Printer):
 
 
 def cmd_counterexample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
-    sp = cfg.build_scale()
-    parts = [divergence_witness_partial(sp, R) for R in WITNESS_RADII]
+    parts = [divergence_witness_partial(cfg.scale, R) for R in WITNESS_RADII]
     rows = [[_fmt(p.R), _fmt(p.value), _fmt(p.psi_l1), _fmt(p.psi_sup)]
             for p in parts]
     _write_csv(out / "counterexample.csv",
@@ -333,7 +319,7 @@ def cmd_report(cfg: RunConfig, seed: int, out: Path, say: _Printer):
                 ("bounds", cmd_bounds)]
     if cfg.q is not None:
         sections.append(("converge", cmd_converge))
-    if cfg.scale.get("preset") == "drifted":
+    if cfg.raw["scale"]["preset"] == "drifted":
         sections.append(("counterexample", cmd_counterexample))
     code = EXIT_OK
     summary = {}

@@ -1,19 +1,24 @@
 """Strict JSON run configuration for the command-line harness.
 
 Every section rejects unknown keys by name, so typos fail loudly instead
-of silently falling back to defaults.  A parsed configuration round-trips
-losslessly through ``to_dict``.
+of silently falling back to defaults.  Parsing builds the run's scale
+pair, direction, functional and state function once, so every subcommand
+rejects a bad file the same way: a ValueError or package error raised
+while a section is built becomes a ConfigError naming that section.  A
+parsed configuration round-trips losslessly through ``to_dict``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadConfig, ConfigError
+from .errors import ConfigError, OpfeynError
 from .fresnel import EtaAtoms, EtaGaussian, FresnelFunctional, gallery, unit_functional
 from .hilbert import CambElement, pair_with_a, preset_direction
 from .psi import PsiFn, bump_psi, divergence_witness_psi, gaussian_psi
@@ -30,23 +35,25 @@ _TOP_KEYS = {"scale", "h", "F", "psi", "lambdas", "q", "q0", "delta",
              "sample_count", "converge_steps", "bound_tuples"}
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
+def _check_keys(d: dict, allowed: set, where: str,
+                required: str | None = None) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    if required is not None and required not in d:
+        raise ConfigError(f"{where}.{required}: required")
 
 
-def _num(d: dict, key: str, where: str, default=None, *, integer=False,
-         required=False):
+def _num(d: dict, key: str, where: str, default=None, *, integer=False):
     if key not in d:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     if integer:
         if int(v) != v:
             raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
@@ -54,15 +61,102 @@ def _num(d: dict, key: str, where: str, default=None, *, integer=False,
     return float(v)
 
 
+@contextmanager
+def _building(where: str):
+    """Report a ValueError or package error raised while ``where``'s object
+    is built as a ConfigError naming that section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OpfeynError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _section(d: dict, key: str, name_key: str, default: str):
+    """The object under ``key``; a bare string is shorthand for its name."""
+    s = d.get(key, {name_key: default})
+    return {name_key: s} if isinstance(s, str) else s
+
+
+def _scale(s) -> ScalePair:
+    _check_keys(s, _SCALE_KEYS, "scale", required="preset")
+    with _building("scale"):
+        return preset_scale(s["preset"],
+                            alpha=_num(s, "alpha", "scale"),
+                            beta=_num(s, "beta", "scale"),
+                            T=_num(s, "T", "scale", default=1.0),
+                            grid_n=_num(s, "grid_n", "scale", default=1024,
+                                        integer=True))
+
+
+def _direction(sp: ScalePair, d, where: str) -> CambElement:
+    _check_keys(d, _H_KEYS, where, required="preset")
+    degree = _num(d, "degree", where, integer=True)
+    with _building(where):
+        return preset_direction(sp, d["preset"], degree=degree)
+
+
+def _eta(eta):
+    _check_keys(eta, _ETA_KEYS, "F.eta")
+    kind = eta.get("kind")
+    if kind == "gaussian":
+        scale = complex(_num(eta, "scale_re", "F.eta", default=1.0),
+                        _num(eta, "scale_im", "F.eta", default=0.0))
+        return EtaGaussian(mean=_num(eta, "mean", "F.eta", default=0.0),
+                           var=_num(eta, "var", "F.eta", default=1.0),
+                           scale=scale)
+    if kind == "atoms":
+        atoms = eta.get("atoms")
+        if not isinstance(atoms, list) or not atoms:
+            raise ConfigError("F.eta.atoms: expected a non-empty list")
+        try:
+            parsed = tuple((float(v), complex(re, im)) for v, re, im in atoms)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(
+                "F.eta.atoms: entries must be [location, re, im] triples") from e
+        return EtaAtoms(atoms=parsed)
+    raise ConfigError(f"F.eta.kind: unknown kind {kind!r}")
+
+
+def _functional(sp: ScalePair, f) -> FresnelFunctional:
+    _check_keys(f, _F_KEYS, "F", required="name")
+    mean = _num(f, "mean", "F")
+    var = _num(f, "var", "F")
+    with _building("F"):
+        # w0 and eta are built whenever given, used or not
+        w0 = _direction(sp, f["w0"], "F.w0") if "w0" in f else None
+        eta = _eta(f["eta"]) if "eta" in f else None
+        if f["name"] == "one":
+            return unit_functional(sp)
+        return gallery(f["name"], sp, w0=w0, eta=eta, mean=mean, var=var)
+
+
+def _state_function(p, h: CambElement) -> PsiFn:
+    _check_keys(p, _PSI_KEYS, "psi", required="preset")
+    radius = _num(p, "radius", "psi", default=1.0)
+    amp = _num(p, "amp", "psi", default=1.0)
+    preset = p["preset"]
+    with _building("psi"):
+        if preset == "gaussian":
+            return gaussian_psi()
+        if preset == "bump":
+            return bump_psi(radius, amp)
+        if preset == "divergence_witness":
+            return divergence_witness_psi(pair_with_a(h))
+    raise ConfigError(f"psi.preset: unknown preset {preset!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; ``raw`` echoes the parsed input."""
+    """Validated run configuration: the scale pair, direction, functional
+    and state function are built once; ``raw`` echoes the parsed input."""
 
     raw: dict = field(repr=False)
-    scale: dict
-    h: dict
-    F: dict
-    psi: dict
+    scale: ScalePair
+    h: CambElement
+    F: FresnelFunctional
+    psi: PsiFn
     lambdas: tuple[complex, ...]
     q: float | None
     q0: float
@@ -85,132 +179,15 @@ class RunConfig:
     def xi_grid(self) -> np.ndarray:
         return np.linspace(self.xi_min, self.xi_max, self.xi_count)
 
-    # -- object builders ------------------------------------------------------
-
-    def build_scale(self) -> ScalePair:
-        s = self.scale
-        return preset_scale(s["preset"],
-                            alpha=s.get("alpha"), beta=s.get("beta"),
-                            T=s.get("T", 1.0), grid_n=s.get("grid_n", 1024))
-
-    def build_h(self, sp: ScalePair) -> CambElement:
-        try:
-            return preset_direction(sp, self.h["preset"],
-                                    degree=self.h.get("degree"))
-        except ValueError as e:
-            raise ConfigError(f"h: {e}") from e
-
-    def build_F(self, sp: ScalePair) -> FresnelFunctional:
-        f = self.F
-        name = f["name"]
-        if name == "one":
-            return unit_functional(sp)
-        if name in ("F3", "F4"):
-            return gallery(name, sp)
-        try:
-            if name == "F2":
-                w0 = self._build_w0(sp, f)
-                return gallery("F2", sp, w0=w0, mean=f.get("mean"), var=f.get("var"))
-            if name == "F1":
-                w0 = self._build_w0(sp, f)
-                eta = self._build_eta(f.get("eta"))
-                return gallery("F1", sp, w0=w0, eta=eta)
-        except BadConfig as e:
-            raise ConfigError(f"F: {e}") from e
-        raise ConfigError(f"F.name: unknown functional {name!r}")
-
-    def _build_w0(self, sp: ScalePair, f: dict) -> CambElement:
-        w0 = f.get("w0")
-        if not isinstance(w0, dict):
-            raise ConfigError("F.w0: expected an object with a direction preset")
-        try:
-            return preset_direction(sp, w0["preset"], degree=w0.get("degree"))
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"F.w0: {e}") from e
-
-    @staticmethod
-    def _build_eta(eta: dict | None):
-        if not isinstance(eta, dict):
-            raise ConfigError("F.eta: expected an object")
-        kind = eta.get("kind")
-        if kind == "gaussian":
-            scale = complex(_num(eta, "scale_re", "F.eta", default=1.0),
-                            _num(eta, "scale_im", "F.eta", default=0.0))
-            return EtaGaussian(mean=_num(eta, "mean", "F.eta", default=0.0),
-                               var=_num(eta, "var", "F.eta", default=1.0),
-                               scale=scale)
-        if kind == "atoms":
-            atoms = eta.get("atoms")
-            if not isinstance(atoms, list) or not atoms:
-                raise ConfigError("F.eta.atoms: expected a non-empty list")
-            try:
-                parsed = tuple((float(v), complex(re, im)) for v, re, im in atoms)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(
-                    "F.eta.atoms: entries must be [location, re, im] triples") from e
-            return EtaAtoms(atoms=parsed)
-        raise ConfigError(f"F.eta.kind: unknown kind {kind!r}")
-
-    def build_psi(self, sp: ScalePair, h: CambElement) -> PsiFn:
-        p = self.psi
-        preset = p["preset"]
-        if preset == "gaussian":
-            return gaussian_psi()
-        if preset == "bump":
-            return bump_psi(p.get("radius", 1.0), p.get("amp", 1.0))
-        if preset == "divergence_witness":
-            return divergence_witness_psi(pair_with_a(h))
-        raise ConfigError(f"psi.preset: unknown preset {preset!r}")
-
 
 def config_from_dict(d: dict) -> RunConfig:
     _check_keys(d, _TOP_KEYS, "config")
-
-    scale = d.get("scale")
-    if not isinstance(scale, dict):
+    if "scale" not in d:
         raise ConfigError("scale: required object missing")
-    _check_keys(scale, _SCALE_KEYS, "scale")
-    if scale.get("preset") not in ("wiener", "drifted"):
-        raise ConfigError(f"scale.preset: unknown preset {scale.get('preset')!r}")
-    if scale["preset"] == "wiener" and ("alpha" in scale or "beta" in scale):
-        raise ConfigError("scale: wiener preset takes no alpha/beta")
-    if scale["preset"] == "drifted" and not {"alpha", "beta"} <= set(scale):
-        raise ConfigError("scale: drifted preset needs alpha and beta")
-    _num(scale, "T", "scale")
-    grid_n = _num(scale, "grid_n", "scale", default=1024, integer=True)
-    if grid_n < 2 or grid_n % 2:
-        raise ConfigError("scale.grid_n: must be even and at least 2")
-
-    h = d.get("h", {"preset": "b"})
-    if isinstance(h, str):
-        h = {"preset": h}
-    _check_keys(h, _H_KEYS, "h")
-    if "preset" not in h:
-        raise ConfigError("h.preset: required")
-
-    F = d.get("F", {"name": "one"})
-    if isinstance(F, str):
-        F = {"name": F}
-    _check_keys(F, _F_KEYS, "F")
-    if "name" not in F:
-        raise ConfigError("F.name: required")
-    _num(F, "mean", "F")
-    _num(F, "var", "F")
-    if "w0" in F:
-        if not isinstance(F["w0"], dict):
-            raise ConfigError("F.w0: expected an object with a direction preset")
-        _check_keys(F["w0"], _H_KEYS, "F.w0")
-    if "eta" in F:
-        if not isinstance(F["eta"], dict):
-            raise ConfigError("F.eta: expected an object")
-        _check_keys(F["eta"], _ETA_KEYS, "F.eta")
-
-    psi = d.get("psi", {"preset": "gaussian"})
-    if isinstance(psi, str):
-        psi = {"preset": psi}
-    _check_keys(psi, _PSI_KEYS, "psi")
-    if "preset" not in psi:
-        raise ConfigError("psi.preset: required")
+    sp = _scale(d["scale"])
+    h = _direction(sp, _section(d, "h", "preset", "b"), "h")
+    F = _functional(sp, _section(d, "F", "name", "one"))
+    psi = _state_function(_section(d, "psi", "preset", "gaussian"), h)
 
     lambdas = []
     raw_lams = d.get("lambdas", [])
@@ -219,7 +196,7 @@ def config_from_dict(d: dict) -> RunConfig:
     for i, pair in enumerate(raw_lams):
         if (not isinstance(pair, list) or len(pair) != 2
                 or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in pair)):
+                       or not math.isfinite(x) for x in pair)):
             raise ConfigError(f"lambdas[{i}]: expected an [re, im] number pair")
         lam = complex(pair[0], pair[1])
         if lam == 0:
@@ -274,7 +251,7 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError("bound_tuples: must be positive")
 
     return RunConfig(
-        raw=d, scale=scale, h=h, F=F, psi=psi, lambdas=tuple(lambdas),
+        raw=d, scale=sp, h=h, F=F, psi=psi, lambdas=tuple(lambdas),
         q=q, q0=q0, delta=delta, n_paths=n_paths, path_grid=path_grid,
         seed=seed, xi_min=xi_min, xi_max=xi_max, xi_count=xi_count,
         out_dir=out_dir, sample_count=sample_count,

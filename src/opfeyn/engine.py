@@ -430,10 +430,19 @@ def op_norm_bound(F: FresnelFunctional, h: CambElement, lam, *,
     Interior parameters use the drift magnitude factor S; boundary
     parameters -iq use the normalizer at |q| alone.  In both cases the
     exponential-moment integral of the measure multiplies the bound.
+
+    The boundary bound holds only without drift.  With drift the modulus
+    of the kernel's H factor at -iq can grow without bound in v - xi, so
+    sup |K psi| / ||psi||_{nu_delta} is unbounded as psi narrows; a
+    boundary parameter over a scale pair with Var(a) > 0 (where k_lambda
+    demands a delta weight) raises NotAdmissible.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     ctx = KernelContext.from_direction(h)
     kq0 = _require_kernel_admissible(F, lam, q0)
+    if not lam.is_interior and h.sp.var_a > 0.0:
+        raise NotAdmissible(
+            "the boundary operator-norm bound holds only without drift")
     m_mod = abs(kernel_M(lam, ctx))
     if lam.is_interior:
         s = math.exp(s_log(lam.value, ctx.pair_ha, ctx.norm_h_sq))
@@ -494,8 +503,10 @@ def divergence_witness_partial(sp: ScalePair, R: float, *,
         e = vlh_exponent(lam, 0.0, v, np.array([0.0]), np.array([0.0]), ctx)
         return np.exp(e[0])[None, :] * psi(v)[None, :]
 
-    res = adaptive_simpson(f, 0.0, R, rel_tol=1e-11, abs_tol=1e-14,
-                           breakpoints=phase_breakpoints(0.0, R, phase_rate, 0.0))
+    # the partial integral is defined on [0, R], so its tail is 0
+    res = _integrate_with_tail_check(f, [LogBound(support=(0.0, R))],
+                                     phase_rate, [0.0], rel_tol=1e-11,
+                                     abs_tol=1e-14, amp=1.0)
     value = float(abs(m_factor * res.values[0]))
     l1 = nu_delta_norm(psi, 0.0, sp)
     return DivergencePartial(R=R, value=value, pair_ha=p,
@@ -618,12 +629,11 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     # phase -Im(alpha) v^2 + Im(beta) v, whose stationary point is
     # Im(beta) / (2 Im(alpha)), not the magnitude peak
     q = (-alpha.real, beta.real, 0.0)
-    lo, hi = LogBound(left=q, right=q).cut(TRUNC_DROP)
     centre = beta.imag / (2.0 * alpha.imag) if alpha.imag != 0.0 else 0.0
-    res = adaptive_simpson(
-        lambda v: np.exp(-alpha * v * v + beta * v)[None, :], lo, hi,
-        rel_tol=1e-11, abs_tol=1e-15,
-        breakpoints=phase_breakpoints(lo, hi, abs(alpha.imag), centre))
+    res = _integrate_with_tail_check(
+        lambda v: np.exp(-alpha * v * v + beta * v)[None, :],
+        [LogBound(left=q, right=q)], abs(alpha.imag), [centre],
+        rel_tol=1e-11, abs_tol=1e-15, amp=1.0)
     return GaussianIdentityResult(numeric=complex(res.values[0]),
                                   closed_form=complex(closed))
 

@@ -131,6 +131,8 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
 
     Parameters
     ----------
+    lo, hi : float
+        Ends of the interval, lo < hi.
     f : callable
         Maps a 1-d float array of nodes to a (k, n_nodes) array (complex
         or real); each of the k rows is integrated.
@@ -147,10 +149,6 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     rounds run out, the panels left are taken at their last K15 values
     and the error is infinite.
     """
-    if hi <= lo:
-        probe = np.asarray(f(np.array([lo])))
-        k = probe.shape[0]
-        return QuadResult(np.zeros(k, dtype=probe.dtype), np.zeros(k), 1, True, 0)
     edges = _initial_edges(lo, hi, breakpoints)
     a = edges[:-1].copy()
     b = edges[1:].copy()

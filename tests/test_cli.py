@@ -128,6 +128,34 @@ def test_non_numeric_gaussian_eta_exits_2(tmp_path, capsys, key):
     assert f"F.eta.{key}: expected a number" in capsys.readouterr().err
 
 
+_DRIFTED = {"preset": "drifted", "alpha": 0.3, "beta": 0.5}
+
+
+@pytest.mark.parametrize("over, where", [
+    ({"F": {"name": "F9"}}, "F"),
+    ({"h": "a_unit"}, "h"),
+    ({"h": {"preset": "monomial", "degree": "x"}}, "h.degree"),
+    ({"h": {"preset": "monomial", "degree": 1.5}}, "h.degree"),
+    ({"psi": "divergence_witness"}, "psi"),
+    ({"psi": {"preset": "bump", "radius": "x"}}, "psi.radius"),
+    ({"psi": {"preset": "bump", "radius": -1}}, "psi"),
+    ({"scale": {"preset": "wiener", "T": 0}}, "scale"),
+    ({"scale": dict(_DRIFTED, alpha="x")}, "scale.alpha"),
+    ({"scale": dict(_DRIFTED, alpha=True)}, "scale.alpha"),
+    ({"scale": dict(_DRIFTED, beta=-1)}, "scale"),
+], ids=["F.name", "h.preset", "h.degree-str", "h.degree-float", "psi.preset",
+        "psi.radius-str", "psi.radius-neg", "scale.T", "scale.alpha-str",
+        "scale.alpha-bool", "scale.beta-neg"])
+def test_every_subcommand_rejects_a_bad_section_with_exit_2(tmp_path, capsys,
+                                                            over, where):
+    # the run's objects are built once, with the config, so a subcommand
+    # that never uses h, F or psi rejects them as validate does
+    cfg = write_config(tmp_path, **over)
+    for command in ("validate", "bounds"):
+        assert run(tmp_path, command, "--config", cfg) == 2
+        assert f"config error: {where}: " in capsys.readouterr().err
+
+
 def test_config_boundary_gate_exits_2(tmp_path):
     cfg = write_config(tmp_path, q=0.2)
     assert run(tmp_path, "evaluate", "--config", cfg) == 2

@@ -33,10 +33,9 @@ def test_round_trip():
 def test_string_shorthands():
     cfg = config_from_dict({"scale": {"preset": "wiener"}, "h": "b",
                             "F": "one", "psi": "gaussian"})
-    sp = cfg.build_scale()
-    assert cfg.build_h(sp).label == "b"
-    assert cfg.build_F(sp).label == "one"
-    assert cfg.build_psi(sp, cfg.build_h(sp)).label == "gaussian"
+    assert cfg.h.label == "b"
+    assert cfg.F.label == "one"
+    assert cfg.psi.label == "gaussian"
 
 
 def test_unknown_keys_named():
@@ -109,27 +108,33 @@ def test_numeric_field_checks():
         config_from_dict(minimal(out_dir=7))
 
 
+def test_non_finite_numbers_rejected():
+    # JSON's NaN and Infinity parse as floats; no field accepts them
+    for over in ({"delta": float("nan")}, {"n_paths": float("inf")},
+                 {"xi_grid": {"min": -1.0, "max": float("nan")}},
+                 {"scale": {"preset": "wiener", "T": float("nan")}},
+                 {"lambdas": [[float("nan"), 0.0]]}):
+        with pytest.raises(ConfigError):
+            config_from_dict(minimal(**over))
+
+
 def test_eta_parsing():
     base = {"name": "F1", "w0": {"preset": "b"}}
     cfg = config_from_dict(minimal(
         F=dict(base, eta={"kind": "atoms", "atoms": [[0.5, 1.0, 0.0]]})))
-    sp = cfg.build_scale()
-    assert cfg.build_F(sp).label == "F1"
+    assert cfg.F.label == "F1"
     # unknown kinds and malformed atom lists surface when F is built
-    unk = config_from_dict(minimal(F=dict(base, eta={"kind": "cauchy"})))
     with pytest.raises(ConfigError):
-        unk.build_F(unk.build_scale())
-    bad = config_from_dict(minimal(F=dict(base, eta={"kind": "atoms",
-                                                     "atoms": []})))
+        config_from_dict(minimal(F=dict(base, eta={"kind": "cauchy"})))
     with pytest.raises(ConfigError):
-        bad.build_F(bad.build_scale())
+        config_from_dict(minimal(F=dict(base, eta={"kind": "atoms",
+                                                   "atoms": []})))
 
 
 def test_f2_requires_positive_var():
-    cfg = config_from_dict(minimal(
-        F={"name": "F2", "w0": {"preset": "b"}, "mean": 0.0, "var": -1.0}))
     with pytest.raises(ConfigError):
-        cfg.build_F(cfg.build_scale())
+        config_from_dict(minimal(
+            F={"name": "F2", "w0": {"preset": "b"}, "mean": 0.0, "var": -1.0}))
 
 
 def test_load_config_errors(tmp_path):

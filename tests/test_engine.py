@@ -20,6 +20,7 @@ from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
 from opfeyn import engine
 from opfeyn.engine import (_cubic_gram, _measure_family, _merge_moments,
                            _psi_log_bound)
+from opfeyn.quadrature import LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -430,6 +431,43 @@ def test_op_norm_bound_rejects(wiener):
     h = b_element(wiener)
     with pytest.raises(NotAdmissible):
         op_norm_bound(F, h, -0.25j, q0=0.5)
+
+
+def test_op_norm_bound_refuses_the_boundary_with_drift(drifted):
+    # at -1.5i the drifted kernel outgrows the driftless cap |M| K_q0(F)
+    # times ||psi||_{nu_delta} (0.0391) 357-fold at xi = -40, so no bound
+    # is returned there
+    F = gallery("F4", drifted)
+    h = b_element(drifted)
+    psi = shifted_gaussian_psi(1.0, 0.0, 0.03)
+    with pytest.raises(NotAdmissible):
+        op_norm_bound(F, h, -1.5j, q0=0.5)
+    m_mod = abs(engine.kernel_M(LambdaParam.from_value(-1.5j),
+                                KernelContext.from_direction(h)))
+    cap = (m_mod * engine.kq0_integral(F, 0.5).value
+           * nu_delta_norm(psi, 0.5, drifted).value)
+    value = j_q(F, h, psi, 1.5, np.array([-40.0]), q0=0.5, delta=0.5).values[0]
+    assert abs(value) > 300.0 * cap
+
+
+def test_identity_check_and_witness_integrate_through_the_tail_check(
+        drifted, monkeypatch):
+    calls = []
+    real = engine._integrate_with_tail_check
+
+    def counting(f, bounds, *args, **kwargs):
+        calls.append(bounds)
+        return real(f, bounds, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_integrate_with_tail_check", counting)
+    gaussian_identity_check(1.0 + 0.5j, 0.2 - 0.3j)
+    q = (-1.0, 0.2, 0.0)
+    assert calls == [[LogBound(left=q, right=q)]]
+    calls.clear()
+    divergence_witness_partial(drifted, 10.0)
+    # the partial integral on [0, R], then the witness's L1 norm
+    assert len(calls) == 2
+    assert calls.count([LogBound(support=(0.0, 10.0))]) == 1
 
 
 def test_norm_bound_caps_kernel_on_random_interior(drifted):

@@ -110,12 +110,14 @@ def test_witness_shape():
 
 
 def test_preset_psi_dispatch(drifted):
-    # RunConfig.build_psi is the one dispatch from a preset name
+    # config_from_dict is the one dispatch from a preset name; the configs
+    # name the fixture's drifted pair, since the witness needs drift
     h = b_element(drifted)
 
     def build(psi):
-        cfg = config_from_dict({"scale": {"preset": "wiener"}, "psi": psi})
-        return cfg.build_psi(drifted, h)
+        cfg = config_from_dict({"scale": {"preset": "drifted", "alpha": 0.3,
+                                          "beta": 0.5}, "psi": psi})
+        return cfg.psi
 
     assert build("gaussian").label == "gaussian"
     bump = build({"preset": "bump", "radius": 2.0, "amp": 3.0})
