@@ -110,12 +110,15 @@ def _eta(eta):
         atoms = eta.get("atoms")
         if not isinstance(atoms, list) or not atoms:
             raise ConfigError("F.eta.atoms: expected a non-empty list")
-        try:
-            parsed = tuple((float(v), complex(re, im)) for v, re, im in atoms)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(
-                "F.eta.atoms: entries must be [location, re, im] triples") from e
-        return EtaAtoms(atoms=parsed)
+        parsed = []
+        for i, entry in enumerate(atoms):
+            where = f"F.eta.atoms[{i}]"
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ConfigError(f"{where}: expected a [location, re, im] triple")
+            e = dict(zip(("location", "re", "im"), entry))
+            parsed.append((_num(e, "location", where),
+                           complex(_num(e, "re", where), _num(e, "im", where))))
+        return EtaAtoms(atoms=tuple(parsed))
     raise ConfigError(f"F.eta.kind: unknown kind {kind!r}")
 
 

@@ -20,9 +20,9 @@ from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
                      MismatchedScalePair, NonPositiveLambda, NotAdmissible,
                      NotInFq0, PsiNotIntegrable, QuadratureError,
                      SequenceLeavesRegion)
-from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
-                      FresnelFunctional, Kq0Result, eval_from_projections,
-                      kq0_integral, unit_functional)
+from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
+                      Kq0Result, eval_from_projections, kq0_integral,
+                      unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
@@ -173,16 +173,13 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # truncation bookkeeping for the kernel route
 # ---------------------------------------------------------------------------
 
-def _psi_log_bound(psi: PsiFn, extra: tuple[float, float, float],
-                   growth: float = 0.0) -> LogBound:
-    """Combine the state-function envelope with an extra quadratic exponent.
+def _psi_log_bound(psi: PsiFn, extra: tuple[float, float, float]) -> LogBound:
+    """Combine the state-function envelope with an extra exponent e2 v^2 + e1 v + e0.
 
-    ``growth`` adds a +growth*v^2 term (the gaussian weight of the delta
-    norms).  Raises PsiNotIntegrable when the envelope does not make the
-    bound decay on both sides.
+    Raises PsiNotIntegrable when the envelope does not make the bound
+    decay on both sides.
     """
     e2, e1, e0 = extra
-    e2 = e2 + growth
     env = psi.envelope
     log_c = math.log(env.scale)
     if env.kind == COMPACT:
@@ -288,14 +285,7 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
             amp = abs(eta.scale) * math.exp(r * mean + 0.5 * r * r * var)
             return (np.array([weight]), np.array([lin]), np.array([const]),
                     quad, amp)
-        if isinstance(eta, EtaAtoms):
-            v = np.array([vv for vv, _ in eta.atoms])
-            coefs = np.array([cc for _, cc in eta.atoms], dtype=complex)
-        elif isinstance(eta, EtaDensity):
-            v, wts, rho = eta._nodes()
-            coefs = wts * rho
-        else:
-            raise BadConfig(f"unsupported line measure {type(eta).__name__}")
+        v, coefs = eta.v, eta.c
         c, w2, ar = v * s0.c_hw, v * v * s0.norm_sq, v * s0.a_resid
     weights = coefs * np.exp(1j * lam.inv_sqrt * ar)
     lin, const = vl_coeffs(lam, c, w2, ctx)
@@ -459,7 +449,7 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
     growth = delta * sp.var_a
     if not psi.delta_admissible(delta, sp.var_a):
         return WeightedNorm(value=math.inf, finite=False)
-    bound = _psi_log_bound(psi, (0.0, 0.0, 0.0), growth=growth)
+    bound = _psi_log_bound(psi, (growth, 0.0, 0.0))
 
     def f(v):
         # one exp of the summed logs: |psi| exp(growth v^2) is 0 * inf far out

@@ -21,7 +21,8 @@ from .errors import (ArgOutOfRange, BadConfig, MeasureUnderflow,
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
 from .psi import EXPONENTIAL, Envelope
-from .scale import ScalePair
+from .quadrature import CHUNK_BYTES
+from .scale import ScalePair, simpson_weights
 
 UNDERFLOW_TOL = 1e-8
 
@@ -36,22 +37,46 @@ def _phi(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EtaAtoms:
+class _WeightedPoints:
+    """Finitely many points ``v`` with complex weights ``c``, set once by
+    the subclass at construction."""
+
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def _set_points(self, v: np.ndarray, c: np.ndarray) -> None:
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", c)
+
+    def hat(self, u: np.ndarray) -> np.ndarray:
+        """Transform at u, in row chunks of at most CHUNK_BYTES per temporary."""
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        step = max(1, CHUNK_BYTES // max(16 * self.v.size, 1))
+        for i in range(0, flat.size, step):
+            chunk = flat[i:i + step]
+            out[i:i + step] = np.exp(1j * np.multiply.outer(chunk, self.v)) @ self.c
+        return out.reshape(u.shape)
+
+    def total_mass(self) -> float:
+        return float(np.sum(np.abs(self.c)))
+
+    def exp_moment(self, mu: float) -> float:
+        """Integral of exp(mu |v|) against |eta|; inf when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(np.abs(self.c), np.exp(mu * np.abs(self.v))))
+
+
+@dataclass(frozen=True)
+class EtaAtoms(_WeightedPoints):
     """Finitely many weighted points on the line."""
 
     atoms: tuple[tuple[float, complex], ...]
 
-    def hat(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        locs = np.array([v for v, _ in self.atoms])
-        wts = np.array([c for _, c in self.atoms], dtype=complex)
-        return np.exp(1j * np.multiply.outer(u, locs)) @ wts
-
-    def total_mass(self) -> float:
-        return float(sum(abs(c) for _, c in self.atoms))
-
-    def exp_moment(self, mu: float) -> float:
-        return float(sum(abs(c) * math.exp(mu * abs(v)) for v, c in self.atoms))
+    def __post_init__(self):
+        self._set_points(np.array([v for v, _ in self.atoms], dtype=float),
+                         np.array([c for _, c in self.atoms], dtype=complex))
 
     def describe(self) -> dict:
         return {"kind": "atoms",
@@ -90,22 +115,29 @@ class EtaGaussian:
 
 
 @dataclass(frozen=True)
-class EtaDensity:
+class EtaDensity(_WeightedPoints):
     """Complex density on [-radius, radius], with an optional decay envelope.
 
-    When an envelope is given, it certifies the tail beyond the radius;
-    a tail heavier than the truncation tolerance raises MeasureUnderflow.
+    The density is held as its composite Simpson nodes over ``n_panels``
+    (even) panels, weighted by w * rho.  When an envelope is given, it
+    certifies the tail beyond the radius; a tail heavier than the
+    truncation tolerance raises MeasureUnderflow.
     """
 
     fn: Callable
     radius: float
     envelope: Envelope | None = None
     n_panels: int = 2048
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise BadConfig("density radius must be positive")
+        if self.n_panels <= 0 or self.n_panels % 2:
+            raise BadConfig(f"density panel count must be even and positive, "
+                            f"got {self.n_panels}")
+        v = np.linspace(-self.radius, self.radius, self.n_panels + 1)
+        w = simpson_weights(self.n_panels, 2.0 * self.radius)
+        self._set_points(v, w * np.asarray(self.fn(v), dtype=complex))
         if self.envelope is not None:
             tail = self.envelope.tail_mass(self.radius)
             if tail > UNDERFLOW_TOL * max(self.total_mass(), 1e-300):
@@ -113,41 +145,12 @@ class EtaDensity:
                     f"density tail beyond radius {self.radius:g} holds mass "
                     f"{tail:.3g}, above tolerance")
 
-    def _nodes(self):
-        if "nodes" not in self._cache:
-            from .scale import simpson_weights
-            n = self.n_panels
-            v = np.linspace(-self.radius, self.radius, n + 1)
-            w = simpson_weights(n, 2.0 * self.radius)
-            rho = np.asarray(self.fn(v), dtype=complex)
-            self._cache["nodes"] = (v, w, rho)
-        return self._cache["nodes"]
-
-    def hat(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        v, w, rho = self._nodes()
-        out = np.empty(u.shape, dtype=complex)
-        flat = u.ravel()
-        step = 4096
-        coef = w * rho
-        for i in range(0, flat.size, step):
-            chunk = flat[i:i + step]
-            out.ravel()[i:i + step] = np.exp(1j * np.outer(chunk, v)) @ coef
-        return out
-
-    def total_mass(self) -> float:
-        if "mass" not in self._cache:
-            v, w, rho = self._nodes()
-            self._cache["mass"] = float(np.dot(w, np.abs(rho)))
-        return self._cache["mass"]
-
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when the envelope loses."""
         env = self.envelope
         if env is not None and env.kind == EXPONENTIAL and mu >= env.rate:
             return math.inf
-        v, w, rho = self._nodes()
-        return float(np.dot(w, np.abs(rho) * np.exp(mu * np.abs(v))))
+        return super().exp_moment(mu)
 
     def describe(self) -> dict:
         return {"kind": "density", "radius": self.radius}

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MismatchedScalePair, ZeroDirection
-from .scale import ScalePair, _eval_on
+from .scale import ScalePair, eval_on
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,14 @@ class CambElement:
         """Evaluate z = Dw at the given times."""
         t = np.asarray(t, dtype=float)
         if self.z_fn is not None:
-            return _eval_on(self.z_fn, t)
+            return eval_on(self.z_fn, t)
         return np.interp(t, self.sp.t_nodes, self.z_nodes)
 
     def value(self, t) -> np.ndarray:
         """Evaluate w(t), the running integral of the density against db."""
         t = np.asarray(t, dtype=float)
         if self.primitive is not None:
-            return _eval_on(self.primitive, t)
+            return eval_on(self.primitive, t)
         return np.interp(t, self.sp.t_nodes, self.w_nodes)
 
     @property
@@ -94,7 +94,7 @@ def _primitive_nodes(sp: ScalePair, z_fn: Callable | None,
     if z_fn is not None:
         mids = t[:-1] + 0.5 * h
         f_nodes = z_nodes * sp.bprime_nodes
-        f_mid = _eval_on(z_fn, mids) * np.asarray(sp.b_prime(mids), dtype=float)
+        f_mid = eval_on(z_fn, mids) * np.asarray(sp.b_prime(mids), dtype=float)
         panel = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
     else:
         f_nodes = z_nodes * sp.bprime_nodes
@@ -109,7 +109,7 @@ def from_density(sp: ScalePair, z, primitive: Callable | None = None,
                  label: str = "") -> CambElement:
     """Build an element from a density closure or a node vector."""
     if callable(z):
-        z_nodes = _eval_on(z, sp.t_nodes)
+        z_nodes = eval_on(z, sp.t_nodes)
         z_fn = z
     else:
         z_nodes = np.asarray(z, dtype=float)

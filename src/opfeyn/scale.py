@@ -11,7 +11,8 @@ downstream share a single, positive-weight discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,7 +81,6 @@ class ScalePair:
     b_prime: Callable[[np.ndarray], np.ndarray]
     grid_n: int = 1024
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -90,46 +90,36 @@ class ScalePair:
 
     # -- cached node data ---------------------------------------------------
 
-    @property
+    @cached_property
     def t_nodes(self) -> np.ndarray:
-        if "t_nodes" not in self._cache:
-            self._cache["t_nodes"] = np.linspace(0.0, self.T, self.grid_n + 1)
-        return self._cache["t_nodes"]
+        return np.linspace(0.0, self.T, self.grid_n + 1)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Simpson weights for integrals over the full interval [0, T]."""
-        if "weights" not in self._cache:
-            self._cache["weights"] = simpson_weights(self.grid_n, self.T)
-        return self._cache["weights"]
+        return simpson_weights(self.grid_n, self.T)
 
-    @property
+    @cached_property
     def bprime_nodes(self) -> np.ndarray:
-        if "bprime" not in self._cache:
-            self._cache["bprime"] = _eval_on(self.b_prime, self.t_nodes)
-        return self._cache["bprime"]
+        return eval_on(self.b_prime, self.t_nodes)
 
-    @property
+    @cached_property
     def aprime_nodes(self) -> np.ndarray:
-        if "aprime" not in self._cache:
-            self._cache["aprime"] = _eval_on(self.a_prime, self.t_nodes)
-        return self._cache["aprime"]
+        return eval_on(self.a_prime, self.t_nodes)
 
-    @property
+    @cached_property
     def var_a(self) -> float:
         """Total variation of the drift over [0, T]."""
-        if "var_a" not in self._cache:
-            self._cache["var_a"] = float(
-                np.dot(self.weights, np.abs(self.aprime_nodes))
-            )
-        return self._cache["var_a"]
+        return float(np.dot(self.weights, np.abs(self.aprime_nodes)))
 
     # -- validation ----------------------------------------------------------
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _build_report(self)
+
     def validation_report(self) -> ValidationReport:
-        if "report" not in self._cache:
-            self._cache["report"] = _build_report(self)
-        return self._cache["report"]
+        return self._report
 
     def require_valid(self) -> None:
         """Raise a typed error for the first failed validity condition."""
@@ -146,7 +136,8 @@ class ScalePair:
             raise NonPositiveVariance(check.message)
 
 
-def _eval_on(fn, t: np.ndarray) -> np.ndarray:
+def eval_on(fn, t: np.ndarray) -> np.ndarray:
+    """fn at the nodes t as a float array; a constant result is broadcast."""
     out = np.asarray(fn(t), dtype=float)
     if out.ndim == 0:
         out = np.full(t.shape, float(out))

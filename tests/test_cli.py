@@ -156,6 +156,19 @@ def test_every_subcommand_rejects_a_bad_section_with_exit_2(tmp_path, capsys,
         assert f"config error: {where}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    [float("nan"), 1, 0], ["3", 1, 0], [True, 1, 0],
+    [0.5, float("inf"), 0], [0.5, float("nan"), 0],
+], ids=["location-nan", "location-str", "location-bool", "re-inf", "re-nan"])
+def test_eta_atom_entries_are_checked_as_numbers(tmp_path, capsys, bad):
+    eta = {"kind": "atoms", "atoms": [[0.0, 1, 0], bad]}
+    cfg = write_config(tmp_path, F={"name": "F1", "w0": {"preset": "b"},
+                                    "eta": eta})
+    for command in ("validate", "evaluate"):
+        assert run(tmp_path, command, "--config", cfg) == 2
+        assert "config error: F.eta.atoms[1]." in capsys.readouterr().err
+
+
 def test_config_boundary_gate_exits_2(tmp_path):
     cfg = write_config(tmp_path, q=0.2)
     assert run(tmp_path, "evaluate", "--config", cfg) == 2

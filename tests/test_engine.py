@@ -426,6 +426,22 @@ def test_grid_memory_does_not_grow_with_the_grid(drifted):
         assert peaks[1] <= 2 * peaks[0]
 
 
+def test_mc_memory_does_not_grow_with_the_atom_count(drifted):
+    # the line transform runs in row chunks, so 10^4 paths against 2,000
+    # atoms never hold a (paths x atoms) array
+    h = b_element(drifted)
+    atoms = tuple((float(v), 0.5e-3 + 0j) for v in np.linspace(-2.0, 2.0, 2000))
+    F = gallery("F1", drifted, w0=h, eta=EtaAtoms(atoms=atoms))
+    tracemalloc.start()
+    try:
+        i_lambda_mc(F, h, gaussian_psi(), 1.0, np.linspace(-1.0, 1.0, 5),
+                    10000, RngStream(seed=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 def test_op_norm_bound_rejects(wiener):
     F = unit_functional(wiener)
     h = b_element(wiener)

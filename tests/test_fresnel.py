@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,12 @@ def test_eta_density_tail_check():
         EtaDensity(fn=rho, radius=-1.0)
 
 
+@pytest.mark.parametrize("n_panels", [3, 0, -2])
+def test_eta_density_rejects_a_bad_panel_count(n_panels):
+    with pytest.raises(BadConfig, match="panel count"):
+        EtaDensity(fn=lambda v: np.exp(-v * v), radius=4.0, n_panels=n_panels)
+
+
 def test_eval_consistency_atomic(wiener):
     w1 = b_element(wiener)
     w2 = monomial_element(wiener, 1)
@@ -133,6 +140,18 @@ def test_kq0_divergence_flagged(drifted):
     w0 = b_element(drifted).scaled(10.0)
     F = FresnelFunctional(LineMeasure(w0=w0, eta=eta))
     res = kq0_integral(F, 0.5)
+    assert not res.member
+    assert res.value == math.inf
+
+
+def test_kq0_atom_overflow_flagged(drifted):
+    # an atom far out overflows exp(mu |v|): divergence, neither raised
+    # nor warned about
+    eta = EtaAtoms(atoms=((1e300, 1.0 + 0j),))
+    F = FresnelFunctional(LineMeasure(w0=b_element(drifted), eta=eta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = kq0_integral(F, 0.5)
     assert not res.member
     assert res.value == math.inf
 
