@@ -12,24 +12,22 @@ from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
                      InvalidGrid, KernelOverflow, MeasureUnderflow,
                      MismatchedScalePair, NonPositiveLambda,
                      NonPositiveVariance, NonzeroOrigin, NotAdmissible,
-                     NotInFq0, NotOrthonormal, OpfeynError, OutOfDomain,
-                     PsiNotIntegrable, QuadratureError, SequenceLeavesRegion,
-                     UnknownExample, UnsupportedVariant, ZeroDirection,
-                     ZeroLambda)
+                     NotInFq0, OpfeynError, OutOfDomain, PsiNotIntegrable,
+                     QuadratureError, SequenceLeavesRegion, UnknownExample,
+                     UnsupportedVariant, ZeroDirection, ZeroLambda)
 from .scale import (ScalePair, ValidationReport, drifted_pair, preset_scale,
                     wiener_pair)
 from .hilbert import (CambElement, a_element, a_unit_element, b_element,
                       combine, from_density, inner, monomial_element,
                       pair_with_a, preset_direction, s_star, zero_element)
-from .sampler import RngStream, cylinder_expectation, sample_increments
+from .sampler import RngStream, sample_increments
 from .psi import (Envelope, PsiFn, bump_psi, divergence_witness_psi,
-                  envelope_margin, gaussian_psi, shifted_gaussian_psi)
+                  gaussian_psi, shifted_gaussian_psi)
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
                       FresnelFunctional, Kq0Result, LineMeasure, convolve,
                       eval_from_projections, gallery, kq0_integral,
                       unit_functional)
-from .kernels import (DirectionStats, KernelContext, LambdaParam, kernel_M,
-                      principal_sqrt)
+from .kernels import DirectionStats, KernelContext, LambdaParam, kernel_M
 from .engine import (BoundSweepResult, ConvergenceStudy, DivergencePartial,
                      GaussianIdentityResult, OperatorResult, WeightedNorm,
                      bound_chain_sweep, convergence_study,

@@ -11,6 +11,7 @@ overlap, which is the package's central cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -26,9 +27,8 @@ from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
-                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M,
-                      principal_sqrt, s_log, vl_abs_log, vl_coeffs,
-                      vlh_exponent)
+                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M, s_log,
+                      vl_abs_log, vl_coeffs, vlh_exponent)
 from .psi import COMPACT, GAUSSIAN, PsiFn, divergence_witness_psi, gaussian_psi
 from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
 from .sampler import RngStream, left_densities, projection_law
@@ -41,6 +41,7 @@ TAIL_REL = 1e-10
 EXP_CAP = 700.0
 EXP_BUF = 1 << 16     # complex elements in k_lambda's exponent buffer
 XI_GROUP = 8          # evaluation points integrated as one quadrature family
+MC_BATCH = 10000      # Monte Carlo paths drawn and reduced at a time
 
 
 @dataclass(frozen=True)
@@ -116,24 +117,26 @@ def _merge_moments(n_a: int, mean_a: np.ndarray, m2_a: np.ndarray,
 
 def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 lam: float, xi_grid, n_paths: int, rng: RngStream, *,
-                path_grid: int = 1024, batch_size: int = 10000) -> OperatorResult:
+                path_grid: int = 1024) -> OperatorResult:
     """Monte Carlo estimate of the operator for real lam > 0.
 
     The estimate averages F and psi over the left-point pairings of
     F.directions() and h with paths on a grid of ``path_grid`` steps.  The
     pairings are drawn from their exact joint Gaussian law
     (``projection_law``), so no path is built; the estimator and its
-    discretisation bias are those of the path average.  Batch b draws from
+    discretisation bias are those of the path average.  The paths are
+    drawn in batches of ``MC_BATCH``; batch b draws from
     ``rng.generator(batch=b)``, so the result is bit-identical for a fixed
-    (seed, stream_id, batch_size) and changes with ``batch_size``.  Each
-    batch is reduced by two-pass sums and the batches are merged in index
-    order.  Standard errors combine the real and imaginary component
-    variances.
+    (seed, stream_id) and would change with ``MC_BATCH``.  Each batch is
+    reduced by two-pass sums and the batches are merged in index order.
+    Standard errors combine the real and imaginary component variances.
     """
     lam = complex(lam)
-    if lam.imag != 0.0 or lam.real <= 0.0:
+    if lam.imag != 0.0 or not lam.real > 0.0:
         raise NonPositiveLambda(
             f"Monte Carlo route needs real lam > 0, got {lam}")
+    if n_paths < 1:
+        raise BadConfig(f"Monte Carlo route needs n_paths >= 1, got {n_paths}")
     lam_r = lam.real
     if F.sp is not h.sp:
         raise MismatchedScalePair("functional and base direction share no scale pair")
@@ -147,7 +150,7 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     m2 = np.zeros(xi.size)
     batch = 0
     while n < n_paths:
-        nb = min(batch_size, n_paths - n)
+        nb = min(MC_BATCH, n_paths - n)
         g = rng.generator(batch=batch).standard_normal((nb, mu.size))
         proj = mu + g @ factor
         f_vals = eval_from_projections(F, inv_rt * proj[:, :-1])
@@ -165,8 +168,7 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     return OperatorResult(
         xi_grid=xi, values=mean, stderr=stderr, route="mc",
         meta={"lambda": lam_r, "n_paths": n_paths, "path_grid": path_grid,
-              "seed": rng.seed, "stream_id": rng.stream_id,
-              "batch_size": batch_size})
+              "seed": rng.seed, "stream_id": rng.stream_id})
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,11 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
 # kernel route
 # ---------------------------------------------------------------------------
 
+def _require_delta(delta: float) -> None:
+    if not delta >= 0.0:
+        raise ArgOutOfRange(f"delta must be nonnegative, got {delta}")
+
+
 def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
                                q0: float) -> Kq0Result:
     """Check lam against the admissible region for threshold q0 and F
@@ -277,7 +284,7 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
             alpha = 1j * lam.inv_sqrt * s0.a_resid
             mean, var = eta.mean, eta.var
             kappa = 1.0 - 2.0 * b * var
-            weight = eta.scale / principal_sqrt(kappa)
+            weight = eta.scale / cmath.sqrt(kappa)
             lin = lin0 * (mean + alpha * var) / kappa
             const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
             quad = 0.5 * lin0 * lin0 * var / kappa
@@ -317,6 +324,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         if delta is None:
             raise PsiNotIntegrable(
                 "boundary evaluation with drift needs a delta weight exponent")
+        _require_delta(delta)
         if not psi.delta_admissible(delta, var_a):
             raise PsiNotIntegrable(
                 "state function is not integrable against the delta weight")
@@ -380,26 +388,25 @@ def j_q(F: FresnelFunctional, h: CambElement, psi: PsiFn, q: float,
 
 def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                       q: float, xi_grid, *, q0: float = 0.5,
-                      delta: float | None = None, n_steps: int = 10,
-                      lam_seq=None) -> ConvergenceStudy:
+                      delta: float | None = None,
+                      n_steps: int = 10) -> ConvergenceStudy:
     """Gap between interior evaluations and the boundary target.
 
-    The default approach sequence is -iq + 2^{-n}, n = 1..n_steps.  Every
-    member must stay in the interior of the admissible region and the
-    target itself must be admissible, else SequenceLeavesRegion.
+    The approach sequence is fixed: -iq + 2^{-n}, n = 1..n_steps.  Each
+    member must lie in the interior of the admissible region for q0 and
+    the target itself must be admissible, else SequenceLeavesRegion.
+    Rounding breaks the first for n > 1074, where 2^{-n} is 0, and can
+    break it when |q| is within an ulp of q0.
     """
     if q == 0.0 or abs(q) <= q0:
         raise SequenceLeavesRegion(
             f"target q = {q} is not beyond the threshold q0 = {q0}")
-    if lam_seq is None:
-        lam_seq = [complex(2.0 ** -n, -q) for n in range(1, n_steps + 1)]
-    lams = []
-    for lv in lam_seq:
-        lp = LambdaParam.from_value(lv)
+    lams = [LambdaParam.from_value(complex(2.0 ** -n, -q))
+            for n in range(1, n_steps + 1)]
+    for lp in lams:
         if not (lp.is_interior and lp.in_gamma(q0)):
             raise SequenceLeavesRegion(
-                f"sequence member {lv} leaves the admissible interior")
-        lams.append(lp)
+                f"sequence member {lp.value} leaves the admissible interior")
     target = j_q(F, h, psi, q, xi_grid, q0=q0, delta=delta)
     gaps = np.empty(len(lams))
     for i, lp in enumerate(lams):
@@ -446,6 +453,7 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
     Divergence (per the envelope) is reported as (inf, False), never
     raised; delta = 0 recovers the plain L1 norm.
     """
+    _require_delta(delta)
     growth = delta * sp.var_a
     if not psi.delta_admissible(delta, sp.var_a):
         return WeightedNorm(value=math.inf, finite=False)
@@ -461,28 +469,23 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
     return WeightedNorm(value=float(abs(res.values[0])), finite=True)
 
 
-def divergence_witness_partial(sp: ScalePair, R: float, *,
-                               h: CambElement | None = None) -> DivergencePartial:
+def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
     """Partial kernel transform of the divergence witness at lam = i.
 
-    With the base direction parallel to the drift (unit norm, positive
-    drift pairing) and evaluation at the origin, the defining integral
-    restricted to [0, R] grows without bound as R increases even though
-    the witness is integrable and bounded.  The partial value is
-    computed with the kernel machinery; divergence shows up as growth in
-    R, never as an exception.
+    With the base direction the unit drift direction ``a_unit_element``
+    (unit norm, positive drift pairing) and evaluation at the origin, the
+    defining integral restricted to [0, R] grows without bound as R
+    increases even though the witness is integrable and bounded.  The
+    partial value is computed with the kernel machinery; divergence shows
+    up as growth in R, never as an exception.
     """
-    if R <= 0:
-        raise BadConfig("partial-integral radius R must be positive")
-    if h is None:
-        if sp.var_a <= 0.0:
-            raise BadConfig("the witness needs a scale pair with genuine drift")
-        h = a_unit_element(sp)
+    if not 0.0 < R < math.inf:
+        raise BadConfig(f"the partial-integral radius must be finite and "
+                        f"positive, got R = {R}")
+    if sp.var_a <= 0.0:
+        raise BadConfig("the witness needs a scale pair with genuine drift")
+    h = a_unit_element(sp)
     p = pair_with_a(h)
-    if p <= 0.0:
-        raise BadConfig("the witness needs a positive drift pairing (h,a)")
-    if abs(h.norm_sq - 1.0) > 1e-8:
-        raise BadConfig("the witness base direction must be normalized")
     psi = divergence_witness_psi(p)
     lam = LambdaParam.from_q(-1.0)
     ctx = KernelContext.from_direction(h)
@@ -519,8 +522,8 @@ class BoundSweepResult:
 def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample parameters from the interior of the admissible region."""
-    if q0 <= 0:
-        raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
+    if not 0.0 < q0 < math.inf:
+        raise ArgOutOfRange(f"threshold q0 must be positive and finite, got {q0}")
     out = np.empty(n, dtype=complex)
     filled = 0
     thresh = 1.0 / math.sqrt(2.0 * q0)
@@ -557,6 +560,8 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     comparisons run in log space.  Violations are inequality failures
     beyond the stated relative slack; a clean sweep returns zero for all.
     """
+    if n_tuples < 1:
+        raise BadConfig(f"the bound sweep needs n_tuples >= 1, got {n_tuples}")
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(977,))))
     gram, pair_a = _cubic_gram(sp)
@@ -614,7 +619,7 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     beta = complex(beta)
     if alpha.real <= 0.0:
         raise BadConfig("gaussian identity needs Re(alpha) > 0")
-    closed = principal_sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
+    closed = cmath.sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
     # log|integrand| = -Re(alpha) v^2 + Re(beta) v; breakpoints follow the
     # phase -Im(alpha) v^2 + Im(beta) v, whose stationary point is
     # Im(beta) / (2 Im(alpha)), not the magnitude peak

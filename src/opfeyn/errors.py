@@ -51,10 +51,6 @@ class InvalidGrid(OpfeynError):
     """A sampling grid is empty, unordered, or otherwise unusable."""
 
 
-class NotOrthonormal(OpfeynError):
-    """Cylinder directions fail the orthonormality tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # spectral measures / functionals
 # ---------------------------------------------------------------------------

@@ -175,9 +175,6 @@ class AtomicMeasure:
             if w.sp is not self.sp:
                 raise MismatchedScalePair("atom direction over a different scale pair")
 
-    def total_norm(self) -> float:
-        return float(sum(abs(c) for c, _ in self.atoms))
-
     def directions(self) -> list[CambElement]:
         return [w for _, w in self.atoms]
 
@@ -199,9 +196,6 @@ class LineMeasure:
     @property
     def sp(self) -> ScalePair:
         return self.w0.sp
-
-    def total_norm(self) -> float:
-        return self.eta.total_mass()
 
     def directions(self) -> list[CambElement]:
         return [self.w0]

@@ -18,27 +18,11 @@ import numpy as np
 
 from .errors import ArgOutOfRange, ZeroLambda, ZeroDirection
 from .hilbert import CambElement, inner, pair_with_a
-from .scale import ScalePair
 
 TWO_PI = 2.0 * math.pi
 # a direction w is parallel to the base direction h when the squared
 # norm of its orthogonal component is below this share of max(||w||^2, 1)
 PARALLEL_TOL_SQ = 1e-13
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal square root with positive real part on the closed right half plane.
-
-    Rejects zero; for purely imaginary z the root has equal magnitude real
-    and imaginary parts, with the sign of the imaginary part matching z.
-    """
-    z = complex(z)
-    if z == 0:
-        raise ZeroLambda("square root of zero parameter is excluded")
-    r = cmath.sqrt(z)
-    # cmath.sqrt already picks Re >= 0; the cut on the negative axis never
-    # applies because parameters live in the closed right half plane
-    return r
 
 
 @dataclass(frozen=True)
@@ -57,7 +41,9 @@ class LambdaParam:
         if value.real < 0.0:
             raise ArgOutOfRange(
                 f"kernel parameter must have nonnegative real part, got {value}")
-        s = principal_sqrt(value)
+        # the principal root, Re >= 0; its cut on the negative axis lies
+        # outside the closed right half plane checked above
+        s = cmath.sqrt(value)
         return cls(value=value, sqrt=s, inv_sqrt=1.0 / s)
 
     @classmethod
@@ -89,7 +75,6 @@ class LambdaParam:
 class KernelContext:
     """Per-(scale pair, base direction) data shared by all kernel factors."""
 
-    sp: ScalePair
     h: CambElement
     norm_h_sq: float
     pair_ha: float
@@ -99,7 +84,7 @@ class KernelContext:
         n2 = h.norm_sq
         if n2 <= 0.0:
             raise ZeroDirection("kernel base direction must have positive norm")
-        return cls(sp=h.sp, h=h, norm_h_sq=n2, pair_ha=pair_with_a(h))
+        return cls(h=h, norm_h_sq=n2, pair_ha=pair_with_a(h))
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ class DirectionStats:
 
 def kernel_M(lam: LambdaParam, ctx: KernelContext) -> complex:
     """Gaussian normalizer sqrt(lambda / (2 pi ||h||^2))."""
-    return principal_sqrt(lam.value / (TWO_PI * ctx.norm_h_sq))
+    return cmath.sqrt(lam.value / (TWO_PI * ctx.norm_h_sq))
 
 
 # ---------------------------------------------------------------------------

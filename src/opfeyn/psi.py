@@ -96,13 +96,6 @@ class PsiFn:
         return float(np.max(np.abs(self(v))))
 
 
-def envelope_margin(psi: PsiFn, lo: float = -50.0, hi: float = 50.0,
-                    n: int = 10001) -> float:
-    """Minimum of env(v) - |psi(v)| over a probe grid (>= 0 means dominated)."""
-    v = np.linspace(lo, hi, n)
-    return float(np.min(psi.envelope.bound(v) - np.abs(psi(v))))
-
-
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ CHUNK_BYTES = 1 << 18
 PHASE_CAP = 16384     # most quarter-period offsets a partition uses per side
 MIN_PANELS = 8        # fewest panels of an initial partition
 MAX_PANELS = 1 << 19  # most panels a refinement round may bisect into
+MAX_ROUNDS = 40       # most refinement rounds of one integral
 
 # G7/K15 on [-1, 1] (QUADPACK qk15): Kronrod abscissae from the end point
 # inwards, their weights, and the Gauss weights of the odd-indexed abscissae
@@ -125,8 +126,7 @@ def _panel_sums(f, a, b, step):
 
 
 def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
-                     abs_tol: float = 1e-14, breakpoints=None,
-                     max_rounds: int = 40) -> QuadResult:
+                     abs_tol: float = 1e-14, breakpoints=None) -> QuadResult:
     """Integrate a family of functions over [lo, hi] with G7/K15 panels.
 
     Parameters
@@ -146,8 +146,8 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     every member's estimate is within its width-proportional share of
     half the budget or below the rounding floor; the reported error of a
     panel is at least 50 ulps of its K15 integral of |f|.  When the
-    rounds run out, the panels left are taken at their last K15 values
-    and the error is infinite.
+    ``MAX_ROUNDS`` refinement rounds run out, the panels left are taken
+    at their last K15 values and the error is infinite.
     """
     edges = _initial_edges(lo, hi, breakpoints)
     a = edges[:-1].copy()
@@ -158,7 +158,7 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     n_eval = 0
     converged = False
     step = 1  # panels per integrand call until the family size is known
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         width = b - a
         (kron, est, resabs, fmax), step = _panel_sums(f, a, b, step)
         n_eval += a.size * GK_NODES.size
@@ -177,10 +177,10 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
             break
         a_bad = a[~ok]
         b_bad = b[~ok]
-        if rounds == max_rounds or 2 * a_bad.size > MAX_PANELS:
+        if rounds == MAX_ROUNDS or 2 * a_bad.size > MAX_PANELS:
             accepted_val = accepted_val + kron[:, ~ok].sum(axis=1)
             # rounds exhausted: the panels left are taken unresolved
-            accepted_err = accepted_err + (np.inf if rounds == max_rounds
+            accepted_err = accepted_err + (np.inf if rounds == MAX_ROUNDS
                                            else err_p[:, ~ok].sum(axis=1))
             break
         mid = 0.5 * (a_bad + b_bad)

@@ -10,15 +10,13 @@ densities used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidGrid, NotOrthonormal
-from .hilbert import CambElement, inner, pair_with_a
+from .errors import InvalidGrid
+from .hilbert import CambElement
 from .scale import ScalePair
-
-ORTHO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,10 @@ def sample_increments(sp: ScalePair, grid_n: int, n_paths: int,
     sp.require_valid()
     t, da, db = _grid_and_increment_moments(sp, grid_n)
     g = gen.standard_normal((n_paths, grid_n))
-    dx = da + np.sqrt(db) * g
-    return t, dx
+    # in place, the same operations as da + sqrt(db) * g without its temporary
+    g *= np.sqrt(db)
+    g += da
+    return t, g
 
 
 def left_densities(ws: Sequence[CambElement], t_grid: np.ndarray) -> np.ndarray:
@@ -90,30 +90,3 @@ def projection_law(sp: ScalePair, z_left: np.ndarray) -> tuple[np.ndarray, np.nd
     zs = np.sqrt(db)[:, None] * z_left
     w, v = np.linalg.eigh(zs.T @ zs)
     return da @ z_left, (v * np.sqrt(np.clip(w, 0.0, None))).T
-
-
-def cylinder_expectation(r: Callable, e_list: Sequence[CambElement],
-                         gh_n: int = 64) -> float:
-    """Expectation of r((e1,x)~, ..., (en,x)~) for orthonormal directions.
-
-    Reduces to an n-dimensional Gaussian integral centered at the drift
-    pairings, evaluated by tensorized Gauss-Hermite quadrature.  Supports
-    n <= 3; ``r`` must accept broadcast arrays.
-    """
-    n = len(e_list)
-    if n == 0 or n > 3:
-        raise ValueError("cylinder_expectation supports 1 to 3 directions")
-    gram = np.array([[inner(ei, ej) for ej in e_list] for ei in e_list])
-    if np.max(np.abs(gram - np.eye(n))) > ORTHO_TOL:
-        raise NotOrthonormal(
-            f"Gram matrix deviates from identity by {np.max(np.abs(gram - np.eye(n))):.3g}")
-    means = np.array([pair_with_a(e) for e in e_list])
-    s_nodes, s_weights = np.polynomial.hermite.hermgauss(gh_n)
-    grids = np.meshgrid(*[means[j] + np.sqrt(2.0) * s_nodes for j in range(n)],
-                        indexing="ij")
-    wgrids = np.meshgrid(*[s_weights] * n, indexing="ij")
-    wtot = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        wtot = wtot * wg
-    vals = np.asarray(r(*grids))
-    return float(np.sum(wtot * vals) * np.pi ** (-n / 2.0))

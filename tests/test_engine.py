@@ -78,16 +78,17 @@ def test_mc_is_deterministic(wiener):
     assert np.array_equal(a.stderr, b.stderr)
 
 
-def test_mc_draws_are_keyed_by_seed_stream_and_batch_size(drifted):
+def test_mc_draws_are_keyed_by_seed_stream_and_batch_size(drifted, monkeypatch):
     F = gallery("F4", drifted)
     h = b_element(drifted)
     psi = gaussian_psi()
     xi = np.array([-0.5, 0.5])
 
     def run(batch_size, stream_id=3):
+        monkeypatch.setattr(engine, "MC_BATCH", batch_size)
         return i_lambda_mc(F, h, psi, 1.0, xi, 2500,
                            RngStream(seed=21, stream_id=stream_id),
-                           path_grid=64, batch_size=batch_size)
+                           path_grid=64)
 
     a, b = run(1000), run(1000)
     assert np.array_equal(a.values, b.values)
@@ -519,11 +520,15 @@ def test_convergence_rejects_small_q(drifted):
 
 
 def test_convergence_rejects_leaving_sequence(drifted):
+    # one ulp beyond q0, rounding puts the members from n = 55 on outside
+    # the region, and from n = 1075 on 2^-n is 0, so the member is on the
+    # boundary; either way the study stops before integrating
     F = unit_functional(drifted)
     h = b_element(drifted)
-    with pytest.raises(SequenceLeavesRegion):
-        convergence_study(F, h, gaussian_psi(), 1.0, np.array([0.0]), q0=0.5,
-                          delta=0.5, lam_seq=[1.0, 1e-4 - 1e-2j])
+    for q, n_steps in ((math.nextafter(0.5, 1.0), 60), (1.0, 1080)):
+        with pytest.raises(SequenceLeavesRegion):
+            convergence_study(F, h, gaussian_psi(), q, np.array([0.0]),
+                              q0=0.5, delta=0.5, n_steps=n_steps)
 
 
 def test_witness_partial_growth(drifted):
@@ -577,6 +582,36 @@ def test_sample_interior_lambda_stays_inside():
     lams = sample_interior_lambda(50, 0.5, gen)
     assert all(l.real > 0 for l in lams)
     assert all(LambdaParam.from_value(l).in_gamma(0.5) for l in lams)
+
+
+def _f4_at_b(sp):
+    return gallery("F4", sp), b_element(sp), gaussian_psi()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda sp: i_lambda_mc(*_f4_at_b(sp), math.nan, [0.0], 100, RngStream(1)),
+     NonPositiveLambda),
+    (lambda sp: i_lambda_mc(*_f4_at_b(sp), 1.0, [0.0], 0, RngStream(1)),
+     BadConfig),
+    (lambda sp: i_lambda_mc(*_f4_at_b(sp), 1.0, [0.0], -5, RngStream(1)),
+     BadConfig),
+    (lambda sp: k_lambda(*_f4_at_b(sp), -1.5j, [0.0], delta=-0.5),
+     ArgOutOfRange),
+    (lambda sp: j_q(*_f4_at_b(sp), 1.5, [0.0], delta=math.nan), ArgOutOfRange),
+    (lambda sp: nu_delta_norm(gaussian_psi(), -1.0, sp), ArgOutOfRange),
+    (lambda sp: nu_delta_norm(gaussian_psi(), math.nan, sp), ArgOutOfRange),
+    (lambda sp: divergence_witness_partial(sp, math.inf), BadConfig),
+    (lambda sp: divergence_witness_partial(sp, math.nan), BadConfig),
+    (lambda sp: bound_chain_sweep(sp, 0), BadConfig),
+], ids=["mc_nan_lambda", "mc_zero_paths", "mc_negative_paths",
+        "kernel_negative_delta", "boundary_nan_delta", "norm_negative_delta",
+        "norm_nan_delta", "witness_infinite_R", "witness_nan_R",
+        "sweep_zero_tuples"])
+def test_library_entry_points_raise_typed_errors(drifted, call, error):
+    # each value passed a bare comparison before, and gave NaN or zero
+    # values or an untyped numpy or math error instead of an OpfeynError
+    with pytest.raises(error):
+        call(drifted)
 
 
 def test_bound_sweep_gram_matches_node_sums(drifted):

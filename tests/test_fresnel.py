@@ -107,12 +107,6 @@ def test_eval_consistency_line(wiener):
     assert np.max(np.abs(_on_paths(F, t, dx) - np.exp(-u * u))) < 1e-12
 
 
-def test_total_norm(wiener):
-    F = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=(
-        (3.0 + 4.0j, b_element(wiener)), (1.0, monomial_element(wiener, 1)))))
-    assert abs(F.measure.total_norm() - 6.0) < 1e-15
-
-
 def test_unit_functional_is_one(wiener):
     F = unit_functional(wiener)
     t, dx = sample_increments(wiener, 64, 3, RngStream(seed=6).generator())

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
                     ZeroDirection, ZeroLambda, a_element, b_element,
-                    bound_chain_sweep, kernel_M, monomial_element,
-                    principal_sqrt, s_star, sample_interior_lambda,
-                    wiener_pair, zero_element)
+                    bound_chain_sweep, kernel_M, monomial_element, s_star,
+                    sample_interior_lambda, wiener_pair, zero_element)
 from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
                             s_log, vl_abs_log, vl_coeffs, vlh_exponent)
 
@@ -19,13 +18,12 @@ interior_lam = st.builds(
 
 
 def test_principal_sqrt_branch():
-    assert abs(principal_sqrt(1j) - (1 + 1j) / math.sqrt(2)) < 1e-15
+    # the parameter's root is the principal one on the closed right half plane
+    assert abs(LambdaParam.from_value(1j).sqrt - (1 + 1j) / math.sqrt(2)) < 1e-15
     # sqrt(-iq) = sqrt(q/2) (1 - i) for q > 0
     q = 3.0
-    assert abs(principal_sqrt(-1j * q)
+    assert abs(LambdaParam.from_q(q).sqrt
                - math.sqrt(q / 2.0) * (1 - 1j)) < 1e-14
-    with pytest.raises(ZeroLambda):
-        principal_sqrt(0.0)
 
 
 def test_lambda_param_domain():
@@ -83,7 +81,7 @@ def drifted_mod():
 
 def test_context_rejects_zero_direction(ctx):
     with pytest.raises(ZeroDirection):
-        KernelContext.from_direction(zero_element(ctx.sp))
+        KernelContext.from_direction(zero_element(ctx.h.sp))
 
 
 def test_h_forms_agree(drift_ctx):
@@ -103,7 +101,7 @@ def test_vlh_product_identity(drift_ctx):
     # exp of the combined exponent equals the pointwise product V*L*H of
     # the paper's factors, and V*L, quadratic terms included, collapses to
     # exp(lin u + const); w = h covers the parallel direction
-    sp = drift_ctx.sp
+    sp = drift_ctx.h.sp
     lam = LambdaParam.from_value(0.4 - 0.9j)
     lv, n2, p = lam.value, drift_ctx.norm_h_sq, drift_ctx.pair_ha
     xi = 0.7
@@ -147,7 +145,7 @@ def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_valu
 
 
 def test_parallel_direction_exact_branch(drift_ctx):
-    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp).scaled(3.0))
+    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.h.sp).scaled(3.0))
     assert stats.beta == 0.0
     assert stats.a_resid == 0.0
     assert a_abs_log(1.0 + 2.0j, 0.0) == 0
@@ -187,7 +185,7 @@ def test_h_coeffs_match_pointwise(drift_ctx):
 
 def test_a_bounded_by_k(drift_ctx):
     # |A| <= exp{(2 q0)^{-1/2} ||w|| ||a||} inside the admissible region
-    sp = drift_ctx.sp
+    sp = drift_ctx.h.sp
     w = monomial_element(sp, 2)
     stats = DirectionStats.from_elements(drift_ctx, w)
     q0 = 0.5
@@ -215,10 +213,12 @@ def test_kernel_s_domain(ctx, drift_ctx):
 
 
 def test_kernel_k_domain(drifted_mod):
-    # the weight k needs a threshold q0 > 0; the bound sweep's parameter
-    # sampler rejects any other before k is formed
+    # the weight k needs a threshold 0 < q0 < inf; the bound sweep's
+    # parameter sampler rejects any other before k is formed.  For NaN and
+    # inf no candidate passes |Im lam^{-1/2}| < 1/sqrt(2 q0), so its
+    # rejection loop would never end
     gen = np.random.default_rng(1)
-    for q0 in (0.0, -1.0):
+    for q0 in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ArgOutOfRange):
             sample_interior_lambda(5, q0, gen)
         with pytest.raises(ArgOutOfRange):
@@ -231,7 +231,7 @@ def test_counter_gaussian_cancels(drift_ctx):
     # |V(lam,xi,v) L(lam,xi,v)| is independent of v for parallel w = h
     lam = LambdaParam.from_value(0.5 + 1.5j)
     lv, n2 = lam.value, drift_ctx.norm_h_sq
-    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.sp))
+    stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.h.sp))
     u = np.array([-2.0, 0.0, 3.0])
     V = np.exp(((1j * lv * u + stats.c_hw) ** 2 - n2 * stats.norm_sq)
                / (2.0 * lv * n2))

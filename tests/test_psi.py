@@ -5,8 +5,14 @@ import pytest
 from scipy import integrate
 
 from opfeyn import (ConfigError, Envelope, PsiFn, b_element, bump_psi,
-                    config_from_dict, divergence_witness_psi, envelope_margin,
-                    gaussian_psi, pair_with_a, shifted_gaussian_psi)
+                    config_from_dict, divergence_witness_psi, gaussian_psi,
+                    pair_with_a, shifted_gaussian_psi)
+
+
+def _envelope_margin(psi, lo, hi, n):
+    # smallest env(v) - |psi(v)| on a probe grid; >= 0 means dominated
+    v = np.linspace(lo, hi, n)
+    return float(np.min(psi.envelope.bound(v) - np.abs(psi(v))))
 
 
 @pytest.mark.parametrize("psi", [
@@ -16,7 +22,7 @@ from opfeyn import (ConfigError, Envelope, PsiFn, b_element, bump_psi,
     divergence_witness_psi(0.4),
 ])
 def test_envelopes_dominate(psi):
-    assert envelope_margin(psi) >= -1e-12
+    assert _envelope_margin(psi, -50.0, 50.0, 10001) >= -1e-12
 
 
 def test_envelope_validation():
@@ -72,7 +78,7 @@ def test_gaussian_psi_values():
 def test_shifted_gaussian_envelope_is_exact():
     # C exp(-v^2/(4 s^2)) >= |amp| exp(-(v-m)^2/(2 s^2)) with equality at v = 2m
     psi = shifted_gaussian_psi(1.0, mean=2.0, sigma=1.0)
-    margin = envelope_margin(psi, lo=-10, hi=10, n=40001)
+    margin = _envelope_margin(psi, -10.0, 10.0, 40001)
     assert margin >= -1e-12
     v = np.array([4.0])
     assert abs(psi.envelope.bound(v)[0] - abs(psi(v)[0])) < 1e-12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from opfeyn import quadrature
 from opfeyn.quadrature import (CHUNK_BYTES, GK_GAUSS, GK_KRONROD, GK_NODES,
                                PHASE_CAP, PHASE_STEP, LogBound,
                                adaptive_simpson, phase_breakpoints,
@@ -127,16 +128,17 @@ def test_phase_breakpoints_zero_rate():
     assert phase_breakpoints(0.0, 1.0, rate=0.0, center=0.0) is None
 
 
-def test_budget_exhaustion_reported():
+def test_budget_exhaustion_reported(monkeypatch):
     # a needle pinned to an initial node so it is seen, but far too narrow
     # for a four-round refinement budget to resolve at this tolerance
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 4)
     def needle(v):
         v = np.asarray(v, dtype=float)
         return np.stack([np.exp(-1e8 * (v - 0.37) ** 2).astype(complex)])
 
     bp = np.array([0.37])
     res = adaptive_simpson(needle, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-300,
-                           breakpoints=bp, max_rounds=4)
+                           breakpoints=bp)
     assert not res.converged
     assert np.all(np.isinf(res.err))
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opfeyn import (EtaGaussian, InvalidGrid, NotOrthonormal, RngStream,
-                    a_unit_element, b_element, combine, cylinder_expectation,
-                    gallery, monomial_element, pair_with_a, sample_increments,
+from opfeyn import (EtaGaussian, InvalidGrid, RngStream, b_element, gallery,
+                    monomial_element, pair_with_a, sample_increments,
                     unit_functional)
 from opfeyn.sampler import left_densities, projection_law
 
@@ -44,6 +43,15 @@ def test_sample_increment_moments(drifted, gen):
     assert np.all(np.abs(dx.var(axis=0, ddof=1) - db) < 4.0 * se_var)
 
 
+def test_increments_are_the_affine_map_of_the_normals_bit_for_bit(drifted):
+    # the increments are built in place in the normals' array; the values
+    # must equal the allocating da + sqrt(db) g exactly
+    t, dx = sample_increments(drifted, 64, 50, RngStream(seed=3).generator())
+    g = RngStream(seed=3).generator().standard_normal((50, 64))
+    da, db = np.diff(drifted.a(t)), np.diff(drifted.b(t))
+    assert np.array_equal(dx, da + np.sqrt(db) * g)
+
+
 def test_invalid_grid(wiener, gen):
     with pytest.raises(InvalidGrid):
         sample_increments(wiener, 0, 5, gen)
@@ -70,48 +78,6 @@ def test_pwz_single_path_matches_batch(drifted):
             z = w.density(t[:-1])
             single = sum(z[k] * row[k] for k in range(row.size))
             assert abs(single - batch[i, j]) < 1e-12
-
-
-def test_cylinder_second_moment(wiener, drifted):
-    # E[(e,x)~^2] = 1 + (e,a)^2 for a unit direction
-    e = b_element(wiener)
-    val = cylinder_expectation(lambda u: u * u, [e])
-    assert abs(val - 1.0) < 1e-10
-
-    e2 = a_unit_element(drifted)
-    m = pair_with_a(e2)
-    val2 = cylinder_expectation(lambda u: u * u, [e2])
-    assert abs(val2 - (1.0 + m * m)) < 1e-10
-
-
-def test_cylinder_product_of_orthonormal(wiener):
-    # independent coordinates: E[u1 u2] = m1 m2 = 0 on the driftless pair
-    e1 = b_element(wiener)
-    e2 = combine_orthonormal(wiener)
-    val = cylinder_expectation(lambda u1, u2: u1 * u2, [e1, e2])
-    assert abs(val) < 1e-10
-
-
-def combine_orthonormal(sp):
-    # on the driftless unit pair, t - 1/2 is orthogonal to b and has
-    # squared norm 1/12
-    return combine(monomial_element(sp, 1), b_element(sp), 1.0,
-                   -0.5).scaled(math.sqrt(12.0))
-
-
-def test_cylinder_rejects_non_orthonormal(wiener):
-    w = monomial_element(wiener, 1)
-    with pytest.raises(NotOrthonormal):
-        cylinder_expectation(lambda u: u, [w])
-    with pytest.raises(NotOrthonormal):
-        cylinder_expectation(lambda u, v: u * v,
-                             [b_element(wiener), b_element(wiener)])
-
-
-def test_cylinder_dimension_cap(wiener):
-    e = b_element(wiener)
-    with pytest.raises(ValueError):
-        cylinder_expectation(lambda *u: 1.0, [e, e, e, e])
 
 
 @pytest.mark.parametrize("name", ["unit", "F1_w0_is_h", "F4"])

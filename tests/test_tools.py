@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -59,3 +60,18 @@ def test_report_diff_reports_identical_files_and_per_column_differences(
         "  route=kernel re: max abs 0.5, max rel 0.333",
         "  route=mc identical",
         "paths.csv: identical"]
+
+
+def test_surface_counts_source_lines_and_exported_names(capsys):
+    surface = _load("surface", HERE.parent / "tools" / "surface.py")
+    assert surface.main([]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    # independently: text lines of every source file, and the names that
+    # the package's __init__ imports from its submodules
+    pkg = HERE.parent / "src" / "opfeyn"
+    lines = sum(len(p.read_text().splitlines()) for p in pkg.glob("*.py"))
+    tree = ast.parse((pkg / "__init__.py").read_text())
+    names = {a.asname or a.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert int(out["lines"]) == lines
+    assert int(out["exports"]) == len({n for n in names if not n.startswith("_")})
