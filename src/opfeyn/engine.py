@@ -22,8 +22,8 @@ from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
                      NotInFq0, PsiNotIntegrable, QuadratureError,
                      SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
-                      Kq0Result, eval_from_projections, kq0_integral,
-                      unit_functional)
+                      Kq0Result, eval_from_projections, fourier_probe,
+                      kq0_integral, probe_grid, unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
@@ -37,9 +37,11 @@ from .sampler import sample_increments  # noqa: F401
 from .scale import ScalePair
 
 TRUNC_DROP = 40.0
+RETRY_DROP = math.log(1e6)  # added to the drop when a tail fails to certify
 TAIL_REL = 1e-10
 EXP_CAP = 700.0
-EXP_BUF = 1 << 16     # complex elements in k_lambda's exponent buffer
+EXP_BUF = 1 << 16     # complex elements of one k_lambda exponent block
+EXP_ALLOC = 1 << 17   # complex elements k_lambda's exponent buffer has at least
 XI_GROUP = 8          # evaluation points integrated as one quadrature family
 MC_BATCH = 10000      # Monte Carlo paths drawn and reduced at a time
 
@@ -50,8 +52,9 @@ class OperatorResult:
     when the route is stochastic.  On the kernel routes ``meta["quad_err"]``
     is a per-point error (the quadrature estimate plus the certified tail),
     ``meta["n_eval"]`` counts integrand nodes once per group of up to
-    ``XI_GROUP`` points, and ``meta["quad_rounds"]`` is the largest number
-    of refinement rounds a group took."""
+    ``XI_GROUP`` points, ``meta["quad_rounds"]`` is the largest number
+    of refinement rounds a group took and ``meta["rows"]`` the number of
+    kernel rows."""
 
     xi_grid: np.ndarray
     values: np.ndarray
@@ -220,7 +223,7 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
             return replace(res, err=res.err + tails)
-        drop += math.log(1e6)
+        drop += RETRY_DROP
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
 
@@ -253,18 +256,44 @@ def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
     return kq0
 
 
-def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
+def _row_probe_grid(groups, reach: float):
+    """Points u = v - xi and weights for probing a line density's kernel rows.
+
+    The points cover every group's truncation interval at the retry drop
+    of ``_integrate_with_tail_check``, PROBE_DENSITY per period of the
+    rows' frequency ``reach``; the weight at u is exp(-d), d the least
+    drop below its peak of any point's bound on |H psi| there, so a row
+    sum error counts as much as it moves the integrand.
+    """
+    drop = TRUNC_DROP + RETRY_DROP
+    u_lo, u_hi = [], []
+    for xs, bounds in groups:
+        cuts = np.array([b.cut(drop) for b in bounds])
+        u_lo.append(cuts[:, 0].min() - xs.max())
+        u_hi.append(cuts[:, 1].max() - xs.min())
+    u = probe_grid(min(u_lo, default=0.0), max(u_hi, default=0.0), reach)
+    least = np.full(u.size, np.inf)
+    for xs, bounds in groups:
+        for x0, bound in zip(xs, bounds):
+            np.minimum(least, bound.below_peak(u + x0), out=least)
+    return u, np.exp(-least)
+
+
+def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
+                    groups):
     """Flatten the spectral measure into kernel rows.
 
     Returns (weights, lin, const, quad, amp): row r of the kernel is
     weights[r] exp(lin[r] u + const[r] + quad u^2) times H(u), and amp
     bounds the modulus of the rows' sum by exp(Re log H) (the tail
     amplitude).  Atoms and discrete line measures give one row per node
-    with quad = 0.  A gaussian line measure scale * N(m, var) along w0 is
-    integrated over its coordinate s in closed form, as one row: node s
-    contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 + lin0 u and
-    B = const0, where (lin0, const0) = vl_coeffs of w0 and a0 its
-    residual drift pairing, and the gaussian mean of that is
+    with quad = 0; a line density takes the nodes that resolve the rows'
+    sum over every u = v - xi that the ``(xs, bounds)`` groups integrate
+    (``_row_probe_grid``).  A gaussian line measure scale * N(m, var)
+    along w0 is integrated over its coordinate s in closed form, as one
+    row: node s contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 +
+    lin0 u and B = const0, where (lin0, const0) = vl_coeffs of w0 and a0
+    its residual drift pairing, and the gaussian mean of that is
     kappa^{-1/2} exp((A m + B m^2 + A^2 var / 2) / kappa), kappa = 1 -
     2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
     principal root is the continuous branch, on the boundary too.
@@ -273,29 +302,37 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext):
     if isinstance(m, AtomicMeasure):
         stats = [DirectionStats.from_elements(ctx, w) for _, w in m.atoms]
         coefs = np.array([c for c, _ in m.atoms], dtype=complex)
-        c = np.array([s.c_hw for s in stats])
-        w2 = np.array([s.norm_sq for s in stats])
-        ar = np.array([s.a_resid for s in stats])
-    else:
-        s0 = DirectionStats.from_elements(ctx, m.w0)
-        eta = m.eta
-        if isinstance(eta, EtaGaussian):
-            lin0, b = vl_coeffs(lam, s0.c_hw, s0.norm_sq, ctx)
-            alpha = 1j * lam.inv_sqrt * s0.a_resid
-            mean, var = eta.mean, eta.var
-            kappa = 1.0 - 2.0 * b * var
-            weight = eta.scale / cmath.sqrt(kappa)
-            lin = lin0 * (mean + alpha * var) / kappa
-            const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
-            quad = 0.5 * lin0 * lin0 * var / kappa
-            r = -lam.inv_sqrt.imag * s0.a_resid
-            amp = abs(eta.scale) * math.exp(r * mean + 0.5 * r * r * var)
-            return (np.array([weight]), np.array([lin]), np.array([const]),
-                    quad, amp)
-        v, coefs = eta.v, eta.c
-        c, w2, ar = v * s0.c_hw, v * v * s0.norm_sq, v * s0.a_resid
-    weights = coefs * np.exp(1j * lam.inv_sqrt * ar)
-    lin, const = vl_coeffs(lam, c, w2, ctx)
+        weights = coefs * np.exp(1j * lam.inv_sqrt * np.array([s.a_resid for s in stats]))
+        lin, const = vl_coeffs(lam, np.array([s.c_hw for s in stats]),
+                               np.array([s.norm_sq for s in stats]), ctx)
+        return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
+    s0 = DirectionStats.from_elements(ctx, m.w0)
+    eta = m.eta
+    if isinstance(eta, EtaGaussian):
+        lin0, b = vl_coeffs(lam, s0.c_hw, s0.norm_sq, ctx)
+        alpha = 1j * lam.inv_sqrt * s0.a_resid
+        mean, var = eta.mean, eta.var
+        kappa = 1.0 - 2.0 * b * var
+        weight = eta.scale / cmath.sqrt(kappa)
+        lin = lin0 * (mean + alpha * var) / kappa
+        const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
+        quad = 0.5 * lin0 * lin0 * var / kappa
+        r = -lam.inv_sqrt.imag * s0.a_resid
+        amp = abs(eta.scale) * math.exp(r * mean + 0.5 * r * r * var)
+        return (np.array([weight]), np.array([lin]), np.array([const]),
+                quad, amp)
+
+    def rows(v, coefs):
+        weights = coefs * np.exp(1j * lam.inv_sqrt * (v * s0.a_resid))
+        return (weights,) + vl_coeffs(lam, v * s0.c_hw, v * v * s0.norm_sq, ctx)
+
+    def row_sum_terms(v, coefs):
+        # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
+        weights, lin, const = rows(v, coefs)
+        return lin.imag, weights * np.exp(const)
+
+    weights, lin, const = rows(*eta.points(
+        fourier_probe(lambda reach: _row_probe_grid(groups, reach), row_sum_terms)))
     return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
 
 
@@ -312,8 +349,10 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     The kernel depends on v and xi only through v - xi, so groups of up to
     ``XI_GROUP`` consecutive points are integrated as one quadrature family;
     the group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
-    per point; ``meta["n_eval"]`` counts nodes once per group, and
-    ``meta["quad_rounds"]`` is the largest round count over the groups.
+    per point; ``meta["n_eval"]`` counts nodes once per group,
+    ``meta["quad_rounds"]`` is the largest round count over the groups,
+    and ``meta["rows"]`` is the kernel family's row count: one per atom,
+    1 for a gaussian line measure, the resolved node count for a density.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     if F.sp is not h.sp:
@@ -329,15 +368,25 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
             raise PsiNotIntegrable(
                 "state function is not integrable against the delta weight")
     ctx = KernelContext.from_direction(h)
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
+    xi = np.asarray(xi_grid, dtype=float)
+    groups = [(xs, [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx))
+                    for x0 in xs])
+              for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, groups)
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
-    xi = np.asarray(xi_grid, dtype=float)
-    # one buffer serves every integrand call, v blocked to fit in it
+    # one buffer serves every integrand call, v blocked so that a block
+    # fills at most EXP_BUF elements of it.  The buffer has EXP_ALLOC
+    # elements (2 MiB) at least, untouched beyond what a block uses: once
+    # it is freed, glibc serves blocks that large from its heap and trims
+    # the heap only past twice that, so the quadrature's temporaries are
+    # not handed back to the system and faulted in again on every call
+    # (with 1 MiB, a kernel-sweep pass took 1 or about 2,500 page faults,
+    # depending on the heap layout)
     rows = weights.size
     width = rows * min(xi.size, XI_GROUP)
     block = max(1, EXP_BUF // max(width, 1))
-    buf = np.empty(width * block, dtype=complex)
+    buf = np.empty(max(width * block, EXP_ALLOC), dtype=complex)
 
     def integrand(xs):
         def f(v):
@@ -353,14 +402,14 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                     raise KernelOverflow("kernel exponent exceeds float range")
                 out[:, k:k + block] = (weights @ np.exp(e, out=e).reshape(
                     rows, -1)).reshape(xs.size, vv.size)
-            return out * psi(v)
+            out *= psi(v)
+            return out
         return f
 
     parts = [_integrate_with_tail_check(
-        integrand(xs),
-        [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx)) for x0 in xs],
-        phase_rate, xs, rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
-        for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
+        integrand(xs), bounds, phase_rate, xs,
+        rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
+        for xs, bounds in groups]
     # the empty arrays keep the result shape and dtype for an empty grid
     values = m_factor * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)])
     errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])
@@ -370,7 +419,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
               "rel_tol": rel_tol, "abs_tol": abs_tol,
               "quad_err": errs, "n_eval": sum(p.n_eval for p in parts),
               "quad_rounds": max((p.rounds for p in parts), default=0),
-              "kq0_integral": kq0.value})
+              "rows": rows, "kq0_integral": kq0.value})
 
 
 def j_q(F: FresnelFunctional, h: CambElement, psi: PsiFn, q: float,

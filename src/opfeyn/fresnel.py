@@ -17,14 +17,21 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (ArgOutOfRange, BadConfig, MeasureUnderflow,
-                     MismatchedScalePair, UnknownExample, UnsupportedVariant)
+                     MismatchedScalePair, QuadratureError, UnknownExample,
+                     UnsupportedVariant)
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
 from .psi import EXPONENTIAL, Envelope
-from .quadrature import CHUNK_BYTES
-from .scale import ScalePair, simpson_weights
+from .quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES
+from .scale import ScalePair
 
 UNDERFLOW_TOL = 1e-8
+# a line density's node rule: RULE_START panels doubling to RULE_CAP,
+# accepted at RULE_TOL; a probe grid has PROBE_DENSITY points per period
+RULE_START = 8
+RULE_CAP = 512
+RULE_TOL = 1e-13
+PROBE_DENSITY = 4
 
 
 def _phi(z: float) -> float:
@@ -36,36 +43,68 @@ def _phi(z: float) -> float:
 # one-dimensional measures for the line pushforward
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def fourier_sum(u: np.ndarray, freq: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Sum over r of coef[r] exp(i freq[r] u) at each u of a 1-d array, in
+    row chunks of at most CHUNK_BYTES per temporary."""
+    out = np.empty(u.size, dtype=complex)
+    step = max(1, CHUNK_BYTES // max(16 * freq.size, 1))
+    ifreq = 1j * freq
+    for i in range(0, u.size, step):
+        z = np.multiply.outer(u[i:i + step], ifreq)
+        out[i:i + step] = np.exp(z, out=z) @ coef
+    return out
+
+
+def probe_grid(lo: float, hi: float, reach: float) -> np.ndarray:
+    """Points on [lo, hi], PROBE_DENSITY per period of frequency ``reach``."""
+    turns = (hi - lo) * reach / (2.0 * math.pi)
+    return np.linspace(lo, hi, math.ceil(PROBE_DENSITY * turns) + 2)
+
+
+def fourier_probe(grid: Callable, rows: Callable) -> Callable:
+    """A probe for ``points``: weight(u) sum_r coef_r exp(i freq_r u).
+
+    ``rows(v, c)`` gives the rows (freq, coef) a node set makes, and
+    ``grid(reach)`` the points u and their weights for rows whose largest
+    |freq| is ``reach``.  The grid is taken at the first call only, so
+    every rule is compared on the same points.
+    """
+    fixed = []
+
+    def probe(v, c):
+        freq, coef = rows(v, c)
+        if not fixed:
+            fixed.append(grid(float(np.max(np.abs(freq), initial=0.0))))
+        u, weight = fixed[0]
+        return weight * fourier_sum(u, freq, coef)
+    return probe
+
+
 class _WeightedPoints:
-    """Finitely many points ``v`` with complex weights ``c``, set once by
-    the subclass at construction."""
-
-    v: np.ndarray = field(init=False, repr=False, compare=False)
-    c: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def _set_points(self, v: np.ndarray, c: np.ndarray) -> None:
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "c", c)
+    """A line measure integrated as weighted points ``v`` with complex
+    weights ``c``; ``points(probe)`` gives a node set that resolves the
+    probe, a function of (v, c)."""
 
     def hat(self, u: np.ndarray) -> np.ndarray:
-        """Transform at u, in row chunks of at most CHUNK_BYTES per temporary."""
+        """Transform at u, resolved over |u| <= max |u|."""
         u = np.asarray(u, dtype=float)
-        flat = u.ravel()
-        out = np.empty(flat.size, dtype=complex)
-        step = max(1, CHUNK_BYTES // max(16 * self.v.size, 1))
-        for i in range(0, flat.size, step):
-            chunk = flat[i:i + step]
-            out[i:i + step] = np.exp(1j * np.multiply.outer(chunk, self.v)) @ self.c
-        return out.reshape(u.shape)
+
+        def grid(reach):
+            top = float(np.max(np.abs(u), initial=0.0))
+            return probe_grid(-top, top, reach), 1.0
+        v, c = self.points(fourier_probe(grid, lambda v, c: (v, c)))
+        return fourier_sum(u.ravel(), v, c).reshape(u.shape)
 
     def total_mass(self) -> float:
-        return float(np.sum(np.abs(self.c)))
+        v, c = self.points(lambda v, c: np.sum(np.abs(c)))
+        return float(np.sum(np.abs(c)))
 
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when it overflows."""
-        with np.errstate(over="ignore"):
-            return float(np.dot(np.abs(self.c), np.exp(mu * np.abs(self.v))))
+        def moment(v, c):
+            with np.errstate(over="ignore"):
+                return float(np.dot(np.abs(c), np.exp(mu * np.abs(v))))
+        return moment(*self.points(moment))
 
 
 @dataclass(frozen=True)
@@ -73,10 +112,16 @@ class EtaAtoms(_WeightedPoints):
     """Finitely many weighted points on the line."""
 
     atoms: tuple[tuple[float, complex], ...]
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._set_points(np.array([v for v, _ in self.atoms], dtype=float),
-                         np.array([c for _, c in self.atoms], dtype=complex))
+        object.__setattr__(self, "v", np.array([v for v, _ in self.atoms], dtype=float))
+        object.__setattr__(self, "c", np.array([c for _, c in self.atoms], dtype=complex))
+
+    def points(self, probe) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms themselves, whatever the probe."""
+        return self.v, self.c
 
     def describe(self) -> dict:
         return {"kind": "atoms",
@@ -118,32 +163,59 @@ class EtaGaussian:
 class EtaDensity(_WeightedPoints):
     """Complex density on [-radius, radius], with an optional decay envelope.
 
-    The density is held as its composite Simpson nodes over ``n_panels``
-    (even) panels, weighted by w * rho.  When an envelope is given, it
-    certifies the tail beyond the radius; a tail heavier than the
-    truncation tolerance raises MeasureUnderflow.
+    The density holds no fixed nodes.  ``points(probe)`` integrates it on
+    2^k equal panels of the G7/K15 Kronrod nodes, from RULE_START panels
+    doubling to at most RULE_CAP, and returns the first rule whose probe
+    agrees with the rule of half as many panels to RULE_TOL of the larger
+    of the rule's total |weight| and the probe's largest modulus; a
+    density no rule up to the cap resolves raises QuadratureError.  So the
+    node count follows each caller's need: the kernel route probes its own
+    row sum over its truncation interval, ``hat`` its transform over the
+    requested points.  When an envelope is given, it certifies the tail
+    beyond the radius; a tail heavier than the truncation tolerance raises
+    MeasureUnderflow.
     """
 
     fn: Callable
     radius: float
     envelope: Envelope | None = None
-    n_panels: int = 2048
 
     def __post_init__(self):
         if self.radius <= 0:
             raise BadConfig("density radius must be positive")
-        if self.n_panels <= 0 or self.n_panels % 2:
-            raise BadConfig(f"density panel count must be even and positive, "
-                            f"got {self.n_panels}")
-        v = np.linspace(-self.radius, self.radius, self.n_panels + 1)
-        w = simpson_weights(self.n_panels, 2.0 * self.radius)
-        self._set_points(v, w * np.asarray(self.fn(v), dtype=complex))
         if self.envelope is not None:
             tail = self.envelope.tail_mass(self.radius)
             if tail > UNDERFLOW_TOL * max(self.total_mass(), 1e-300):
                 raise MeasureUnderflow(
                     f"density tail beyond radius {self.radius:g} holds mass "
                     f"{tail:.3g}, above tolerance")
+
+    def _rule(self, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+        half = self.radius / n_panels
+        centres = -self.radius + half * (2 * np.arange(n_panels) + 1)
+        v = (centres[:, None] + half * GK_NODES).ravel()
+        w = np.tile(half * GK_KRONROD, n_panels)
+        return v, w * np.asarray(self.fn(v), dtype=complex)
+
+    def points(self, probe) -> tuple[np.ndarray, np.ndarray]:
+        """The first rule of 2^k panels that resolves ``probe``."""
+        n = RULE_START
+        v, c = self._rule(n)
+        last = np.asarray(probe(v, c))
+        while n < RULE_CAP:
+            n *= 2
+            v, c = self._rule(n)
+            now = np.asarray(probe(v, c))
+            with np.errstate(invalid="ignore"):
+                tol = RULE_TOL * max(float(np.sum(np.abs(c))),
+                                     float(np.max(np.abs(now), initial=0.0)))
+                # equal infinities agree: an overflowing moment stays inf
+                if np.all((now == last) | (np.abs(now - last) <= tol)):
+                    return v, c
+            last = now
+        raise QuadratureError(
+            f"line density on radius {self.radius:g} is not resolved by "
+            f"{RULE_CAP} Kronrod panels")
 
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when the envelope loses."""

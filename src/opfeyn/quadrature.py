@@ -76,9 +76,9 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
     n_steps = int(rate * (reach * reach) / PHASE_STEP)
     if n_steps < 4:
         return None
-    us = np.sqrt(np.arange(1, n_steps + 1) * PHASE_STEP / rate)
-    if us.size > PHASE_CAP:
-        us = us[:: us.size // PHASE_CAP + 1]
+    # every stride-th offset only, so memory stays bounded by PHASE_CAP
+    stride = n_steps // PHASE_CAP + 1 if n_steps > PHASE_CAP else 1
+    us = np.sqrt(np.arange(1, n_steps + 1, stride) * PHASE_STEP / rate)
     far = us[us > 0.5 * (c_hi - c_lo)]  # offsets reaching past the midpoint
     pts = np.concatenate([c_hi - far[::-1], c_lo + far])
     pts = pts[(pts > lo) & (pts < hi)]
@@ -253,6 +253,18 @@ class LogBound:
             return max(v, 0.0) if side > 0 else min(v, 0.0)
         # linear decay on this side (slope pointing down)
         return (target - q0) / q1
+
+    def below_peak(self, v: np.ndarray) -> np.ndarray:
+        """How far the bound lies below its peak at each v: 0 on a compact
+        support, inf off it."""
+        v = np.asarray(v, dtype=float)
+        if self.support is not None:
+            lo, hi = self.support
+            return np.where((v >= lo) & (v <= hi), 0.0, np.inf)
+        l2, l1, l0 = self.left
+        r2, r1, r0 = self.right
+        return self.peak() - np.where(v < 0.0, (l2 * v + l1) * v + l0,
+                                      (r2 * v + r1) * v + r0)
 
     def cut(self, drop: float) -> tuple[float, float]:
         """Interval outside which the bound is ``drop`` below its peak."""

@@ -1,15 +1,17 @@
+import itertools
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
                     EtaAtoms, EtaDensity, EtaGaussian, KernelContext,
                     LambdaParam, NonPositiveLambda, NotAdmissible, PsiFn,
-                    PsiNotIntegrable, RngStream, SequenceLeavesRegion,
+                    PsiNotIntegrable, QuadratureError, RngStream,
+                    SequenceLeavesRegion,
                     b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
                     divergence_witness_partial, gallery,
@@ -650,7 +652,7 @@ def _gaussian_lines(sp):
 
 def _analytic_row(F, lam, h):
     ctx = KernelContext.from_direction(h)
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx)
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, [])
     assert weights.size == 1
 
     def row(u):
@@ -695,23 +697,76 @@ def test_gaussian_row_amp_bounds_the_row(drifted, lam_value):
 def test_gaussian_row_matches_the_density_of_the_same_eta(drifted, lam_value):
     # the same gaussian given as an EtaDensity: its pdf on mean +- 12 sd,
     # integrated by the discrete node rows
+    # integrated by the discrete node rows; w0 scaled by 8 scales the
+    # rows' frequency reach by 8
     psi = gaussian_psi()
     xi = np.array([0.7])
-    for label, F, h in _gaussian_lines(drifted):
-        eta = F.measure.eta
+    for (label, F0, h), scale in itertools.product(_gaussian_lines(drifted), (1.0, 8.0)):
+        eta = F0.measure.eta
         sd = math.sqrt(eta.var)
 
         def pdf(v, eta=eta, sd=sd):
             return (eta.scale * np.exp(-0.5 * ((v - eta.mean) / sd) ** 2)
                     / (sd * math.sqrt(2.0 * math.pi)))
 
-        density = EtaDensity(fn=pdf, radius=abs(eta.mean) + 12.0 * sd,
-                             n_panels=1024)
-        G = gallery("F1", drifted, w0=F.measure.w0, eta=density)
+        density = EtaDensity(fn=pdf, radius=abs(eta.mean) + 12.0 * sd)
+        w0 = F0.measure.w0.scaled(scale)
+        F = gallery("F1", drifted, w0=w0, eta=eta)
+        G = gallery("F1", drifted, w0=w0, eta=density)
         if lam_value.real == 0.0:
             a = j_q(F, h, psi, -lam_value.imag, xi, delta=0.5).values
             b = j_q(G, h, psi, -lam_value.imag, xi, delta=0.5).values
         else:
             a = k_lambda(F, h, psi, lam_value, xi).values
             b = k_lambda(G, h, psi, lam_value, xi).values
-        assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b)), label
+        assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b)), (label, scale)
+
+
+def _sweep_density(sp, scale=1.0):
+    """A smooth complex density on radius 4 along scale * b."""
+    eta = EtaDensity(fn=lambda v: ((1.0 + 0.5j) * np.exp(-v * v)
+                                   * (1.0 + 0.3 * np.cos(3.0 * v))),
+                     radius=4.0)
+    return gallery("F1", sp, w0=b_element(sp).scaled(scale), eta=eta)
+
+
+def test_kernel_rows_follow_the_frequency_reach(drifted):
+    # a density takes the nodes its call needs; an atom or a gaussian
+    # line measure is one row
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.array([0.3])
+    low = k_lambda(_sweep_density(drifted), h, psi, 1.0 + 0.5j, xi)
+    high = k_lambda(_sweep_density(drifted, 8.0), h, psi, 1.0 + 0.5j, xi)
+    assert low.meta["rows"] < 2049
+    assert high.meta["rows"] > low.meta["rows"]
+    for name in ("F3", "F4"):
+        res = j_q(gallery(name, drifted), h, psi, 1.5, xi, delta=0.5)
+        assert res.meta["rows"] == 1
+
+
+def test_mc_on_a_density_matches_the_gaussian_row_of_the_same_eta(drifted):
+    # scale * N(0.5, 0.001) as a density on radius 4, against the
+    # closed-form row of the same eta: the kernel route to 1e-9, and the
+    # Monte Carlo route, which transforms the density at every path,
+    # within the Bonferroni threshold z* of a 1e-6 family-wise
+    # false-alarm rate over the points.  An 8-panel rule puts the narrow
+    # peak's mass at 1.33 in place of 1
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-2.0, 2.0, 5)
+    eta = EtaGaussian(mean=0.5, var=0.001, scale=1.2 - 0.3j)
+    pdf = lambda v: (eta.scale * np.exp(-0.5 * (v - 0.5) ** 2 / eta.var)
+                     / math.sqrt(2.0 * math.pi * eta.var))
+    F = gallery("F1", drifted, w0=h, eta=eta)
+    G = gallery("F1", drifted, w0=h, eta=EtaDensity(fn=pdf, radius=4.0))
+    z_star = math.sqrt(2.0) * special.erfcinv(1e-6 / (2 * xi.size))
+    ker = k_lambda(F, h, psi, 1.0 + 0j, xi)
+    assert np.max(np.abs(k_lambda(G, h, psi, 1.0 + 0j, xi).values
+                         - ker.values)) < 1e-9
+    mc = i_lambda_mc(G, h, psi, 1.0, xi, 10000, RngStream(811, stream_id=3))
+    assert np.all(np.abs(mc.values - ker.values) <= z_star * mc.stderr)
+
+
+def test_kernel_on_an_unresolvable_density_raises(drifted):
+    eta = EtaDensity(fn=lambda v: ((v >= -1.3) & (v <= 0.7)).astype(float),
+                     radius=4.0)
+    F = gallery("F1", drifted, w0=b_element(drifted), eta=eta)
+    with pytest.raises(QuadratureError, match="line density"):
+        k_lambda(F, b_element(drifted), gaussian_psi(), 1.0 + 0j, [0.0])

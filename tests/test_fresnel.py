@@ -7,8 +7,8 @@ from scipy import integrate
 
 from opfeyn import (AtomicMeasure, BadConfig, Envelope, EtaAtoms, EtaDensity,
                     EtaGaussian, FresnelFunctional, LineMeasure,
-                    MeasureUnderflow, MismatchedScalePair, RngStream,
-                    UnknownExample, UnsupportedVariant, b_element, convolve,
+                    MeasureUnderflow, MismatchedScalePair, QuadratureError,
+                    RngStream, UnknownExample, UnsupportedVariant, b_element, convolve,
                     eval_from_projections, gallery, kq0_integral,
                     monomial_element, s_star, sample_increments,
                     unit_functional)
@@ -81,10 +81,29 @@ def test_eta_density_tail_check():
         EtaDensity(fn=rho, radius=-1.0)
 
 
-@pytest.mark.parametrize("n_panels", [3, 0, -2])
-def test_eta_density_rejects_a_bad_panel_count(n_panels):
-    with pytest.raises(BadConfig, match="panel count"):
-        EtaDensity(fn=lambda v: np.exp(-v * v), radius=4.0, n_panels=n_panels)
+def test_eta_density_matches_the_truncated_exponential_transform():
+    # e^{-|v|} on [-R, R]: hat(u) = 2 (1 - e^{-R} (cos uR - u sin uR)) / (1 + u^2);
+    # its kink at 0 is a panel edge of every rule, and at |u| = 20 the
+    # nodes need 256 panels
+    R = 40.0
+    eta = EtaDensity(fn=lambda v: np.exp(-np.abs(v)), radius=R)
+    u = np.linspace(-20.0, 20.0, 401)
+    exact = (2.0 * (1.0 - math.exp(-R) * (np.cos(u * R) - u * np.sin(u * R)))
+             / (1.0 + u * u))
+    assert np.max(np.abs(eta.hat(u) - exact)) < 1e-12
+    assert abs(eta.total_mass() - 2.0 * (1.0 - math.exp(-R))) < 1e-14
+
+
+def test_eta_density_that_no_rule_resolves_raises():
+    # a step on [-1.3, 0.7]: its jumps fall inside panels of every rule,
+    # so the rules never agree to the tolerance.  (Its total mass comes
+    # out exact, 2: the two jumps sit at mirror positions in their panels.)
+    eta = EtaDensity(fn=lambda v: ((v >= -1.3) & (v <= 0.7)).astype(float),
+                     radius=4.0)
+    assert eta.total_mass() == 2.0
+    for call in (lambda: eta.hat(np.array([0.5])), lambda: eta.exp_moment(0.3)):
+        with pytest.raises(QuadratureError, match="line density"):
+            call()
 
 
 def test_eval_consistency_atomic(wiener):

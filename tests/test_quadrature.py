@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import integrate
@@ -122,6 +123,50 @@ def test_phase_breakpoints_bound_every_centre():
         turn = np.where(inside, phi_a + phi_b, np.abs(phi_b - phi_a))
         assert turn.max() <= 2.0 * PHASE_STEP * (1.0 + 1e-9)
     assert with_points > 1500
+
+
+def _phase_breakpoints_full(lo, hi, rate, center):
+    """The construction that builds every quarter-period offset, then thins."""
+    c_lo, c_hi = float(np.min(center)), float(np.max(center))
+    reach = max(c_hi - lo, hi - c_lo)
+    n_steps = int(rate * (reach * reach) / PHASE_STEP)
+    if n_steps < 4:
+        return None
+    us = np.sqrt(np.arange(1, n_steps + 1) * PHASE_STEP / rate)
+    if us.size > PHASE_CAP:
+        us = us[:: us.size // PHASE_CAP + 1]
+    far = us[us > 0.5 * (c_hi - c_lo)]
+    pts = np.concatenate([c_hi - far[::-1], c_lo + far])
+    pts = pts[(pts > lo) & (pts < hi)]
+    return pts if pts.size else None
+
+
+def test_phase_breakpoints_thin_as_the_full_construction_does():
+    gen = np.random.default_rng(11)
+    thinned = 0
+    for _ in range(300):
+        lo = gen.uniform(-50.0, 0.0)
+        hi = lo + gen.uniform(1.0, 100.0)
+        centres = gen.uniform(lo - 5.0, hi + 5.0, gen.integers(1, 9))
+        reach = max(centres.max() - lo, hi - centres.min())
+        rate = 10.0 ** gen.uniform(0.0, 5.9) * PHASE_STEP / (reach * reach)
+        thinned += rate * reach * reach / PHASE_STEP > PHASE_CAP
+        new = phase_breakpoints(lo, hi, rate, centres)
+        old = _phase_breakpoints_full(lo, hi, rate, centres)
+        assert (new is None and old is None) or np.array_equal(new, old)
+    assert thinned > 50
+
+
+def test_phase_breakpoints_memory_does_not_grow_with_the_reach():
+    # rate 0.5 over a reach of 1e6 asks for 6.4e11 quarter-period offsets
+    tracemalloc.start()
+    try:
+        bp = phase_breakpoints(0.0, 1e6, rate=0.5, center=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < bp.size <= PHASE_CAP
+    assert peak < 4 * 2 ** 20
 
 
 def test_phase_breakpoints_zero_rate():
