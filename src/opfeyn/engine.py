@@ -22,7 +22,7 @@ from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
                      NotInFq0, PsiNotIntegrable, QuadratureError,
                      SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
-                      Kq0Result, eval_from_projections, fourier_probe,
+                      Kq0Result, eval_from_projections, grid_fourier_sum,
                       kq0_integral, probe_grid, unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
@@ -37,7 +37,6 @@ from .sampler import sample_increments  # noqa: F401
 from .scale import ScalePair
 
 TRUNC_DROP = 40.0
-RETRY_DROP = math.log(1e6)  # added to the drop when a tail fails to certify
 TAIL_REL = 1e-10
 EXP_CAP = 700.0
 EXP_BUF = 1 << 16     # complex elements of one k_lambda exponent block
@@ -223,7 +222,7 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
             return replace(res, err=res.err + tails)
-        drop += RETRY_DROP
+        drop += math.log(1e6)
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
 
@@ -256,31 +255,56 @@ def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
     return kq0
 
 
-def _row_probe_grid(groups, reach: float):
-    """Points u = v - xi and weights for probing a line density's kernel rows.
+def _row_probe(lam: LambdaParam, ctx: KernelContext, psi: PsiFn, groups,
+               reach_per_radius: float, terms):
+    """Probe factory that weighs a line density's row sum by its effect on
+    the kernel integral.
 
-    The points cover every group's truncation interval at the retry drop
-    of ``_integrate_with_tail_check``, PROBE_DENSITY per period of the
-    rows' frequency ``reach``; the weight at u is exp(-d), d the least
-    drop below its peak of any point's bound on |H psi| there, so a row
-    sum error counts as much as it moves the integrand.
+    ``terms(v, c)`` gives the (freq, coef) of the row sum S(u) = sum_r
+    coef_r exp(i freq_r u) that a node set makes, with |freq| at most
+    ``reach_per_radius`` times the radius.  ``probe_for(radius)`` samples
+    u on one uniform grid that covers every group's truncation interval,
+    outside which the weights below are e^-TRUNC_DROP of their peak, with
+    PROBE_DENSITY points per period of the rows' reach plus the fastest
+    phase of H there.  For each point xi of the groups, its probe gives
+    the grid sum of S(u) H(u) psi(u + xi) divided by that of |H psi|.  A
+    row-sum error that oscillates against a smooth H psi averages out
+    there as it does in the integral, so the rule stops at the size the
+    kernel needs.
     """
-    drop = TRUNC_DROP + RETRY_DROP
-    u_lo, u_hi = [], []
-    for xs, bounds in groups:
-        cuts = np.array([b.cut(drop) for b in bounds])
-        u_lo.append(cuts[:, 0].min() - xs.max())
-        u_hi.append(cuts[:, 1].max() - xs.min())
-    u = probe_grid(min(u_lo, default=0.0), max(u_hi, default=0.0), reach)
-    least = np.full(u.size, np.inf)
-    for xs, bounds in groups:
-        for x0, bound in zip(xs, bounds):
-            np.minimum(least, bound.below_peak(u + x0), out=least)
-    return u, np.exp(-least)
+    n2 = ctx.norm_h_sq
+
+    def probe_for(radius):
+        spans = [(np.array([b.cut(TRUNC_DROP) for b in bounds]), xs)
+                 for xs, bounds in groups]
+        lo = min((cuts[:, 0].min() - xs.max() for cuts, xs in spans), default=0.0)
+        hi = max((cuts[:, 1].max() - xs.min() for cuts, xs in spans), default=0.0)
+        # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
+        chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
+                    for x in (lo, hi)) / n2
+        u = probe_grid(lo, hi, reach_per_radius * radius + chirp)
+        log_h = vlh_exponent(lam, 0.0, u, np.array([0.0]), np.array([0.0]), ctx)[0]
+
+        def probe(v, c):
+            s = grid_fourier_sum(u, *terms(v, c))
+            out = [np.zeros(0, complex)]
+            for xs, _ in groups:
+                with np.errstate(divide="ignore"):
+                    log_g = log_h + np.log(psi(u + xs[:, None]))
+                # each point's weights are scaled by their own peak, which
+                # the division by their total modulus cancels
+                peak = np.max(log_g.real, axis=1, keepdims=True)
+                g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
+                mass = np.sum(np.abs(g), axis=1)
+                out.append(np.divide(g @ s, mass, out=np.zeros(xs.size, complex),
+                                     where=mass > 0.0))
+            return np.concatenate(out)
+        return probe
+    return probe_for
 
 
 def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
-                    groups):
+                    psi: PsiFn, groups):
     """Flatten the spectral measure into kernel rows.
 
     Returns (weights, lin, const, quad, amp): row r of the kernel is
@@ -288,8 +312,8 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
     bounds the modulus of the rows' sum by exp(Re log H) (the tail
     amplitude).  Atoms and discrete line measures give one row per node
     with quad = 0; a line density takes the nodes that resolve the rows'
-    sum over every u = v - xi that the ``(xs, bounds)`` groups integrate
-    (``_row_probe_grid``).  A gaussian line measure scale * N(m, var)
+    effect on the integral of psi at every point of the ``(xs, bounds)``
+    groups (``_row_probe``).  A gaussian line measure scale * N(m, var)
     along w0 is integrated over its coordinate s in closed form, as one
     row: node s contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 +
     lin0 u and B = const0, where (lin0, const0) = vl_coeffs of w0 and a0
@@ -331,8 +355,8 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
         weights, lin, const = rows(v, coefs)
         return lin.imag, weights * np.exp(const)
 
-    weights, lin, const = rows(*eta.points(
-        fourier_probe(lambda reach: _row_probe_grid(groups, reach), row_sum_terms)))
+    weights, lin, const = rows(*eta.points(_row_probe(
+        lam, ctx, psi, groups, abs(s0.c_hw) / ctx.norm_h_sq, row_sum_terms)))
     return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
 
 
@@ -372,7 +396,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     groups = [(xs, [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx))
                     for x0 in xs])
               for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, groups)
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, psi, groups)
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
     # one buffer serves every integrand call, v blocked so that a block
@@ -382,7 +406,9 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     # the heap only past twice that, so the quadrature's temporaries are
     # not handed back to the system and faulted in again on every call
     # (with 1 MiB, a kernel-sweep pass took 1 or about 2,500 page faults,
-    # depending on the heap layout)
+    # depending on the heap layout).  A stopgap tied to glibc's dynamic
+    # thresholds: it goes once the quadrature reuses its own scratch
+    # arrays (ROADMAP item 6)
     rows = weights.size
     width = rows * min(xi.size, XI_GROUP)
     block = max(1, EXP_BUF // max(width, 1))

@@ -29,7 +29,7 @@ UNDERFLOW_TOL = 1e-8
 # a line density's node rule: RULE_START panels doubling to RULE_CAP,
 # accepted at RULE_TOL; a probe grid has PROBE_DENSITY points per period
 RULE_START = 8
-RULE_CAP = 512
+RULE_CAP = 256
 RULE_TOL = 1e-13
 PROBE_DENSITY = 4
 
@@ -55,56 +55,58 @@ def fourier_sum(u: np.ndarray, freq: np.ndarray, coef: np.ndarray) -> np.ndarray
     return out
 
 
+def grid_fourier_sum(grid: np.ndarray, freq: np.ndarray,
+                     coef: np.ndarray) -> np.ndarray:
+    """``fourier_sum`` on an equispaced grid of n >= 2 points.
+
+    The phase at point j = b K + k, K about sqrt(n), splits into that of
+    its block start and that of its offset k steps on, so the sum is one
+    product of a (K, rows) table of offset phases and a (rows, blocks)
+    table of weighted block-start phases: (K + n / K) rows exps in place
+    of n rows.
+    """
+    n = grid.size
+    step = (grid[-1] - grid[0]) / (n - 1)
+    size = math.isqrt(n)
+    ifreq = 1j * freq
+    offsets = np.exp(np.multiply.outer(step * np.arange(size), ifreq))
+    starts = np.exp(np.multiply.outer(ifreq, grid[::size])) * coef[:, None]
+    return (offsets @ starts).T.ravel()[:n]
+
+
 def probe_grid(lo: float, hi: float, reach: float) -> np.ndarray:
     """Points on [lo, hi], PROBE_DENSITY per period of frequency ``reach``."""
     turns = (hi - lo) * reach / (2.0 * math.pi)
     return np.linspace(lo, hi, math.ceil(PROBE_DENSITY * turns) + 2)
 
 
-def fourier_probe(grid: Callable, rows: Callable) -> Callable:
-    """A probe for ``points``: weight(u) sum_r coef_r exp(i freq_r u).
-
-    ``rows(v, c)`` gives the rows (freq, coef) a node set makes, and
-    ``grid(reach)`` the points u and their weights for rows whose largest
-    |freq| is ``reach``.  The grid is taken at the first call only, so
-    every rule is compared on the same points.
-    """
-    fixed = []
-
-    def probe(v, c):
-        freq, coef = rows(v, c)
-        if not fixed:
-            fixed.append(grid(float(np.max(np.abs(freq), initial=0.0))))
-        u, weight = fixed[0]
-        return weight * fourier_sum(u, freq, coef)
-    return probe
-
-
 class _WeightedPoints:
     """A line measure integrated as weighted points ``v`` with complex
-    weights ``c``; ``points(probe)`` gives a node set that resolves the
-    probe, a function of (v, c)."""
+    weights ``c``.  ``points(probe_for)`` gives a node set that resolves
+    the probe ``probe_for(radius)``, a function of (v, c), where radius
+    bounds |v|; ``points()`` gives the finest node set, on which the
+    scalar bounds are taken."""
 
     def hat(self, u: np.ndarray) -> np.ndarray:
         """Transform at u, resolved over |u| <= max |u|."""
         u = np.asarray(u, dtype=float)
+        top = float(np.max(np.abs(u), initial=0.0))
 
-        def grid(reach):
-            top = float(np.max(np.abs(u), initial=0.0))
-            return probe_grid(-top, top, reach), 1.0
-        v, c = self.points(fourier_probe(grid, lambda v, c: (v, c)))
+        def probe_for(radius):
+            # the transform's rows have frequencies |v| <= radius
+            grid = probe_grid(-top, top, radius)
+            return lambda v, c: grid_fourier_sum(grid, v, c)
+        v, c = self.points(probe_for)
         return fourier_sum(u.ravel(), v, c).reshape(u.shape)
 
     def total_mass(self) -> float:
-        v, c = self.points(lambda v, c: np.sum(np.abs(c)))
-        return float(np.sum(np.abs(c)))
+        return float(np.sum(np.abs(self.points()[1])))
 
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when it overflows."""
-        def moment(v, c):
-            with np.errstate(over="ignore"):
-                return float(np.dot(np.abs(c), np.exp(mu * np.abs(v))))
-        return moment(*self.points(moment))
+        v, c = self.points()
+        with np.errstate(over="ignore"):
+            return float(np.dot(np.abs(c), np.exp(mu * np.abs(v))))
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class EtaAtoms(_WeightedPoints):
         object.__setattr__(self, "v", np.array([v for v, _ in self.atoms], dtype=float))
         object.__setattr__(self, "c", np.array([c for _, c in self.atoms], dtype=complex))
 
-    def points(self, probe) -> tuple[np.ndarray, np.ndarray]:
+    def points(self, probe_for=None) -> tuple[np.ndarray, np.ndarray]:
         """The atoms themselves, whatever the probe."""
         return self.v, self.c
 
@@ -163,17 +165,20 @@ class EtaGaussian:
 class EtaDensity(_WeightedPoints):
     """Complex density on [-radius, radius], with an optional decay envelope.
 
-    The density holds no fixed nodes.  ``points(probe)`` integrates it on
-    2^k equal panels of the G7/K15 Kronrod nodes, from RULE_START panels
-    doubling to at most RULE_CAP, and returns the first rule whose probe
-    agrees with the rule of half as many panels to RULE_TOL of the larger
-    of the rule's total |weight| and the probe's largest modulus; a
-    density no rule up to the cap resolves raises QuadratureError.  So the
-    node count follows each caller's need: the kernel route probes its own
-    row sum over its truncation interval, ``hat`` its transform over the
-    requested points.  When an envelope is given, it certifies the tail
-    beyond the radius; a tail heavier than the truncation tolerance raises
-    MeasureUnderflow.
+    The density holds no fixed nodes.  ``points(probe_for)`` integrates
+    it on 2^k equal panels of the G7/K15 Kronrod nodes, from RULE_START
+    panels doubling, and returns the first rule whose probe agrees with
+    that of the rule of twice as many panels to RULE_TOL of the larger of
+    the finer rule's total |weight| and its probe's largest modulus, so
+    that the difference bounds the returned rule's error; when no rule
+    agrees with its successor up to RULE_CAP panels, QuadratureError.  So
+    the node count follows each caller's need: the kernel route probes
+    its rows' effect on the kernel integral, ``hat`` its transform over
+    the requested points.  ``total_mass`` and ``exp_moment`` are bounds,
+    taken on the rule of RULE_CAP panels without a convergence test, so
+    a density with kinks (|fn| of a sign-changing fn) still has them.
+    When an envelope is given, it certifies the tail beyond the radius; a
+    tail heavier than the truncation tolerance raises MeasureUnderflow.
     """
 
     fn: Callable
@@ -197,25 +202,27 @@ class EtaDensity(_WeightedPoints):
         w = np.tile(half * GK_KRONROD, n_panels)
         return v, w * np.asarray(self.fn(v), dtype=complex)
 
-    def points(self, probe) -> tuple[np.ndarray, np.ndarray]:
-        """The first rule of 2^k panels that resolves ``probe``."""
+    def points(self, probe_for=None) -> tuple[np.ndarray, np.ndarray]:
+        """The first rule of 2^k panels that resolves the probe
+        ``probe_for(radius)``; with no probe, the rule of RULE_CAP panels."""
+        if probe_for is None:
+            return self._rule(RULE_CAP)
+        probe = probe_for(self.radius)
         n = RULE_START
         v, c = self._rule(n)
         last = np.asarray(probe(v, c))
-        while n < RULE_CAP:
+        while 2 * n <= RULE_CAP:
+            finer = self._rule(2 * n)
+            now = np.asarray(probe(*finer))
+            tol = RULE_TOL * max(float(np.sum(np.abs(finer[1]))),
+                                 float(np.max(np.abs(now), initial=0.0)))
+            if np.all(np.abs(now - last) <= tol):
+                return v, c
             n *= 2
-            v, c = self._rule(n)
-            now = np.asarray(probe(v, c))
-            with np.errstate(invalid="ignore"):
-                tol = RULE_TOL * max(float(np.sum(np.abs(c))),
-                                     float(np.max(np.abs(now), initial=0.0)))
-                # equal infinities agree: an overflowing moment stays inf
-                if np.all((now == last) | (np.abs(now - last) <= tol)):
-                    return v, c
-            last = now
+            (v, c), last = finer, now
         raise QuadratureError(
-            f"line density on radius {self.radius:g} is not resolved by "
-            f"{RULE_CAP} Kronrod panels")
+            f"line density on radius {self.radius:g} is not resolved: no two "
+            f"successive rules up to {RULE_CAP} Kronrod panels agree")
 
     def exp_moment(self, mu: float) -> float:
         """Integral of exp(mu |v|) against |eta|; inf when the envelope loses."""

@@ -254,18 +254,6 @@ class LogBound:
         # linear decay on this side (slope pointing down)
         return (target - q0) / q1
 
-    def below_peak(self, v: np.ndarray) -> np.ndarray:
-        """How far the bound lies below its peak at each v: 0 on a compact
-        support, inf off it."""
-        v = np.asarray(v, dtype=float)
-        if self.support is not None:
-            lo, hi = self.support
-            return np.where((v >= lo) & (v <= hi), 0.0, np.inf)
-        l2, l1, l0 = self.left
-        r2, r1, r0 = self.right
-        return self.peak() - np.where(v < 0.0, (l2 * v + l1) * v + l0,
-                                      (r2 * v + r1) * v + r0)
-
     def cut(self, drop: float) -> tuple[float, float]:
         """Interval outside which the bound is ``drop`` below its peak."""
         if self.support is not None:

@@ -652,7 +652,7 @@ def _gaussian_lines(sp):
 
 def _analytic_row(F, lam, h):
     ctx = KernelContext.from_direction(h)
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, [])
+    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, gaussian_psi(), [])
     assert weights.size == 1
 
     def row(u):
@@ -696,7 +696,6 @@ def test_gaussian_row_amp_bounds_the_row(drifted, lam_value):
 @pytest.mark.parametrize("lam_value", (1.0, 0.8 + 0.6j, -1.1j))
 def test_gaussian_row_matches_the_density_of_the_same_eta(drifted, lam_value):
     # the same gaussian given as an EtaDensity: its pdf on mean +- 12 sd,
-    # integrated by the discrete node rows
     # integrated by the discrete node rows; w0 scaled by 8 scales the
     # rows' frequency reach by 8
     psi = gaussian_psi()
@@ -761,6 +760,30 @@ def test_mc_on_a_density_matches_the_gaussian_row_of_the_same_eta(drifted):
     assert np.max(np.abs(k_lambda(G, h, psi, 1.0 + 0j, xi).values
                          - ker.values)) < 1e-9
     mc = i_lambda_mc(G, h, psi, 1.0, xi, 10000, RngStream(811, stream_id=3))
+    assert np.all(np.abs(mc.values - ker.values) <= z_star * mc.stderr)
+
+
+def test_sign_changing_density_matches_a_fine_atom_rule(drifted):
+    # exp(-v^2) cos 3v changes sign at pi/6 + k pi/3, inside panels of
+    # every rule, so |fn| has kinks there.  The tail check and the moment
+    # condition take |fn| on the cap rule as it is, while the kernel rows,
+    # smooth in v, resolve: all three routes agree with the same eta as
+    # 200 Gauss-Legendre atoms
+    fn = lambda v: np.exp(-v * v) * np.cos(3.0 * v)
+    x, w = np.polynomial.legendre.leggauss(200)
+    atoms = EtaAtoms(tuple(zip(6.0 * x, 6.0 * w * fn(6.0 * x))))
+    density = EtaDensity(fn=fn, radius=6.0,
+                         envelope=Envelope("gaussian", scale=1.0, rate=1.0))
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, 3)
+    F = gallery("F1", drifted, w0=h, eta=density)
+    G = gallery("F1", drifted, w0=h, eta=atoms)
+    for route in (lambda E: k_lambda(E, h, psi, 1.0 + 0.5j, xi),
+                  lambda E: j_q(E, h, psi, 1.1, xi, delta=0.5)):
+        a, b = route(F).values, route(G).values
+        assert np.max(np.abs(a - b)) < 1e-9 * np.max(np.abs(b))
+    z_star = math.sqrt(2.0) * special.erfcinv(1e-6 / (2 * xi.size))
+    ker = k_lambda(G, h, psi, 1.0 + 0j, xi)
+    mc = i_lambda_mc(F, h, psi, 1.0, xi, 10000, RngStream(812, stream_id=3))
     assert np.all(np.abs(mc.values - ker.values) <= z_star * mc.stderr)
 
 
