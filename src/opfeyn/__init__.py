@@ -24,12 +24,12 @@ from .sampler import RngStream, sample_increments
 from .psi import (Envelope, PsiFn, bump_psi, divergence_witness_psi,
                   gaussian_psi, shifted_gaussian_psi)
 from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
-                      FresnelFunctional, Kq0Result, LineMeasure, convolve,
+                      FresnelFunctional, LineMeasure, convolve,
                       eval_from_projections, gallery, kq0_integral,
                       unit_functional)
 from .kernels import DirectionStats, KernelContext, LambdaParam, kernel_M
 from .engine import (BoundSweepResult, ConvergenceStudy, DivergencePartial,
-                     GaussianIdentityResult, OperatorResult, WeightedNorm,
+                     GaussianIdentityResult, OperatorResult,
                      bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, nu_delta_norm, op_norm_bound,

@@ -32,7 +32,8 @@ from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      i_lambda_mc, j_q, k_lambda, unit_spot_check)
 from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
                      NonPositiveLambda, NotAdmissible, NotInFq0, OpfeynError,
-                     PsiNotIntegrable, SequenceLeavesRegion, ZeroLambda)
+                     PsiNotIntegrable, SequenceLeavesRegion, ZeroDirection,
+                     ZeroLambda)
 from .sampler import RngStream, left_densities, sample_increments
 from .scale import wiener_pair
 
@@ -43,7 +44,8 @@ EXIT_CHECK = 4
 
 _ADMISSIBILITY_ERRORS = (NotAdmissible, NotInFq0, PsiNotIntegrable,
                          SequenceLeavesRegion, BadConfig, NonPositiveLambda,
-                         ArgOutOfRange, ZeroLambda, InfiniteDrift)
+                         ArgOutOfRange, ZeroLambda, InfiniteDrift,
+                         ZeroDirection)
 
 WITNESS_RADII = (5.0, 10.0, 20.0, 40.0)
 CONVERGE_GAP_TARGET = 1e-3
@@ -391,6 +393,8 @@ def main(argv=None) -> int:
         else:
             cfg = config_from_dict(dict(_DEFAULT_CONFIG))
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {seed}")
         out = _resolve_out(args.out, cfg)
         code, summary, outputs = _COMMANDS[args.command](cfg, seed, out, say)
         _write_manifest(out, args.command, cfg, seed, summary, outputs,

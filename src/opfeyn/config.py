@@ -226,6 +226,8 @@ def config_from_dict(d: dict) -> RunConfig:
     n_paths = _num(d, "n_paths", "config", default=100000, integer=True)
     path_grid = _num(d, "path_grid", "config", default=1024, integer=True)
     seed = _num(d, "seed", "config", default=12345, integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {seed}")
     if n_paths < 2:
         raise ConfigError("n_paths: need at least 2 paths")
     if path_grid < 1:

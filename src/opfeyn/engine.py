@@ -22,14 +22,14 @@ from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
                      NotInFq0, PsiNotIntegrable, QuadratureError,
                      SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
-                      Kq0Result, eval_from_projections, grid_fourier_sum,
-                      kq0_integral, probe_grid, unit_functional)
+                      eval_from_projections, grid_fourier_sum, kq0_integral,
+                      probe_grid, unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
                       h_abs_log, h_abs_log_coeffs, k_log, kernel_M, s_log,
                       vl_abs_log, vl_coeffs, vlh_exponent)
-from .psi import COMPACT, GAUSSIAN, PsiFn, divergence_witness_psi, gaussian_psi
+from .psi import PsiFn, divergence_witness_psi, gaussian_psi
 from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
@@ -60,12 +60,6 @@ class OperatorResult:
     stderr: np.ndarray | None
     route: str
     meta: dict
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    value: float
-    finite: bool
 
 
 @dataclass(frozen=True)
@@ -177,29 +171,6 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # truncation bookkeeping for the kernel route
 # ---------------------------------------------------------------------------
 
-def _psi_log_bound(psi: PsiFn, extra: tuple[float, float, float]) -> LogBound:
-    """Combine the state-function envelope with an extra exponent e2 v^2 + e1 v + e0.
-
-    Raises PsiNotIntegrable when the envelope does not make the bound
-    decay on both sides.
-    """
-    e2, e1, e0 = extra
-    env = psi.envelope
-    log_c = math.log(env.scale)
-    if env.kind == COMPACT:
-        return LogBound(support=(-env.radius, env.radius))
-    if env.kind == GAUSSIAN:
-        coeffs = (e2 - env.rate, e1, e0 + log_c)
-        bound = LogBound(left=coeffs, right=coeffs)
-    else:  # EXPONENTIAL, the one kind Envelope admits besides these two
-        bound = LogBound(left=(e2, e1 + env.rate, e0 + log_c),
-                         right=(e2, e1 - env.rate, e0 + log_c))
-    if not math.isfinite(bound.peak()):
-        raise PsiNotIntegrable(
-            "state-function envelope does not control the kernel tail")
-    return bound
-
-
 def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
                                centres, *, rel_tol, abs_tol, amp: float):
     """Integrate a family on the union of its members' truncation cuts.
@@ -236,7 +207,7 @@ def _require_delta(delta: float) -> None:
 
 
 def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
-                               q0: float) -> Kq0Result:
+                               q0: float) -> float:
     """Check lam against the admissible region for threshold q0 and F
     against the exponential-moment condition; return F's moment integral."""
     if lam.is_interior:
@@ -250,7 +221,7 @@ def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
             raise NotAdmissible(
                 f"boundary parameter needs |q| > q0 = {q0}, got lambda = {lam.value}")
     kq0 = kq0_integral(F, q0)
-    if not kq0.member:
+    if not math.isfinite(kq0):
         raise NotInFq0("spectral measure fails the exponential-moment condition")
     return kq0
 
@@ -393,9 +364,13 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 "state function is not integrable against the delta weight")
     ctx = KernelContext.from_direction(h)
     xi = np.asarray(xi_grid, dtype=float)
-    groups = [(xs, [_psi_log_bound(psi, h_abs_log_coeffs(lam, float(x0), ctx))
+    # each point's truncation bound: the envelope times the kernel's |H|
+    groups = [(xs, [psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
                     for x0 in xs])
               for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
+    if not all(b.integrable for _, bounds in groups for b in bounds):
+        raise PsiNotIntegrable(
+            "state-function envelope does not control the kernel tail")
     weights, lin, const, quad, amp = _measure_family(F, lam, ctx, psi, groups)
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
@@ -445,7 +420,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
               "rel_tol": rel_tol, "abs_tol": abs_tol,
               "quad_err": errs, "n_eval": sum(p.n_eval for p in parts),
               "quad_rounds": max((p.rounds for p in parts), default=0),
-              "rows": rows, "kq0_integral": kq0.value})
+              "rows": rows, "kq0_integral": kq0})
 
 
 def j_q(F: FresnelFunctional, h: CambElement, psi: PsiFn, q: float,
@@ -518,21 +493,21 @@ def op_norm_bound(F: FresnelFunctional, h: CambElement, lam, *,
     m_mod = abs(kernel_M(lam, ctx))
     if lam.is_interior:
         s = math.exp(s_log(lam.value, ctx.pair_ha, ctx.norm_h_sq))
-        return s * m_mod * kq0.value
-    return m_mod * kq0.value
+        return s * m_mod * kq0
+    return m_mod * kq0
 
 
-def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
+def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> float:
     """Norm of |psi| against the gaussian weight exp(delta * Var(a) * v^2).
 
-    Divergence (per the envelope) is reported as (inf, False), never
-    raised; delta = 0 recovers the plain L1 norm.
+    Divergence (per the envelope) is reported as inf, never raised;
+    delta = 0 recovers the plain L1 norm.
     """
     _require_delta(delta)
     growth = delta * sp.var_a
-    if not psi.delta_admissible(delta, sp.var_a):
-        return WeightedNorm(value=math.inf, finite=False)
-    bound = _psi_log_bound(psi, (growth, 0.0, 0.0))
+    bound = psi.envelope.log_bound.plus((growth, 0.0, 0.0))
+    if not bound.integrable:
+        return math.inf
 
     def f(v):
         # one exp of the summed logs: |psi| exp(growth v^2) is 0 * inf far out
@@ -541,7 +516,7 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> WeightedNorm:
 
     res = _integrate_with_tail_check(
         f, [bound], 0.0, [0.0], rel_tol=1e-11, abs_tol=1e-14, amp=1.0)
-    return WeightedNorm(value=float(abs(res.values[0])), finite=True)
+    return float(abs(res.values[0]))
 
 
 def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
@@ -576,9 +551,9 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
                                      phase_rate, [0.0], rel_tol=1e-11,
                                      abs_tol=1e-14, amp=1.0)
     value = float(abs(m_factor * res.values[0]))
-    l1 = nu_delta_norm(psi, 0.0, sp)
     return DivergencePartial(R=R, value=value, pair_ha=p,
-                             psi_l1=l1.value, psi_sup=psi.sup_probe())
+                             psi_l1=nu_delta_norm(psi, 0.0, sp),
+                             psi_sup=psi.sup_probe())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (ArgOutOfRange, BadConfig, MeasureUnderflow,
                      UnsupportedVariant)
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
-from .psi import EXPONENTIAL, Envelope
+from .psi import Envelope
 from .quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES
 from .scale import ScalePair
 
@@ -189,7 +189,7 @@ class EtaDensity(_WeightedPoints):
         if self.radius <= 0:
             raise BadConfig("density radius must be positive")
         if self.envelope is not None:
-            tail = self.envelope.tail_mass(self.radius)
+            tail = self.envelope.log_bound.tails(-self.radius, self.radius)
             if tail > UNDERFLOW_TOL * max(self.total_mass(), 1e-300):
                 raise MeasureUnderflow(
                     f"density tail beyond radius {self.radius:g} holds mass "
@@ -225,9 +225,11 @@ class EtaDensity(_WeightedPoints):
             f"successive rules up to {RULE_CAP} Kronrod panels agree")
 
     def exp_moment(self, mu: float) -> float:
-        """Integral of exp(mu |v|) against |eta|; inf when the envelope loses."""
+        """Integral of exp(mu |v|) against |eta|; inf when the envelope
+        times exp(mu |v|) is not integrable."""
         env = self.envelope
-        if env is not None and env.kind == EXPONENTIAL and mu >= env.rate:
+        if env is not None and not env.log_bound.plus(
+                (0.0, -mu, 0.0), (0.0, mu, 0.0)).integrable:
             return math.inf
         return super().exp_moment(mu)
 
@@ -307,14 +309,6 @@ class FresnelFunctional:
         return d
 
 
-@dataclass(frozen=True)
-class Kq0Result:
-    """Exponential-moment integral of a measure; member means it is finite."""
-
-    value: float
-    member: bool
-
-
 def eval_from_projections(F: FresnelFunctional, proj: np.ndarray) -> np.ndarray:
     """Evaluate on a batch given pairings with F.directions(), shape (n, n_dirs)."""
     m = F.measure
@@ -324,12 +318,11 @@ def eval_from_projections(F: FresnelFunctional, proj: np.ndarray) -> np.ndarray:
     return m.eta.hat(proj[:, 0])
 
 
-def kq0_integral(F: FresnelFunctional, q0: float) -> Kq0Result:
+def kq0_integral(F: FresnelFunctional, q0: float) -> float:
     """Integral of the exponential moment weight against |f|.
 
     Finiteness is the membership criterion for the admissible functional
-    class at threshold q0; divergence is reported as (inf, False), never
-    raised.
+    class at threshold q0; divergence is reported as inf, never raised.
     """
     if q0 <= 0:
         raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
@@ -337,12 +330,9 @@ def kq0_integral(F: FresnelFunctional, q0: float) -> Kq0Result:
     norm_a = a_element(m.sp).norm
     inv = 1.0 / math.sqrt(2.0 * q0)
     if isinstance(m, AtomicMeasure):
-        val = float(sum(abs(c) * math.exp(inv * w.norm * norm_a)
-                        for c, w in m.atoms))
-        return Kq0Result(value=val, member=math.isfinite(val))
-    mu = inv * m.w0.norm * norm_a
-    val = m.eta.exp_moment(mu)
-    return Kq0Result(value=val, member=math.isfinite(val))
+        return float(sum(abs(c) * math.exp(inv * w.norm * norm_a)
+                         for c, w in m.atoms))
+    return m.eta.exp_moment(inv * m.w0.norm * norm_a)
 
 
 def convolve(F: FresnelFunctional, G: FresnelFunctional) -> FresnelFunctional:

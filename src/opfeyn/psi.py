@@ -1,18 +1,22 @@
 """State functions on the real line with explicit decay envelopes.
 
 Every state function carries a certified envelope |psi(v)| <= env(v) of
-gaussian, exponential, or compact-support shape.  The envelope drives
-integration-domain truncation and decides integrability against the
-gaussian-weighted norms used by the operator bounds.
+gaussian, exponential, or compact-support shape.  The envelope is held
+as a ``LogBound``, which drives integration-domain truncation and
+decides integrability against the gaussian-weighted norms used by the
+operator bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .quadrature import LogBound
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -38,27 +42,19 @@ class Envelope:
         if self.kind == COMPACT and self.radius <= 0:
             raise ValueError("compact envelope needs a positive radius")
 
-    def log_bound(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+    @cached_property
+    def log_bound(self) -> LogBound:
+        """The envelope as a bound on log|psi|: log C - rate v^2, log C -
+        rate |v|, or log C on the support [-radius, radius]."""
+        log_c = math.log(self.scale)
         if self.kind == GAUSSIAN:
-            return math.log(self.scale) - self.rate * v * v
+            q = (-self.rate, 0.0, log_c)
+            return LogBound(left=q, right=q)
         if self.kind == EXPONENTIAL:
-            return math.log(self.scale) - self.rate * np.abs(v)
-        out = np.where(np.abs(v) <= self.radius, math.log(self.scale), -np.inf)
-        return out
-
-    def bound(self, v) -> np.ndarray:
-        return np.exp(self.log_bound(v))
-
-    def tail_mass(self, r: float) -> float:
-        """Upper bound for the integral of the envelope outside [-r, r]."""
-        if r <= 0:
-            raise ValueError("tail radius must be positive")
-        if self.kind == GAUSSIAN:
-            return self.scale * math.exp(-self.rate * r * r) / (self.rate * r)
-        if self.kind == EXPONENTIAL:
-            return 2.0 * self.scale * math.exp(-self.rate * r) / self.rate
-        return 0.0 if r >= self.radius else self.scale * 2.0 * (self.radius - r)
+            return LogBound(left=(0.0, self.rate, log_c),
+                            right=(0.0, -self.rate, log_c))
+        q = (0.0, 0.0, log_c)
+        return LogBound(left=q, right=q, support=(-self.radius, self.radius))
 
 
 @dataclass(frozen=True)
@@ -80,15 +76,7 @@ class PsiFn:
         """Integrability of |psi| against the weight exp(delta*var_a*v^2)."""
         if delta < 0:
             raise ValueError("delta must be nonnegative")
-        growth = delta * var_a
-        if growth == 0.0:
-            return True
-        env = self.envelope
-        if env.kind == COMPACT:
-            return True
-        if env.kind == GAUSSIAN:
-            return growth < env.rate
-        return False
+        return self.envelope.log_bound.plus((delta * var_a, 0.0, 0.0)).integrable
 
     def sup_probe(self, lo: float = -50.0, hi: float = 50.0, n: int = 20001) -> float:
         """Grid estimate of the sup norm (exact enough for smooth presets)."""

@@ -213,13 +213,14 @@ def quadratic_tail_bound(q2: float, q1: float, q0: float,
 
 @dataclass(frozen=True)
 class LogBound:
-    """Truncation interval of a line integral and the tail it leaves out.
+    """A bound on log|f| for a line integrand f, or a compact support.
 
     ``left`` and ``right`` are the coefficients (q2, q1, q0) of quadratics
-    bounding log|integrand| on v <= 0 and on v >= 0; each side's vertex is
-    clamped to its half-line.  A compact ``support`` takes their place:
-    the integrand vanishes outside it, so it is the interval and the tail
-    is 0.
+    bounding log|f| on v <= 0 and on v >= 0; each side's vertex is
+    clamped to its half-line.  A compact ``support`` says f vanishes
+    outside it: the support is then the truncation interval, and the tail
+    is 0 beyond any interval covering it.  A state-function envelope is
+    one of these, and a weight exp(Q) is added with ``plus``.
     """
 
     left: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -228,7 +229,7 @@ class LogBound:
 
     def _side_peak(self, coeffs, side: int) -> float:
         q2, q1, q0 = coeffs
-        if q2 > 0.0:
+        if not q2 <= 0.0:  # growing, or a nan coefficient
             return math.inf
         if q2 < 0.0:
             v = -q1 / (2.0 * q2)
@@ -241,6 +242,20 @@ class LogBound:
     def peak(self) -> float:
         """Maximum of the quadratic bound; inf when a side does not decay."""
         return max(self._side_peak(self.left, -1), self._side_peak(self.right, +1))
+
+    @property
+    def integrable(self) -> bool:
+        """Whether exp(bound) is integrable: a support, or a finite peak."""
+        return self.support is not None or math.isfinite(self.peak())
+
+    def plus(self, left: tuple[float, float, float],
+             right: tuple[float, float, float] | None = None) -> LogBound:
+        """This bound with the quadratic ``left`` added on v <= 0 and
+        ``right`` (``left`` when not given) on v >= 0; the support is kept."""
+        right = left if right is None else right
+        return LogBound(left=tuple(a + b for a, b in zip(self.left, left)),
+                        right=tuple(a + b for a, b in zip(self.right, right)),
+                        support=self.support)
 
     def _side_cut(self, coeffs, side: int, target: float) -> float:
         q2, q1, q0 = coeffs
@@ -266,9 +281,11 @@ class LogBound:
         return lo, hi
 
     def tails(self, lo: float, hi: float, amp: float = 1.0) -> float:
-        """Bound for the integral of amp * exp(bound) outside [lo, hi]."""
+        """Bound for the integral of amp * exp(bound) outside [lo, hi]; for
+        a support, 0 when [lo, hi] covers it and inf otherwise."""
         if self.support is not None:
-            return 0.0
+            s_lo, s_hi = self.support
+            return 0.0 if lo <= s_lo and s_hi <= hi else math.inf
         l2, l1, l0 = self.left
         r2, r1, r0 = self.right
         return amp * (quadratic_tail_bound(l2, l1, l0, lo, -1)

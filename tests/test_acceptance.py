@@ -252,7 +252,7 @@ def test_criterion_09_norm_bound(drifted):
         psi = shifted_gaussian_psi(1.0, mean=float(gen.uniform(-1.0, 1.0)),
                                    sigma=float(gen.uniform(0.5, 1.2)))
         cap = (op_norm_bound(F, h, lam, q0=0.5)
-               * nu_delta_norm(psi, 0.5, drifted).value)
+               * nu_delta_norm(psi, 0.5, drifted))
         sup = float(np.max(np.abs(
             k_lambda(F, h, psi, lam, xi, q0=0.5).values)))
         worst_margin = min(worst_margin, cap / sup)

@@ -1,13 +1,17 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opfeyn import OperatorResult
-from opfeyn.cli import main, mc_z_scores
+from opfeyn import (InvalidGrid, KernelOverflow, MeasureUnderflow,
+                    MismatchedScalePair, NonPositiveVariance, NonzeroOrigin,
+                    OperatorResult, OutOfDomain, QuadratureError,
+                    UnknownExample, UnsupportedVariant, errors)
+from opfeyn.cli import _ADMISSIBILITY_ERRORS, main, mc_z_scores
 from opfeyn.scale import ScalePair, ValidationReport
 
 QUICK = {
@@ -143,9 +147,10 @@ _DRIFTED = {"preset": "drifted", "alpha": 0.3, "beta": 0.5}
     ({"scale": dict(_DRIFTED, alpha="x")}, "scale.alpha"),
     ({"scale": dict(_DRIFTED, alpha=True)}, "scale.alpha"),
     ({"scale": dict(_DRIFTED, beta=-1)}, "scale"),
+    ({"seed": -3}, "seed"),
 ], ids=["F.name", "h.preset", "h.degree-str", "h.degree-float", "psi.preset",
         "psi.radius-str", "psi.radius-neg", "scale.T", "scale.alpha-str",
-        "scale.alpha-bool", "scale.beta-neg"])
+        "scale.alpha-bool", "scale.beta-neg", "seed-neg"])
 def test_every_subcommand_rejects_a_bad_section_with_exit_2(tmp_path, capsys,
                                                             over, where):
     # the run's objects are built once, with the config, so a subcommand
@@ -167,6 +172,45 @@ def test_eta_atom_entries_are_checked_as_numbers(tmp_path, capsys, bad):
     for command in ("validate", "evaluate"):
         assert run(tmp_path, command, "--config", cfg) == 2
         assert "config error: F.eta.atoms[1]." in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    # the generator takes no negative seed; the override is refused as
+    # the config key is, before any subcommand runs
+    cfg = write_config(tmp_path)
+    for command in ("validate", "sample", "evaluate"):
+        assert run(tmp_path, command, "--config", cfg, "--seed", "-3") == 2
+        assert "config error: seed: " in capsys.readouterr().err
+
+
+def test_zero_base_direction_exits_3(tmp_path, capsys):
+    # a zero h is a domain error of the kernel route; sampling needs no h
+    cfg = write_config(tmp_path, h="zero")
+    assert run(tmp_path, "evaluate", "--config", cfg) == 3
+    assert "admissibility error: ZeroDirection" in capsys.readouterr().err
+    assert run(tmp_path, "sample", "--config", cfg, "--quiet") == 0
+
+
+# errors that reach the command line as a failed numeric check (exit 4);
+# a config's scale pair, gallery name and path grid are checked while it
+# is loaded (a failure there is a ConfigError), so of these only a
+# library caller meets the scale, gallery and grid errors
+_NUMERIC_FAILURES = (QuadratureError, KernelOverflow, MeasureUnderflow,
+                     MismatchedScalePair, UnsupportedVariant, UnknownExample,
+                     NonPositiveVariance, NonzeroOrigin, OutOfDomain,
+                     InvalidGrid)
+
+
+def test_every_error_class_has_a_decided_exit_code():
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, errors.OpfeynError) and c is not errors.OpfeynError]
+    assert classes
+    undecided = [c.__name__ for c in classes
+                 if c is not errors.ConfigError
+                 and c not in _ADMISSIBILITY_ERRORS
+                 and c not in _NUMERIC_FAILURES]
+    assert undecided == []
+    assert not set(_ADMISSIBILITY_ERRORS) & set(_NUMERIC_FAILURES)
 
 
 def test_config_boundary_gate_exits_2(tmp_path):

@@ -20,8 +20,7 @@ from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
                     s_star, sample_interior_lambda, shifted_gaussian_psi,
                     unit_functional, unit_spot_check)
 from opfeyn import engine
-from opfeyn.engine import (_cubic_gram, _measure_family, _merge_moments,
-                           _psi_log_bound)
+from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
 from opfeyn.quadrature import LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -178,6 +177,17 @@ def test_boundary_rejects_non_weighted_psi(drifted):
             np.array([0.0]), q0=0.5, delta=0.5)
 
 
+def test_boundary_refuses_a_kernel_tail_the_envelope_does_not_control(drifted):
+    # delta = 0 admits any envelope, but with drift |H| grows like
+    # exp(Re sqrt(lam) (h,a) v / ||h||^2) = exp(0.14 v) at -i, which an
+    # exponential envelope of rate 0.01 does not control
+    psi = PsiFn(fn=lambda v: np.exp(-0.01 * np.abs(v)),
+                envelope=Envelope("exponential", scale=1.0, rate=0.01))
+    with pytest.raises(PsiNotIntegrable, match="kernel tail"):
+        j_q(unit_functional(drifted), b_element(drifted), psi, 1.0,
+            np.array([0.0]), q0=0.5, delta=0.0)
+
+
 def test_boundary_spot_against_oscillatory_quad(wiener):
     # driftless boundary kernel at q = 1: sqrt(-i/2pi) int psi e^{i(v-xi)^2/2}
     F = unit_functional(wiener)
@@ -204,14 +214,12 @@ def test_nu_delta_norm_oracle(drifted):
                 envelope=Envelope("gaussian", scale=1.0, rate=0.5))
     delta = 0.25 / drifted.var_a
     res = nu_delta_norm(psi, delta, drifted)
-    assert res.finite
-    assert abs(res.value - 2.0 * math.sqrt(math.pi)) < 1e-9
+    assert abs(res - 2.0 * math.sqrt(math.pi)) < 1e-9
 
 
 def test_nu_delta_norm_divergence(drifted):
     res = nu_delta_norm(gaussian_psi(), 2.0, drifted)  # growth 0.6 >= 0.5
-    assert not res.finite
-    assert res.value == math.inf
+    assert res == math.inf
 
 
 def test_nu_delta_norm_just_below_the_envelope_rate(drifted):
@@ -224,13 +232,13 @@ def test_nu_delta_norm_just_below_the_envelope_rate(drifted):
                 * math.exp((a * m) ** 2 / (a - g) - a * m * m))
 
     res = nu_delta_norm(gaussian_psi(), 1.6, drifted)   # g = 0.48, rate 0.5
-    assert res.finite
+    assert math.isfinite(res)
     assert abs(closed(1.0 / math.sqrt(2.0 * math.pi), 0.0, 1.0, 1.6) - 5.0) < 1e-12
-    assert abs(res.value - 5.0) < 1e-9 * 5.0
+    assert abs(res - 5.0) < 1e-9 * 5.0
     psi = shifted_gaussian_psi(1 - 0.5j, 0.7, 0.9)      # g = 0.3, rate 0.309
     ref = closed(1 - 0.5j, 0.7, 0.9, 1.0)
     assert abs(ref - 4.68) < 5e-3
-    assert abs(nu_delta_norm(psi, 1.0, drifted).value - ref) < 1e-9 * ref
+    assert abs(nu_delta_norm(psi, 1.0, drifted) - ref) < 1e-9 * ref
 
 
 def test_op_norm_bound_values(wiener):
@@ -275,7 +283,7 @@ def test_log_bound_of_an_exponential_envelope():
     psi = PsiFn(fn=lambda v: 2.0 * np.exp(-np.abs(v)),
                 envelope=Envelope("exponential", scale=2.0, rate=1.0))
     extra = (-0.5, 4.0, 0.0)
-    bound = _psi_log_bound(psi, extra)
+    bound = psi.envelope.log_bound.plus(extra)
     assert bound.left != bound.right
 
     def g(v):
@@ -293,12 +301,11 @@ def test_log_bound_of_an_exponential_envelope():
     assert outside <= bound.tails(lo, hi) < 10.0 * outside
 
     # a compact support is the interval, with nothing left outside it
-    compact = _psi_log_bound(bump_psi(2.0), extra)
+    compact = bump_psi(2.0).envelope.log_bound.plus(extra)
     assert compact.cut(drop) == (-2.0, 2.0)
     assert compact.tails(-2.0, 2.0, amp=5.0) == 0.0
     # an extra exponent that grows faster than the envelope decays
-    with pytest.raises(PsiNotIntegrable):
-        _psi_log_bound(psi, (0.5, 0.0, 0.0))
+    assert not psi.envelope.log_bound.plus((0.5, 0.0, 0.0)).integrable
 
 
 def test_boundary_grid_agrees_with_one_point_calls(drifted):
@@ -463,8 +470,8 @@ def test_op_norm_bound_refuses_the_boundary_with_drift(drifted):
         op_norm_bound(F, h, -1.5j, q0=0.5)
     m_mod = abs(engine.kernel_M(LambdaParam.from_value(-1.5j),
                                 KernelContext.from_direction(h)))
-    cap = (m_mod * engine.kq0_integral(F, 0.5).value
-           * nu_delta_norm(psi, 0.5, drifted).value)
+    cap = (m_mod * engine.kq0_integral(F, 0.5)
+           * nu_delta_norm(psi, 0.5, drifted))
     value = j_q(F, h, psi, 1.5, np.array([-40.0]), q0=0.5, delta=0.5).values[0]
     assert abs(value) > 300.0 * cap
 
@@ -499,7 +506,7 @@ def test_norm_bound_caps_kernel_on_random_interior(drifted):
     delta = 0.5
     xi = np.linspace(-6.0, 6.0, 13)
     res = k_lambda(F, h, psi, lam, xi, q0=0.5, delta=delta)
-    cap = op_norm_bound(F, h, lam, q0=0.5) * nu_delta_norm(psi, delta, drifted).value
+    cap = op_norm_bound(F, h, lam, q0=0.5) * nu_delta_norm(psi, delta, drifted)
     assert np.max(np.abs(res.values)) <= cap * (1.0 + 1e-9)
 
 

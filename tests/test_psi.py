@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (ConfigError, Envelope, PsiFn, b_element, bump_psi,
-                    config_from_dict, divergence_witness_psi, gaussian_psi,
+from opfeyn import (ConfigError, Envelope, EtaDensity, PsiFn, b_element,
+                    bump_psi, config_from_dict, divergence_witness_psi, gaussian_psi,
                     pair_with_a, shifted_gaussian_psi)
 
 
+def _bound_values(bound, v):
+    # exp of the bound's quadratic on each side of 0, and 0 off its support
+    q = np.where(v < 0.0, np.polyval(bound.left, v), np.polyval(bound.right, v))
+    if bound.support is not None:
+        lo, hi = bound.support
+        q = np.where((v >= lo) & (v <= hi), q, -np.inf)
+    return np.exp(q)
+
+
 def _envelope_margin(psi, lo, hi, n):
-    # smallest env(v) - |psi(v)| on a probe grid; >= 0 means dominated
+    # smallest env(v) - |psi(v)| on a probe grid, env the LogBound the
+    # kernel route truncates with; >= 0 means dominated
     v = np.linspace(lo, hi, n)
-    return float(np.min(psi.envelope.bound(v) - np.abs(psi(v))))
+    return float(np.min(_bound_values(psi.envelope.log_bound, v) - np.abs(psi(v))))
 
 
 @pytest.mark.parametrize("psi", [
@@ -37,17 +47,22 @@ def test_envelope_validation():
 
 
 def test_tail_mass_dominates_true_tail():
-    env = Envelope("gaussian", scale=2.0, rate=0.7)
     r = 2.5
+    env = Envelope("gaussian", scale=2.0, rate=0.7)
     true, _ = integrate.quad(lambda v: 2.0 * math.exp(-0.7 * v * v), r, np.inf)
-    assert 2.0 * true <= env.tail_mass(r) + 1e-15
+    assert 2.0 * true <= env.log_bound.tails(-r, r) + 1e-15
 
     env2 = Envelope("exponential", scale=1.5, rate=0.9)
     true2, _ = integrate.quad(lambda v: 1.5 * math.exp(-0.9 * v), r, np.inf)
-    assert 2.0 * true2 <= env2.tail_mass(r) + 1e-15
+    assert 2.0 * true2 <= env2.log_bound.tails(-r, r) + 1e-15
 
+    # a compact envelope leaves no tail beyond its radius; inside it the
+    # tail is not estimated, so the bound is inf
     env3 = Envelope("compact", scale=1.0, radius=2.0)
-    assert env3.tail_mass(3.0) == 0.0
+    assert env3.log_bound.tails(-3.0, 3.0) == 0.0
+    assert env3.log_bound.tails(-2.0, 2.0) == 0.0
+    assert env3.log_bound.tails(-1.0, 1.0) == math.inf
+    assert env3.log_bound.tails(-3.0, 1.5) == math.inf
 
 
 def test_delta_admissibility_rules():
@@ -67,6 +82,30 @@ def test_delta_admissibility_rules():
         g.delta_admissible(-1.0, var_a=0.3)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "compact"])
+def test_integrable_matches_the_closed_form_rules(kind):
+    # plus(...).integrable against the rules it replaced: a gaussian
+    # envelope beats a weight exp(g v^2) when g < rate, an exponential one
+    # only when g == 0 and beats exp(mu |v|) when mu < rate, and a compact
+    # one beats every weight
+    rates = (0.25, 0.5, 1.0, 2.0)
+    for rate in rates:
+        env = Envelope(kind, scale=1.3, rate=0.0 if kind == "compact" else rate,
+                       radius=1.5 if kind == "compact" else 0.0)
+        for g in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+            got = env.log_bound.plus((g, 0.0, 0.0)).integrable
+            want = {"gaussian": g < rate, "exponential": g == 0.0,
+                    "compact": True}[kind]
+            assert got is want, (kind, rate, g)
+        for mu in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+            got = env.log_bound.plus((0.0, -mu, 0.0), (0.0, mu, 0.0)).integrable
+            assert got is (kind != "exponential" or mu < rate), (kind, rate, mu)
+            if kind == "exponential":
+                eta = EtaDensity(fn=lambda v: np.exp(-rate * np.abs(v)),
+                                 radius=200.0 / rate, envelope=env)
+                assert (eta.exp_moment(mu) == math.inf) is (mu >= rate)
+
+
 def test_gaussian_psi_values():
     psi = gaussian_psi()
     c = 1.0 / math.sqrt(2.0 * math.pi)
@@ -81,7 +120,7 @@ def test_shifted_gaussian_envelope_is_exact():
     margin = _envelope_margin(psi, -10.0, 10.0, 40001)
     assert margin >= -1e-12
     v = np.array([4.0])
-    assert abs(psi.envelope.bound(v)[0] - abs(psi(v)[0])) < 1e-12
+    assert abs(_bound_values(psi.envelope.log_bound, v)[0] - abs(psi(v)[0])) < 1e-12
     with pytest.raises(ValueError):
         shifted_gaussian_psi(1.0, mean=0.0, sigma=0.0)
 
