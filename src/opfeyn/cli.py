@@ -29,11 +29,13 @@ from . import __version__
 from .config import RunConfig, config_from_dict, load_config
 from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
-                     i_lambda_mc, j_q, k_lambda, unit_spot_check)
+                     i_lambda_mc, j_q, k_lambda, nu_delta_norm,
+                     unit_spot_check)
 from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
                      NonPositiveLambda, NotAdmissible, NotInFq0, OpfeynError,
                      PsiNotIntegrable, SequenceLeavesRegion, ZeroDirection,
                      ZeroLambda)
+from .psi import divergence_witness_psi
 from .sampler import RngStream, left_densities, sample_increments
 from .scale import wiener_pair
 
@@ -259,22 +261,24 @@ def cmd_bounds(cfg: RunConfig, seed: int, out: Path, say: _Printer):
 
 def cmd_counterexample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     parts = [divergence_witness_partial(cfg.scale, R) for R in WITNESS_RADII]
-    rows = [[_fmt(p.R), _fmt(p.value), _fmt(p.psi_l1), _fmt(p.psi_sup)]
+    psi = divergence_witness_psi(parts[0].pair_ha)
+    psi_l1, psi_sup = nu_delta_norm(psi, 0.0, cfg.scale), psi.sup_probe()
+    rows = [[_fmt(p.R), _fmt(p.value), _fmt(psi_l1), _fmt(psi_sup)]
             for p in parts]
     _write_csv(out / "counterexample.csv",
                ["R", "partial_value", "psi_l1", "psi_sup"], rows)
     values = [p.value for p in parts]
     growing = all(values[k + 1] > 2.0 * values[k] for k in range(len(values) - 1))
-    integrable = math.isfinite(parts[0].psi_l1) and math.isfinite(parts[0].psi_sup)
+    integrable = math.isfinite(psi_l1) and math.isfinite(psi_sup)
     ok = growing and integrable
     for p in parts:
         say.info(f"  R={p.R:g}: partial value {p.value:.6g}")
-    say.line(f"counterexample: psi has L1 norm {parts[0].psi_l1:.4g} and sup "
-             f"{parts[0].psi_sup:.4g}, yet partials "
+    say.line(f"counterexample: psi has L1 norm {psi_l1:.4g} and sup "
+             f"{psi_sup:.4g}, yet partials "
              f"{'more than double' if growing else 'DO NOT double'} with R -> "
              f"{'PASS' if ok else 'FAIL'}")
     summary = {"radii": list(WITNESS_RADII), "values": [float(v) for v in values],
-               "psi_l1": parts[0].psi_l1, "psi_sup": parts[0].psi_sup, "ok": ok}
+               "psi_l1": psi_l1, "psi_sup": psi_sup, "ok": ok}
     return (EXIT_OK if ok else EXIT_CHECK), summary, ["counterexample.csv"]
 
 
@@ -321,7 +325,7 @@ def cmd_report(cfg: RunConfig, seed: int, out: Path, say: _Printer):
                 ("bounds", cmd_bounds)]
     if cfg.q is not None:
         sections.append(("converge", cmd_converge))
-    if cfg.raw["scale"]["preset"] == "drifted":
+    if cfg.scale.var_a > 0.0:
         sections.append(("counterexample", cmd_counterexample))
     code = EXIT_OK
     summary = {}

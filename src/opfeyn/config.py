@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, OpfeynError
+from .errors import ConfigError, NotAdmissible, OpfeynError
 from .fresnel import EtaAtoms, EtaGaussian, FresnelFunctional, gallery, unit_functional
 from .hilbert import CambElement, pair_with_a, preset_direction
+from .kernels import LambdaParam, require_delta, require_threshold
 from .psi import PsiFn, bump_psi, divergence_witness_psi, gaussian_psi
 from .scale import ScalePair, preset_scale
 
@@ -201,27 +202,20 @@ def config_from_dict(d: dict) -> RunConfig:
                 or any(isinstance(x, bool) or not isinstance(x, (int, float))
                        or not math.isfinite(x) for x in pair)):
             raise ConfigError(f"lambdas[{i}]: expected an [re, im] number pair")
-        lam = complex(pair[0], pair[1])
-        if lam == 0:
-            raise ConfigError(f"lambdas[{i}]: parameter must be nonzero")
-        if lam.real < 0:
-            raise ConfigError(f"lambdas[{i}]: real part must be nonnegative")
-        lambdas.append(lam)
+        with _building(f"lambdas[{i}]"):
+            lambdas.append(LambdaParam.from_value(complex(pair[0], pair[1])).value)
 
     q0 = _num(d, "q0", "config", default=0.5)
-    if q0 <= 0:
-        raise ConfigError("q0: must be positive")
+    with _building("q0"):
+        require_threshold(q0)
     q = _num(d, "q", "config", default=None)
-    if q is not None:
-        if q == 0:
-            raise ConfigError("q: must be nonzero")
-        if abs(q) <= q0:
-            raise ConfigError(
-                f"q: |q| = {abs(q):g} must exceed q0 = {q0:g} "
-                f"(boundary admissibility)")
+    with _building("q"):
+        if q is not None and not LambdaParam.from_q(q).in_gamma(q0):
+            raise NotAdmissible(f"|q| = {abs(q):g} must exceed q0 = {q0:g} "
+                                f"(boundary admissibility)")
     delta = _num(d, "delta", "config", default=0.5)
-    if delta < 0:
-        raise ConfigError("delta: must be nonnegative")
+    with _building("delta"):
+        require_delta(delta)
 
     n_paths = _num(d, "n_paths", "config", default=100000, integer=True)
     path_grid = _num(d, "path_grid", "config", default=1024, integer=True)

@@ -17,17 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ArgOutOfRange, BadConfig, KernelOverflow,
-                     MismatchedScalePair, NonPositiveLambda, NotAdmissible,
-                     NotInFq0, PsiNotIntegrable, QuadratureError,
-                     SequenceLeavesRegion)
+from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
+                     NonPositiveLambda, NotAdmissible, NotInFq0,
+                     PsiNotIntegrable, QuadratureError, SequenceLeavesRegion)
 from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
                       eval_from_projections, grid_fourier_sum, kq0_integral,
                       probe_grid, unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
-                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M, s_log,
+                      gamma_margin, h_abs_log, h_abs_log_coeffs, k_log,
+                      kernel_M, require_delta, require_threshold, s_log,
                       vl_abs_log, vl_coeffs, vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
 from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
@@ -80,8 +80,6 @@ class DivergencePartial:
     R: float
     value: float
     pair_ha: float
-    psi_l1: float
-    psi_sup: float
 
 
 @dataclass(frozen=True)
@@ -201,25 +199,13 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
 # kernel route
 # ---------------------------------------------------------------------------
 
-def _require_delta(delta: float) -> None:
-    if not delta >= 0.0:
-        raise ArgOutOfRange(f"delta must be nonnegative, got {delta}")
-
-
 def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
                                q0: float) -> float:
     """Check lam against the admissible region for threshold q0 and F
     against the exponential-moment condition; return F's moment integral."""
-    if lam.is_interior:
-        if not lam.in_gamma(q0):
-            raise NotAdmissible(
-                f"lambda = {lam.value} lies outside the admissible region "
-                f"for q0 = {q0}")
-    else:
-        q = lam.boundary_q
-        if q is None or abs(q) <= q0:
-            raise NotAdmissible(
-                f"boundary parameter needs |q| > q0 = {q0}, got lambda = {lam.value}")
+    if not lam.in_gamma(q0):
+        raise NotAdmissible(
+            f"lambda = {lam.value} lies outside the admissible region for q0 = {q0}")
     kq0 = kq0_integral(F, q0)
     if not math.isfinite(kq0):
         raise NotInFq0("spectral measure fails the exponential-moment condition")
@@ -358,7 +344,6 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         if delta is None:
             raise PsiNotIntegrable(
                 "boundary evaluation with drift needs a delta weight exponent")
-        _require_delta(delta)
         if not psi.delta_admissible(delta, var_a):
             raise PsiNotIntegrable(
                 "state function is not integrable against the delta weight")
@@ -448,7 +433,7 @@ def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     Rounding breaks the first for n > 1074, where 2^{-n} is 0, and can
     break it when |q| is within an ulp of q0.
     """
-    if q == 0.0 or abs(q) <= q0:
+    if q == 0.0 or not LambdaParam.from_q(q).in_gamma(q0):
         raise SequenceLeavesRegion(
             f"target q = {q} is not beyond the threshold q0 = {q0}")
     lams = [LambdaParam.from_value(complex(2.0 ** -n, -q))
@@ -503,7 +488,7 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> float:
     Divergence (per the envelope) is reported as inf, never raised;
     delta = 0 recovers the plain L1 norm.
     """
-    _require_delta(delta)
+    require_delta(delta)
     growth = delta * sp.var_a
     bound = psi.envelope.log_bound.plus((growth, 0.0, 0.0))
     if not bound.integrable:
@@ -551,9 +536,7 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
                                      phase_rate, [0.0], rel_tol=1e-11,
                                      abs_tol=1e-14, amp=1.0)
     value = float(abs(m_factor * res.values[0]))
-    return DivergencePartial(R=R, value=value, pair_ha=p,
-                             psi_l1=nu_delta_norm(psi, 0.0, sp),
-                             psi_sup=psi.sup_probe())
+    return DivergencePartial(R=R, value=value, pair_ha=p)
 
 
 @dataclass(frozen=True)
@@ -572,15 +555,12 @@ class BoundSweepResult:
 def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample parameters from the interior of the admissible region."""
-    if not 0.0 < q0 < math.inf:
-        raise ArgOutOfRange(f"threshold q0 must be positive and finite, got {q0}")
+    require_threshold(q0)
     out = np.empty(n, dtype=complex)
     filled = 0
-    thresh = 1.0 / math.sqrt(2.0 * q0)
     while filled < n:
         cand = gen.uniform(1e-3, 3.0, 2 * n) + 1j * gen.uniform(-3.0, 3.0, 2 * n)
-        inv_rt = 1.0 / np.sqrt(cand)
-        keep = cand[np.abs(inv_rt.imag) < thresh]
+        keep = cand[gamma_margin(cand, q0) < 0.0]
         take = min(keep.size, n - filled)
         out[filled:filled + take] = keep[:take]
         filled += take
@@ -649,8 +629,7 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     alog = a_abs_log(lam, a_resid)
     klog = k_log(q0, np.sqrt(np.maximum(n2w, 0.0)), norm_a)
     checks["a_vs_k"] = alog - klog - slack * (1.0 + np.abs(klog))
-    inv_rt = 1.0 / np.sqrt(lam)
-    checks["region_membership"] = np.abs(inv_rt.imag) - 1.0 / math.sqrt(2.0 * q0)
+    checks["region_membership"] = gamma_margin(lam, q0)
 
     violations = {k: int(np.sum(v > 0.0)) for k, v in checks.items()}
     worst = {k: float(np.max(v)) for k, v in checks.items()}

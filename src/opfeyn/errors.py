@@ -76,7 +76,8 @@ class ZeroLambda(OpfeynError):
 
 
 class ArgOutOfRange(OpfeynError):
-    """The kernel parameter lies outside the admissible half plane."""
+    """A kernel parameter off the closed right half plane, or a region
+    threshold q0 or weight exponent delta outside its domain."""
 
 
 # ---------------------------------------------------------------------------

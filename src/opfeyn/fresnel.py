@@ -16,11 +16,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (ArgOutOfRange, BadConfig, MeasureUnderflow,
+from .errors import (BadConfig, KernelOverflow, MeasureUnderflow,
                      MismatchedScalePair, QuadratureError, UnknownExample,
                      UnsupportedVariant)
 from .hilbert import (CambElement, a_element, b_element, combine, s_star,
                       zero_element)
+from .kernels import require_threshold
 from .psi import Envelope
 from .quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES
 from .scale import ScalePair
@@ -37,6 +38,13 @@ PROBE_DENSITY = 4
 def _phi(z: float) -> float:
     """Standard normal CDF."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _finite(moment: float) -> float:
+    """An exponential moment; OverflowError when a float cannot hold it."""
+    if not math.isfinite(moment):
+        raise OverflowError("exponential moment overflows a float")
+    return moment
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +111,10 @@ class _WeightedPoints:
         return float(np.sum(np.abs(self.points()[1])))
 
     def exp_moment(self, mu: float) -> float:
-        """Integral of exp(mu |v|) against |eta|; inf when it overflows."""
+        """Integral of exp(mu |v|) against |eta|; OverflowError past a float."""
         v, c = self.points()
         with np.errstate(over="ignore"):
-            return float(np.dot(np.abs(c), np.exp(mu * np.abs(v))))
+            return _finite(float(np.dot(np.abs(c), np.exp(mu * np.abs(v)))))
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,6 @@ class EtaAtoms(_WeightedPoints):
     def points(self, probe_for=None) -> tuple[np.ndarray, np.ndarray]:
         """The atoms themselves, whatever the probe."""
         return self.v, self.c
-
-    def describe(self) -> dict:
-        return {"kind": "atoms",
-                "atoms": [[v, c.real, c.imag] for v, c in self.atoms]}
 
 
 @dataclass(frozen=True)
@@ -150,15 +154,12 @@ class EtaGaussian:
         return abs(self.scale)
 
     def exp_moment(self, mu: float) -> float:
-        """Integral of exp(mu |v|) against |eta|, in closed form."""
+        """Integral of exp(mu |v|) against |eta| in closed form; OverflowError
+        past a float."""
         m, s = self.mean, math.sqrt(self.var)
         up = math.exp(mu * m + 0.5 * mu * mu * s * s) * _phi((m + mu * s * s) / s)
         dn = math.exp(-mu * m + 0.5 * mu * mu * s * s) * _phi((mu * s * s - m) / s)
-        return abs(self.scale) * (up + dn)
-
-    def describe(self) -> dict:
-        return {"kind": "gaussian", "mean": self.mean, "var": self.var,
-                "scale": [self.scale.real, self.scale.imag]}
+        return _finite(abs(self.scale) * (up + dn))
 
 
 @dataclass(frozen=True)
@@ -233,9 +234,6 @@ class EtaDensity(_WeightedPoints):
             return math.inf
         return super().exp_moment(mu)
 
-    def describe(self) -> dict:
-        return {"kind": "density", "radius": self.radius}
-
 
 Eta1D = Union[EtaAtoms, EtaGaussian, EtaDensity]
 
@@ -259,13 +257,6 @@ class AtomicMeasure:
     def directions(self) -> list[CambElement]:
         return [w for _, w in self.atoms]
 
-    def describe(self) -> dict:
-        return {"variant": "atoms",
-                "atoms": [{"weight": [c.real, c.imag],
-                           "direction": w.label or "custom",
-                           "norm": w.norm}
-                          for c, w in self.atoms]}
-
 
 @dataclass(frozen=True)
 class LineMeasure:
@@ -280,10 +271,6 @@ class LineMeasure:
 
     def directions(self) -> list[CambElement]:
         return [self.w0]
-
-    def describe(self) -> dict:
-        return {"variant": "line", "direction": self.w0.label or "custom",
-                "direction_norm": self.w0.norm, "eta": self.eta.describe()}
 
 
 SpectralMeasure = Union[AtomicMeasure, LineMeasure]
@@ -303,11 +290,6 @@ class FresnelFunctional:
     def directions(self) -> list[CambElement]:
         return self.measure.directions()
 
-    def describe(self) -> dict:
-        d = self.measure.describe()
-        d["label"] = self.label
-        return d
-
 
 def eval_from_projections(F: FresnelFunctional, proj: np.ndarray) -> np.ndarray:
     """Evaluate on a batch given pairings with F.directions(), shape (n, n_dirs)."""
@@ -322,17 +304,21 @@ def kq0_integral(F: FresnelFunctional, q0: float) -> float:
     """Integral of the exponential moment weight against |f|.
 
     Finiteness is the membership criterion for the admissible functional
-    class at threshold q0; divergence is reported as inf, never raised.
+    class at threshold q0; divergence is reported as inf, never raised.  A
+    finite integral too large for a float raises KernelOverflow.
     """
-    if q0 <= 0:
-        raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
+    require_threshold(q0)
     m = F.measure
     norm_a = a_element(m.sp).norm
     inv = 1.0 / math.sqrt(2.0 * q0)
-    if isinstance(m, AtomicMeasure):
-        return float(sum(abs(c) * math.exp(inv * w.norm * norm_a)
-                         for c, w in m.atoms))
-    return m.eta.exp_moment(inv * m.w0.norm * norm_a)
+    try:
+        if isinstance(m, AtomicMeasure):
+            return _finite(float(sum(abs(c) * math.exp(inv * w.norm * norm_a)
+                                     for c, w in m.atoms)))
+        return m.eta.exp_moment(inv * m.w0.norm * norm_a)
+    except OverflowError:
+        raise KernelOverflow(f"the exponential-moment integral at q0 = {q0:g} "
+                             f"is finite but too large for a float") from None
 
 
 def convolve(F: FresnelFunctional, G: FresnelFunctional) -> FresnelFunctional:

@@ -5,7 +5,9 @@ factors into a Gaussian normalizer M, an oscillatory direction factor
 V*L whose quadratic terms cancel, a drift-shifted Gaussian H in the
 state variable, and a residual drift phase A per direction.  Everything
 here works in log space so magnitude bounds can be compared without
-overflow; vectorized helpers operate on arrays of directions.
+overflow; vectorized helpers operate on arrays of directions.  The
+parameter domain -- lambda, the region threshold q0 and the weight
+exponent delta -- is decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -57,18 +59,34 @@ class LambdaParam:
     def is_interior(self) -> bool:
         return self.value.real > 0.0
 
-    @property
-    def boundary_q(self) -> float | None:
-        """The q with value = -iq, when the parameter is purely imaginary."""
-        if self.value.real == 0.0:
-            return -self.value.imag
-        return None
-
     def in_gamma(self, q0: float) -> bool:
-        """Membership in the admissible region for threshold q0 > 0."""
-        if q0 <= 0:
-            raise ArgOutOfRange(f"threshold q0 must be positive, got {q0}")
-        return abs(self.inv_sqrt.imag) < 1.0 / math.sqrt(2.0 * q0)
+        """Membership in the admissible region for threshold q0: the
+        interior |Im lam^{-1/2}| < (2 q0)^{-1/2}, or the boundary -iq with
+        |q| > q0."""
+        require_threshold(q0)
+        if self.is_interior:
+            return abs(self.inv_sqrt.imag) < 1.0 / math.sqrt(2.0 * q0)
+        return abs(self.value.imag) > q0
+
+
+def require_threshold(q0: float) -> None:
+    """The admissible region's threshold needs 0 < q0 < inf."""
+    if not 0.0 < q0 < math.inf:
+        raise ArgOutOfRange(f"threshold q0 must be positive and finite, got {q0}")
+
+
+def gamma_margin(lam: np.ndarray, q0: float) -> np.ndarray:
+    """|Im lam^{-1/2}| - (2 q0)^{-1/2} per parameter: negative exactly on
+    the interior of the admissible region for threshold q0."""
+    require_threshold(q0)
+    inv_rt = 1.0 / np.sqrt(np.asarray(lam, dtype=complex))
+    return np.abs(inv_rt.imag) - 1.0 / math.sqrt(2.0 * q0)
+
+
+def require_delta(delta: float) -> None:
+    """The weight exponent of exp(delta Var(a) v^2) needs 0 <= delta < inf."""
+    if not 0.0 <= delta < math.inf:
+        raise ArgOutOfRange(f"delta must be nonnegative and finite, got {delta}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import require_delta
 from .quadrature import LogBound
 
 GAUSSIAN = "gaussian"
@@ -74,8 +75,7 @@ class PsiFn:
 
     def delta_admissible(self, delta: float, var_a: float) -> bool:
         """Integrability of |psi| against the weight exp(delta*var_a*v^2)."""
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
+        require_delta(delta)
         return self.envelope.log_bound.plus((delta * var_a, 0.0, 0.0)).integrable
 
     def sup_probe(self, lo: float = -50.0, hi: float = 50.0, n: int = 20001) -> float:

@@ -20,6 +20,7 @@ from scipy import integrate
 
 from opfeyn import (EtaGaussian, RngStream, b_element, bound_chain_sweep,
                     convergence_study, convolve, divergence_witness_partial,
+                    divergence_witness_psi,
                     eval_from_projections, from_density, gallery,
                     gaussian_identity_check, gaussian_psi,
                     i_lambda_mc, inner, k_lambda, nu_delta_norm,
@@ -146,12 +147,14 @@ def test_criterion_05_divergence_witness(drifted):
     increasing = bool(np.all(np.diff(vals) > 0.0))
     ratios = vals[1:] / vals[:-1]
     doubling = bool(np.all(ratios > 2.0))
-    finite = math.isfinite(parts[0].psi_l1) and math.isfinite(parts[0].psi_sup)
+    psi = divergence_witness_psi(parts[0].pair_ha)
+    psi_l1, psi_sup = nu_delta_norm(psi, 0.0, drifted), psi.sup_probe()
+    finite = math.isfinite(psi_l1) and math.isfinite(psi_sup)
     ok = increasing and doubling and rel < 1e-8 and finite
     _report(5, "divergence_witness", ok,
             f"min ratio {ratios.min():.2f} (>2), closed-form rel err "
-            f"{rel:.2e} (tol 1e-8), ||psi||_1 = {parts[0].psi_l1:.4g}, "
-            f"sup = {parts[0].psi_sup:.4g}")
+            f"{rel:.2e} (tol 1e-8), ||psi||_1 = {psi_l1:.4g}, "
+            f"sup = {psi_sup:.4g}")
 
 
 def test_criterion_06_gaussian_identity():

@@ -253,6 +253,29 @@ def test_report_on_drifted(tmp_path, capsys):
         assert (tmp_path / "out" / name).exists()
 
 
+def test_report_skips_the_witness_on_a_driftless_drifted_preset(tmp_path,
+                                                               capsys):
+    # alpha = 0 gives Var(a) = 0, where the witness is undefined; the
+    # gate reads the scale pair, not the preset's name
+    cfg = write_config(tmp_path,
+                       scale={"preset": "drifted", "alpha": 0.0, "beta": 0.5},
+                       q=1.0, converge_steps=8)
+    assert run(tmp_path, "report", "--config", cfg, "--quiet") == 0
+    assert "report: PASS" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "counterexample.csv").exists()
+
+
+def test_exponential_moment_too_large_for_a_float_exits_4(tmp_path, capsys):
+    # F2's moment exp(mu^2 var / 2) is finite for var = 1e5 but no float
+    # holds it: a numeric failure, not a traceback or a domain error
+    cfg = write_config(tmp_path, scale=_DRIFTED,
+                       F={"name": "F2", "w0": {"preset": "b"}, "mean": 0.0,
+                          "var": 1e5})
+    assert run(tmp_path, "validate", "--config", cfg, "--quiet") == 0
+    assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
+    assert "numeric failure: KernelOverflow" in capsys.readouterr().err
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("OPFEYN_OUT", str(target))

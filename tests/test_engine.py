@@ -8,18 +8,20 @@ import pytest
 from scipy import integrate, special
 
 from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
-                    EtaAtoms, EtaDensity, EtaGaussian, KernelContext,
-                    LambdaParam, NonPositiveLambda, NotAdmissible, PsiFn,
+                    EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
+                    KernelContext, LambdaParam, LineMeasure,
+                    NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
                     SequenceLeavesRegion,
                     b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
-                    divergence_witness_partial, gallery,
+                    divergence_witness_partial, divergence_witness_psi, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
-                    j_q, k_lambda, nu_delta_norm, op_norm_bound, pair_with_a,
+                    j_q, k_lambda, kq0_integral, nu_delta_norm,
+                    op_norm_bound, pair_with_a,
                     s_star, sample_interior_lambda, shifted_gaussian_psi,
                     unit_functional, unit_spot_check)
-from opfeyn import engine
+from opfeyn import engine, quadrature
 from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
 from opfeyn.quadrature import LogBound
 
@@ -491,9 +493,49 @@ def test_identity_check_and_witness_integrate_through_the_tail_check(
     assert calls == [[LogBound(left=q, right=q)]]
     calls.clear()
     divergence_witness_partial(drifted, 10.0)
-    # the partial integral on [0, R], then the witness's L1 norm
+    # the partial integral on [0, R] alone
+    assert calls == [[LogBound(support=(0.0, 10.0))]]
+
+
+def test_tail_check_retries_at_a_wider_drop(monkeypatch):
+    # at a drop of 10 the gaussian's tail beyond |v| = sqrt(10) is about
+    # 1e-5 of the integral; the retry at 10 + log(1e6) certifies it
+    calls = []
+    real = engine.adaptive_simpson
+
+    def counting(f, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(engine, "adaptive_simpson", counting)
+    monkeypatch.setattr(engine, "TRUNC_DROP", 10.0)
+    assert gaussian_identity_check(1.0, 0.0).rel_err < 1e-10
     assert len(calls) == 2
-    assert calls.count([LogBound(support=(0.0, 10.0))]) == 1
+    assert calls[1][1] == pytest.approx(math.sqrt(10.0 + math.log(1e6)))
+
+
+def test_tail_check_raises_when_the_retry_cannot_certify(monkeypatch):
+    monkeypatch.setattr(engine, "TRUNC_DROP", 1.0)
+    with pytest.raises(QuadratureError, match="could not be certified"):
+        gaussian_identity_check(1.0, 0.0)
+
+
+def test_tail_check_raises_when_the_quadrature_misses_its_tolerance(
+        monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 1)
+    with pytest.raises(QuadratureError, match="missed its tolerance"):
+        gaussian_identity_check(1.0, 0.0)
+
+
+def test_kernel_rejects_a_measure_without_the_exponential_moment(drifted):
+    # mu = ||w0|| ||a|| / sqrt(2 q0) = 5 ||b|| ||a|| = 1.53 at q0 = 0.5
+    # outgrows the density's envelope rate 1
+    eta = EtaDensity(fn=lambda v: np.exp(-np.abs(v)), radius=40.0,
+                     envelope=Envelope("exponential", scale=1.0, rate=1.0))
+    h = b_element(drifted)
+    F = FresnelFunctional(LineMeasure(w0=h.scaled(5.0), eta=eta))
+    with pytest.raises(NotInFq0):
+        k_lambda(F, h, gaussian_psi(), 1.0, np.array([0.0]), q0=0.5)
 
 
 def test_norm_bound_caps_kernel_on_random_interior(drifted):
@@ -544,12 +586,13 @@ def test_witness_partial_growth(drifted):
     p5 = divergence_witness_partial(drifted, 5.0)
     p10 = divergence_witness_partial(drifted, 10.0)
     assert p10.value > 2.0 * p5.value
-    assert math.isfinite(p5.psi_l1)
-    assert math.isfinite(p5.psi_sup)
+    psi = divergence_witness_psi(p5.pair_ha)
+    psi_l1 = nu_delta_norm(psi, 0.0, drifted)
+    assert math.isfinite(psi.sup_probe())
     # L1 norm of the witness in closed form: exp(p^2/2)/c^2 with c = sqrt(2) p / 4
     p = p5.pair_ha
     c = math.sqrt(2.0) * p / 4.0
-    assert abs(p5.psi_l1 - math.exp(p * p / 2.0) / (c * c)) < 1e-6 * p5.psi_l1
+    assert abs(psi_l1 - math.exp(p * p / 2.0) / (c * c)) < 1e-6 * psi_l1
 
 
 def test_witness_partial_closed_form(drifted):
@@ -621,6 +664,41 @@ def test_library_entry_points_raise_typed_errors(drifted, call, error):
     # values or an untyped numpy or math error instead of an OpfeynError
     with pytest.raises(error):
         call(drifted)
+
+
+BAD_Q0 = (0.0, -1.0, math.nan, math.inf)
+BAD_DELTA = (-1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("q0", BAD_Q0, ids=str)
+@pytest.mark.parametrize("call", [
+    lambda sp, q0: LambdaParam.from_value(1.0).in_gamma(q0),
+    lambda sp, q0: kq0_integral(gallery("F4", sp), q0),
+    lambda sp, q0: k_lambda(*_f4_at_b(sp), 1.0, [0.0], q0=q0),
+    lambda sp, q0: j_q(*_f4_at_b(sp), 1.5, [0.0], q0=q0, delta=0.5),
+    lambda sp, q0: convergence_study(*_f4_at_b(sp), 1.5, [0.0], q0=q0,
+                                     delta=0.5, n_steps=2),
+    lambda sp, q0: op_norm_bound(gallery("F4", sp), b_element(sp), 1.0, q0=q0),
+    lambda sp, q0: bound_chain_sweep(sp, 10, q0=q0),
+    lambda sp, q0: sample_interior_lambda(5, q0, np.random.default_rng(0)),
+], ids=["in_gamma", "kq0_integral", "k_lambda", "j_q", "convergence_study",
+        "op_norm_bound", "bound_chain_sweep", "sample_interior_lambda"])
+def test_every_entry_point_requires_a_positive_finite_threshold(drifted, call,
+                                                                 q0):
+    with pytest.raises(ArgOutOfRange, match="threshold q0"):
+        call(drifted, q0)
+
+
+@pytest.mark.parametrize("delta", BAD_DELTA, ids=str)
+@pytest.mark.parametrize("call", [
+    lambda sp, delta: nu_delta_norm(gaussian_psi(), delta, sp),
+    lambda sp, delta: gaussian_psi().delta_admissible(delta, sp.var_a),
+    lambda sp, delta: j_q(*_f4_at_b(sp), 1.5, [0.0], delta=delta),
+], ids=["nu_delta_norm", "delta_admissible", "j_q"])
+def test_every_entry_point_requires_a_nonnegative_finite_delta(drifted, call,
+                                                                delta):
+    with pytest.raises(ArgOutOfRange, match="delta"):
+        call(drifted, delta)
 
 
 def test_bound_sweep_gram_matches_node_sums(drifted):

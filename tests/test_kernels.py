@@ -41,7 +41,8 @@ def test_from_q_is_boundary():
     lam = LambdaParam.from_q(2.0)
     assert lam.value == -2.0j
     assert not lam.is_interior
-    assert abs(lam.boundary_q - 2.0) < 1e-15
+    # the boundary rule |q| > q0 is decided exactly
+    assert lam.in_gamma(math.nextafter(2.0, 0.0)) and not lam.in_gamma(2.0)
 
 
 def test_region_membership():

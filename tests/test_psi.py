@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opfeyn import (ConfigError, Envelope, EtaDensity, PsiFn, b_element,
+from opfeyn import (ArgOutOfRange, ConfigError, Envelope, EtaDensity, PsiFn, b_element,
                     bump_psi, config_from_dict, divergence_witness_psi, gaussian_psi,
                     pair_with_a, shifted_gaussian_psi)
 
@@ -78,7 +78,7 @@ def test_delta_admissibility_rules():
     assert e.delta_admissible(0.0, var_a=0.3)
     assert not e.delta_admissible(0.1, var_a=0.3)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgOutOfRange):
         g.delta_admissible(-1.0, var_a=0.3)
 
 

@@ -3,7 +3,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from opfeyn import eval_from_projections, kq0_integral
 
 HERE = Path(__file__).resolve().parent
 TOOL = HERE.parent / "tools" / "criterion01_sweep.py"
@@ -24,9 +27,14 @@ def sweep():
 def test_sweep_functionals_are_criterion_01s(sweep, drifted):
     # the sweep copies criterion 01's gallery; a change there must show here
     acceptance = _load("acceptance_criteria", HERE / "test_acceptance.py")
-    ours = [(name, F.describe()) for name, F in sweep.functionals(drifted)]
-    assert ours == [(name, F.describe())
-                    for name, F in acceptance._functionals(drifted)]
+    proj = np.linspace(-3.0, 3.0, 13)[:, None]
+
+    def behaviour(functionals):
+        return [(name, F.label, eval_from_projections(F, proj).tolist(),
+                 kq0_integral(F, 0.5)) for name, F in functionals]
+
+    assert behaviour(sweep.functionals(drifted)) == behaviour(
+        acceptance._functionals(drifted))
 
 
 def test_sweep_covers_criterion_01_grid_and_reports_a_rate(sweep, capsys):
