@@ -361,14 +361,17 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
     # one buffer serves every integrand call, v blocked so that a block
     # fills at most EXP_BUF elements of it.  The buffer has EXP_ALLOC
-    # elements (2 MiB) at least, untouched beyond what a block uses: once
-    # it is freed, glibc serves blocks that large from its heap and trims
-    # the heap only past twice that, so the quadrature's temporaries are
-    # not handed back to the system and faulted in again on every call
-    # (with 1 MiB, a kernel-sweep pass took 1 or about 2,500 page faults,
-    # depending on the heap layout).  A stopgap tied to glibc's dynamic
-    # thresholds: it goes once the quadrature reuses its own scratch
-    # arrays (ROADMAP item 6)
+    # elements (2 MiB) at least, untouched beyond what a block uses.
+    # Freeing it raises glibc's dynamic mmap threshold to its size and the
+    # trim threshold to twice that, for the rest of the process.  What
+    # depends on that is code that runs after a kernel call, not the
+    # kernel calls themselves: in a process that repeats `opfeyn report`,
+    # the temporaries of bound_chain_sweep, divergence_witness_partial and
+    # gaussian_identity_check then stay on the heap, where without the
+    # floor they were handed back and faulted in again (about 1,190 minor
+    # faults per report pass against 4, in one heap layout).  A stopgap
+    # tied to glibc's thresholds; check a repeated report before removing
+    # it (ROADMAP item 6)
     rows = weights.size
     width = rows * min(xi.size, XI_GROUP)
     block = max(1, EXP_BUF // max(width, 1))
@@ -556,6 +559,8 @@ def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample parameters from the interior of the admissible region."""
     require_threshold(q0)
+    if n < 0:
+        raise BadConfig(f"cannot sample a negative count of parameters, got {n}")
     out = np.empty(n, dtype=complex)
     filled = 0
     while filled < n:

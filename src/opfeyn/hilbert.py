@@ -2,9 +2,8 @@
 
 Elements are stored through their densities z = Dw; the inner product is
 the L^2(db) pairing of densities, and the drift pairing integrates the
-density against da.  Densities may be closures (preferred; primitives are
-then accumulated with fourth-order panel Simpson) or node vectors on the
-scale pair's grid (linear interpolation in between).
+density against da.  Densities are closures; their primitives are
+accumulated with fourth-order panel Simpson on the scale pair's grid.
 """
 
 from __future__ import annotations
@@ -24,15 +23,15 @@ class CambElement:
     """A direction in the reproducing-kernel space over a scale pair.
 
     ``z_nodes``/``w_nodes`` hold the density and its running integral
-    against db on the scale grid; ``z_fn``/``primitive`` are optional
-    closures for exact off-grid evaluation.
+    against db on the scale grid.  ``z_fn`` is the density closure;
+    ``primitive`` optionally gives the running integral off the grid.
     """
 
     sp: ScalePair
     z_nodes: np.ndarray
     w_nodes: np.ndarray
     norm_sq: float
-    z_fn: Callable | None = None
+    z_fn: Callable
     primitive: Callable | None = None
     label: str = ""
 
@@ -40,10 +39,7 @@ class CambElement:
 
     def density(self, t) -> np.ndarray:
         """Evaluate z = Dw at the given times."""
-        t = np.asarray(t, dtype=float)
-        if self.z_fn is not None:
-            return eval_on(self.z_fn, t)
-        return np.interp(t, self.sp.t_nodes, self.z_nodes)
+        return eval_on(self.z_fn, np.asarray(t, dtype=float))
 
     def value(self, t) -> np.ndarray:
         """Evaluate w(t), the running integral of the density against db."""
@@ -57,7 +53,7 @@ class CambElement:
         return math.sqrt(max(self.norm_sq, 0.0))
 
     def scaled(self, c: float) -> "CambElement":
-        z_fn = None if self.z_fn is None else (lambda t, _f=self.z_fn: c * np.asarray(_f(t)))
+        z_fn = lambda t, _f=self.z_fn: c * np.asarray(_f(t))
         prim = None if self.primitive is None else (lambda t, _f=self.primitive: c * np.asarray(_f(t)))
         return CambElement(
             sp=self.sp,
@@ -87,42 +83,32 @@ def _nodes_norm_sq(sp: ScalePair, z_nodes: np.ndarray) -> float:
     return float(np.dot(sp.weights, z_nodes * z_nodes * sp.bprime_nodes))
 
 
-def _primitive_nodes(sp: ScalePair, z_fn: Callable | None,
+def _primitive_nodes(sp: ScalePair, z_fn: Callable,
                      z_nodes: np.ndarray) -> np.ndarray:
     t = sp.t_nodes
     h = t[1] - t[0]
-    if z_fn is not None:
-        mids = t[:-1] + 0.5 * h
-        f_nodes = z_nodes * sp.bprime_nodes
-        f_mid = eval_on(z_fn, mids) * np.asarray(sp.b_prime(mids), dtype=float)
-        panel = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
-    else:
-        f_nodes = z_nodes * sp.bprime_nodes
-        panel = 0.5 * h * (f_nodes[:-1] + f_nodes[1:])
+    mids = t[:-1] + 0.5 * h
+    f_nodes = z_nodes * sp.bprime_nodes
+    f_mid = eval_on(z_fn, mids) * np.asarray(sp.b_prime(mids), dtype=float)
+    panel = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
     w = np.empty(t.shape)
     w[0] = 0.0
     np.cumsum(panel, out=w[1:])
     return w
 
 
-def from_density(sp: ScalePair, z, primitive: Callable | None = None,
+def from_density(sp: ScalePair, z: Callable, primitive: Callable | None = None,
                  label: str = "") -> CambElement:
-    """Build an element from a density closure or a node vector."""
-    if callable(z):
-        z_nodes = eval_on(z, sp.t_nodes)
-        z_fn = z
-    else:
-        z_nodes = np.asarray(z, dtype=float)
-        if z_nodes.shape != sp.t_nodes.shape:
-            raise ValueError(
-                f"node vector must have {sp.t_nodes.size} entries, got {z_nodes.size}")
-        z_fn = None
+    """Build an element from a density closure."""
+    if not callable(z):
+        raise ValueError(f"a density must be callable, got {type(z).__name__}")
+    z_nodes = eval_on(z, sp.t_nodes)
     return CambElement(
         sp=sp,
         z_nodes=z_nodes,
-        w_nodes=_primitive_nodes(sp, z_fn, z_nodes),
+        w_nodes=_primitive_nodes(sp, z, z_nodes),
         norm_sq=_nodes_norm_sq(sp, z_nodes),
-        z_fn=z_fn,
+        z_fn=z,
         primitive=primitive,
         label=label,
     )
@@ -132,9 +118,7 @@ def combine(w1: CambElement, w2: CambElement, c1: float = 1.0,
             c2: float = 1.0, label: str = "") -> CambElement:
     """Linear combination c1*w1 + c2*w2."""
     _require_same_sp(w1, w2)
-    z_fn = None
-    if w1.z_fn is not None and w2.z_fn is not None:
-        z_fn = lambda t, f1=w1.z_fn, f2=w2.z_fn: c1 * np.asarray(f1(t)) + c2 * np.asarray(f2(t))
+    z_fn = lambda t, f1=w1.z_fn, f2=w2.z_fn: c1 * np.asarray(f1(t)) + c2 * np.asarray(f2(t))
     prim = None
     if w1.primitive is not None and w2.primitive is not None:
         prim = lambda t, f1=w1.primitive, f2=w2.primitive: c1 * np.asarray(f1(t)) + c2 * np.asarray(f2(t))

@@ -54,7 +54,6 @@ def sample_increments(sp: ScalePair, grid_n: int, n_paths: int,
 
     Returns (t_grid, dx) with dx of shape (n_paths, grid_n).
     """
-    sp.require_valid()
     t, da, db = _grid_and_increment_moments(sp, grid_n)
     g = gen.standard_normal((n_paths, grid_n))
     # in place, the same operations as da + sqrt(db) * g without its temporary
@@ -85,7 +84,6 @@ def projection_law(sp: ScalePair, z_left: np.ndarray) -> tuple[np.ndarray, np.nd
     clipped eigenvalues, not Cholesky, because it is singular for a zero
     direction or for parallel directions.
     """
-    sp.require_valid()
     _, da, db = _grid_and_increment_moments(sp, z_left.shape[0])
     zs = np.sqrt(db)[:, None] * z_left
     w, v = np.linalg.eigh(zs.T @ zs)

@@ -3,10 +3,13 @@
 A scale pair consists of an absolutely continuous drift ``a`` with
 ``a(0) = 0`` and a strictly increasing variance function ``b`` with
 ``b(0) = 0``.  Both are supplied as closures together with their
-derivatives.  Every one-dimensional time integral in the package is a
-dot product with the pair's composite Simpson weights on one uniform
-grid (against dt, db = b' dt or |da| = |a'| dt), so all inner products
-downstream share a single, positive-weight discretization.
+derivatives.  Construction checks these conditions and a finite drift
+energy and variation on the grid, and raises the typed error of the
+first that fails, so a pair that exists is valid.  Every one-dimensional
+time integral in the package is a dot product with the pair's composite
+Simpson weights on one uniform grid (against dt, db = b' dt or
+|da| = |a'| dt), so all inner products downstream share a single,
+positive-weight discretization.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
-                     OutOfDomain)
+                     OpfeynError, OutOfDomain)
 
 ORIGIN_TOL = 1e-12
 
@@ -42,7 +45,8 @@ class ConditionCheck:
     name: str
     passed: bool
     value: float
-    message: str = ""
+    message: str
+    error: type[OpfeynError]
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ class ScalePair:
     """Drift ``a`` and variance ``b`` on [0, T], with derivative closures.
 
     ``grid_n`` fixes the (even) panel count of the uniform quadrature grid
-    used for every integral against this pair.
+    used for every integral against this pair.  Construction raises the
+    error class of the first failed check of ``validation_report()``.
     """
 
     T: float
@@ -87,6 +92,10 @@ class ScalePair:
             raise OutOfDomain(f"horizon T must be positive, got {self.T}")
         if self.grid_n < 2 or self.grid_n % 2:
             raise ValueError("grid_n must be even and at least 2")
+        for check in self.validation_report().checks:
+            if not check.passed:
+                raise check.error(f"{check.name} fails ({check.value:.6g}): "
+                                  f"{check.message}")
 
     # -- cached node data ---------------------------------------------------
 
@@ -114,26 +123,31 @@ class ScalePair:
 
     # -- validation ----------------------------------------------------------
 
-    @cached_property
-    def _report(self) -> ValidationReport:
-        return _build_report(self)
-
     def validation_report(self) -> ValidationReport:
-        return self._report
-
-    def require_valid(self) -> None:
-        """Raise a typed error for the first failed validity condition."""
-        rep = self.validation_report()
-        if rep.passed:
-            return
-        for check in rep.checks:
-            if check.passed:
-                continue
-            if check.name in ("origin_a", "origin_b"):
-                raise NonzeroOrigin(check.message)
-            if check.name in ("drift_energy_finite", "drift_variation_finite"):
-                raise InfiniteDrift(check.message)
-            raise NonPositiveVariance(check.message)
+        """The pair's conditions on its grid, each with its value."""
+        a0 = float(np.asarray(self.a(np.array([0.0])))[0])
+        b0 = float(np.asarray(self.b(np.array([0.0])))[0])
+        bp_min = float(self.bprime_nodes.min())
+        # drift energy: integral of |a'|^2 against d|a|; inf when it overflows
+        with np.errstate(over="ignore"):
+            energy = float(np.dot(self.weights, np.abs(self.aprime_nodes) ** 3))
+        return ValidationReport((
+            ConditionCheck(
+                "origin_a", abs(a0) <= ORIGIN_TOL, a0,
+                f"|a(0)| = {abs(a0):.3g} (tol {ORIGIN_TOL:g})", NonzeroOrigin),
+            ConditionCheck(
+                "origin_b", abs(b0) <= ORIGIN_TOL, b0,
+                f"|b(0)| = {abs(b0):.3g} (tol {ORIGIN_TOL:g})", NonzeroOrigin),
+            ConditionCheck(
+                "variance_increasing", bp_min > 0.0, bp_min,
+                f"min b'(t) on grid = {bp_min:.3g}", NonPositiveVariance),
+            ConditionCheck(
+                "drift_energy_finite", np.isfinite(energy), energy,
+                "integral of |a'|^2 d|a| over [0, T]", InfiniteDrift),
+            ConditionCheck(
+                "drift_variation_finite", np.isfinite(self.var_a), self.var_a,
+                "total variation of a over [0, T]", InfiniteDrift),
+        ))
 
 
 def eval_on(fn, t: np.ndarray) -> np.ndarray:
@@ -142,34 +156,6 @@ def eval_on(fn, t: np.ndarray) -> np.ndarray:
     if out.ndim == 0:
         out = np.full(t.shape, float(out))
     return out
-
-
-def _build_report(sp: ScalePair) -> ValidationReport:
-    t = sp.t_nodes
-    a0 = float(np.asarray(sp.a(np.array([0.0])))[0])
-    b0 = float(np.asarray(sp.b(np.array([0.0])))[0])
-    bp = sp.bprime_nodes
-    bp_min = float(bp.min())
-    # drift energy: integral of |a'|^2 against d|a|
-    energy = float(np.dot(sp.weights, np.abs(sp.aprime_nodes) ** 3))
-    checks = (
-        ConditionCheck(
-            "origin_a", abs(a0) <= ORIGIN_TOL, a0,
-            f"|a(0)| = {abs(a0):.3g} (tol {ORIGIN_TOL:g})"),
-        ConditionCheck(
-            "origin_b", abs(b0) <= ORIGIN_TOL, b0,
-            f"|b(0)| = {abs(b0):.3g} (tol {ORIGIN_TOL:g})"),
-        ConditionCheck(
-            "variance_increasing", bp_min > 0.0, bp_min,
-            f"min b'(t) on grid = {bp_min:.3g}"),
-        ConditionCheck(
-            "drift_energy_finite", np.isfinite(energy), energy,
-            "integral of |a'|^2 d|a| over [0, T]"),
-        ConditionCheck(
-            "drift_variation_finite", np.isfinite(sp.var_a), sp.var_a,
-            "total variation of a over [0, T]"),
-    )
-    return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +177,10 @@ def wiener_pair(T: float = 1.0, grid_n: int = 1024) -> ScalePair:
 
 def drifted_pair(alpha: float, beta: float, T: float = 1.0,
                  grid_n: int = 1024) -> ScalePair:
-    """Linear drift with quadratic variance: a = alpha t, b = t + beta t^2."""
+    """Linear drift with quadratic variance: a = alpha t, b = t + beta t^2.
+
+    b increases on [0, T] exactly when beta > -1/(2T).
+    """
     return ScalePair(
         T=T,
         a=lambda t: alpha * np.asarray(t, dtype=float),
@@ -214,7 +203,5 @@ def preset_scale(preset: str, *, alpha: float | None = None,
     if preset == "drifted":
         if alpha is None or beta is None:
             raise ValueError("drifted preset needs alpha and beta")
-        if beta < 0:
-            raise NonPositiveVariance("drifted preset needs beta >= 0")
         return drifted_pair(alpha, beta, T=T, grid_n=grid_n)
     raise ValueError(f"unknown scale preset {preset!r}")

@@ -50,9 +50,9 @@ def _functionals(sp):
 
 
 def _poly_direction(sp, gen, label=""):
-    t = sp.t_nodes
     c = gen.normal(size=3)
-    return from_density(sp, c[0] + c[1] * t + c[2] * t * t, label=label)
+    return from_density(sp, lambda t: c[0] + c[1] * t + c[2] * t * t,
+                        label=label)
 
 
 def test_criterion_01_mc_matches_kernel(drifted):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import inspect
 import json
 import math
@@ -12,7 +11,6 @@ from opfeyn import (InvalidGrid, KernelOverflow, MeasureUnderflow,
                     OperatorResult, OutOfDomain, QuadratureError,
                     UnknownExample, UnsupportedVariant, errors)
 from opfeyn.cli import _ADMISSIBILITY_ERRORS, main, mc_z_scores
-from opfeyn.scale import ScalePair, ValidationReport
 
 QUICK = {
     "scale": {"preset": "wiener"},
@@ -296,22 +294,41 @@ def test_mc_z_scores_treat_zero_stderr_explicitly():
     assert z.tolist() == [2.0, 0.0, math.inf, 0.0]
 
 
-def test_quiet_validate_prints_only_failed_checks_and_status(tmp_path, capsys,
-                                                            monkeypatch):
+def test_quiet_validate_prints_only_failed_checks_and_status(tmp_path, capsys):
+    # a loaded config's scale pair has passed every check, so under
+    # --quiet only the status line is left
     cfg = write_config(tmp_path)
     assert run(tmp_path, "validate", "--config", cfg, "--quiet") == 0
     assert capsys.readouterr().out.splitlines() == ["validate: PASS"]
-    # one check reported as failed must still print under --quiet
-    real = ScalePair.validation_report
 
-    def first_failed(self):
-        checks = real(self).checks
-        return ValidationReport(
-            checks=(dataclasses.replace(checks[0], passed=False),) + checks[1:])
 
-    monkeypatch.setattr(ScalePair, "validation_report", first_failed)
-    code = run(tmp_path, "validate", "--config", cfg, "--quiet")
-    out = capsys.readouterr().out.splitlines()
-    assert code == 4
-    assert len(out) == 2 and out[0].startswith("  FAIL  origin_a")
-    assert out[1] == "validate: FAIL"
+@pytest.mark.parametrize("command", ["validate", "evaluate", "converge",
+                                     "bounds", "counterexample", "sample"])
+def test_every_subcommand_rejects_a_failed_scale_check_with_exit_2(
+        tmp_path, capsys, command):
+    # every number is finite, but the drift energy alpha^3 T overflows:
+    # the pair is never built, so no subcommand reaches a route with it
+    cfg = write_config(tmp_path, scale=dict(_DRIFTED, alpha=1e200), F="F3",
+                       lambdas=[[1.0, 0.5]], q=1.0)
+    assert run(tmp_path, command, "--config", cfg) == 2
+    assert "config error: scale: drift_energy_finite fails" in \
+        capsys.readouterr().err
+
+
+def test_drifted_preset_with_a_negative_beta_validates(tmp_path, capsys):
+    # b = t - 0.4 t^2 increases on [0, 1]; the variance check decides
+    cfg = write_config(tmp_path, scale=dict(_DRIFTED, beta=-0.4))
+    assert run(tmp_path, "validate", "--config", cfg) == 0
+    assert "PASS  variance_increasing" in capsys.readouterr().out
+
+
+def test_kernel_exponent_past_the_float_range_exits_4(tmp_path, capsys):
+    # a wide bump under a strong drift drives the kernel exponent past
+    # EXP_CAP: a numeric failure, not a traceback
+    cfg = write_config(tmp_path,
+                       scale={"preset": "drifted", "alpha": 40.0, "beta": 0.5},
+                       F="one", psi={"preset": "bump", "radius": 200.0},
+                       lambdas=[[0.2, -1.0]])
+    assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
+    assert ("numeric failure: KernelOverflow: kernel exponent exceeds float "
+            "range") in capsys.readouterr().err

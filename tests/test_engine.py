@@ -9,13 +9,14 @@ from scipy import integrate, special
 
 from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
                     EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
-                    KernelContext, LambdaParam, LineMeasure,
+                    KernelContext, KernelOverflow, LambdaParam, LineMeasure,
                     NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
                     SequenceLeavesRegion,
                     b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
-                    divergence_witness_partial, divergence_witness_psi, gallery,
+                    divergence_witness_partial, divergence_witness_psi,
+                    drifted_pair, gallery,
                     gaussian_identity_check, gaussian_psi, i_lambda_mc,
                     j_q, k_lambda, kq0_integral, nu_delta_norm,
                     op_norm_bound, pair_with_a,
@@ -634,6 +635,22 @@ def test_sample_interior_lambda_stays_inside():
     lams = sample_interior_lambda(50, 0.5, gen)
     assert all(l.real > 0 for l in lams)
     assert all(LambdaParam.from_value(l).in_gamma(0.5) for l in lams)
+
+
+def test_sample_interior_lambda_count_is_checked():
+    gen = np.random.default_rng(0)
+    with pytest.raises(BadConfig):
+        sample_interior_lambda(-1, 0.5, gen)
+    assert sample_interior_lambda(0, 0.5, gen).shape == (0,)
+
+
+def test_kernel_exponent_past_the_cap_raises_kernel_overflow():
+    # under a strong drift a wide bump reaches v where the kernel's real
+    # exponent passes EXP_CAP; the integrand refuses rather than give inf
+    sp = drifted_pair(40.0, 0.5)
+    with pytest.raises(KernelOverflow, match="kernel exponent exceeds"):
+        k_lambda(unit_functional(sp), b_element(sp), bump_psi(200.0),
+                 0.2 - 1j, [0.0])
 
 
 def _f4_at_b(sp):

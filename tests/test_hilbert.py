@@ -117,14 +117,9 @@ def test_preset_direction_errors(wiener):
 
 
 def test_from_density_grid_input(wiener):
-    t = wiener.t_nodes
-    w = from_density(wiener, np.sin(t))
-    assert abs(w.norm_sq - quad_sin_sq()) < 1e-8
-
-
-def quad_sin_sq():
-    # int_0^1 sin^2 t dt = 1/2 - sin(2)/4
-    return 0.5 - math.sin(2.0) / 4.0
+    # a direction's one representation is its density closure
+    with pytest.raises(ValueError, match="callable"):
+        from_density(wiener, np.sin(wiener.t_nodes))
 
 
 @settings(max_examples=40)

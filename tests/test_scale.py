@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from opfeyn import (InfiniteDrift, NonPositiveVariance, NonzeroOrigin,
                     OutOfDomain, ScalePair, drifted_pair, preset_scale)
-from opfeyn.cli import _ADMISSIBILITY_ERRORS
 from opfeyn.scale import simpson_weights
 
 
@@ -39,41 +38,70 @@ def test_drifted_pair_validates(drifted):
 
 
 def test_nonzero_origin_rejected():
-    sp = ScalePair(T=1.0, a=lambda t: np.asarray(t) + 1.0,
-                   a_prime=lambda t: np.ones_like(np.asarray(t)),
-                   b=lambda t: np.asarray(t, dtype=float),
-                   b_prime=lambda t: np.ones_like(np.asarray(t)))
-    assert not sp.validation_report()["origin_a"].passed
-    with pytest.raises(NonzeroOrigin):
-        sp.require_valid()
+    with pytest.raises(NonzeroOrigin, match="origin_a"):
+        ScalePair(T=1.0, a=lambda t: np.asarray(t) + 1.0,
+                  a_prime=lambda t: np.ones_like(np.asarray(t)),
+                  b=lambda t: np.asarray(t, dtype=float),
+                  b_prime=lambda t: np.ones_like(np.asarray(t)))
 
 
 def test_decreasing_variance_rejected():
-    sp = ScalePair(T=1.0, a=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   a_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   b=lambda t: -np.asarray(t, dtype=float),
-                   b_prime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
-    assert not sp.validation_report()["variance_increasing"].passed
-    with pytest.raises(NonPositiveVariance):
-        sp.require_valid()
+    with pytest.raises(NonPositiveVariance, match="variance_increasing"):
+        ScalePair(T=1.0, a=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                  a_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                  b=lambda t: -np.asarray(t, dtype=float),
+                  b_prime=lambda t: -np.ones_like(np.asarray(t, dtype=float)))
+
+
+def _sqrt_drift_prime(t):
+    # a = 2 sqrt(t): a' = 1/sqrt(t) is infinite at t = 0
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 0.0, 1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), np.inf)
 
 
 def test_infinite_drift_rejected():
-    # a = 2 sqrt(t): a' = 1/sqrt(t) is infinite at t = 0, so the drift
-    # energy and total variation on the grid are infinite; the CLI exits 3
-    def a_prime(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, 1.0 / np.sqrt(np.where(t > 0.0, t, 1.0)), np.inf)
+    # the variance passes, but the drift energy and total variation on
+    # the grid are infinite; the first of the two is reported
+    with pytest.raises(InfiniteDrift, match="drift_energy_finite"):
+        ScalePair(T=1.0, a=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)),
+                  a_prime=_sqrt_drift_prime,
+                  b=lambda t: np.asarray(t, dtype=float),
+                  b_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
-    sp = ScalePair(T=1.0, a=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)),
-                   a_prime=a_prime, b=lambda t: np.asarray(t, dtype=float),
-                   b_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    rep = sp.validation_report()
-    assert rep["variance_increasing"].passed
-    assert not rep["drift_energy_finite"].passed
-    with pytest.raises(InfiniteDrift):
-        sp.require_valid()
-    assert issubclass(InfiniteDrift, _ADMISSIBILITY_ERRORS)
+
+def _t(t):
+    return np.asarray(t, dtype=float)
+
+
+@pytest.mark.parametrize("kw, error, check", [
+    (dict(a=lambda t: 0.0 * _t(t), a_prime=lambda t: 0.0 * _t(t),
+          b=lambda t: _t(t) - 0.7 * _t(t) ** 2,
+          b_prime=lambda t: 1.0 - 1.4 * _t(t)),
+     NonPositiveVariance, "variance_increasing"),
+    (dict(a=lambda t: 1.0 + _t(t), a_prime=lambda t: 1.0 + 0.0 * _t(t),
+          b=_t, b_prime=lambda t: 1.0 + 0.0 * _t(t)),
+     NonzeroOrigin, "origin_a"),
+    (dict(a=lambda t: 2.0 * np.sqrt(_t(t)), a_prime=_sqrt_drift_prime,
+          b=_t, b_prime=lambda t: 1.0 + 0.0 * _t(t)),
+     InfiniteDrift, "drift_energy_finite"),
+], ids=["variance-turns-down", "drift-off-origin", "sqrt-drift"])
+def test_construction_raises_the_first_failed_check(kw, error, check):
+    # one rule for every route: a pair that fails a check is never built,
+    # so no kernel, bound sweep or sampler sees it
+    with pytest.raises(error, match=check):
+        ScalePair(T=1.0, **kw)
+
+
+def test_drifted_preset_builds_wherever_the_variance_increases():
+    # b' = 1 + 2 beta t > 0 on [0, T] exactly when beta > -1/(2T)
+    sp = preset_scale("drifted", alpha=0.3, beta=-0.4)
+    assert sp.validation_report().passed
+    assert sp.validation_report()["variance_increasing"].value > 0.0
+    with pytest.raises(NonPositiveVariance, match="variance_increasing"):
+        preset_scale("drifted", alpha=0.3, beta=-0.5)
+    assert preset_scale("drifted", alpha=0.3, beta=-0.24, T=2.0).T == 2.0
+    with pytest.raises(NonPositiveVariance):
+        preset_scale("drifted", alpha=0.3, beta=-0.25, T=2.0)
 
 
 def test_bad_horizon_and_grid():
