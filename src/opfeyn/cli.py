@@ -31,10 +31,9 @@ from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, nu_delta_norm,
                      unit_spot_check)
-from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
-                     NonPositiveLambda, NotAdmissible, NotInFq0, OpfeynError,
-                     PsiNotIntegrable, SequenceLeavesRegion, ZeroDirection,
-                     ZeroLambda)
+from .errors import (ArgOutOfRange, BadConfig, ConfigError, NonPositiveLambda,
+                     NotAdmissible, NotInFq0, OpfeynError, PsiNotIntegrable,
+                     SequenceLeavesRegion, ZeroDirection, ZeroLambda)
 from .psi import divergence_witness_psi
 from .sampler import RngStream, left_densities, sample_increments
 from .scale import wiener_pair
@@ -46,8 +45,7 @@ EXIT_CHECK = 4
 
 _ADMISSIBILITY_ERRORS = (NotAdmissible, NotInFq0, PsiNotIntegrable,
                          SequenceLeavesRegion, BadConfig, NonPositiveLambda,
-                         ArgOutOfRange, ZeroLambda, InfiniteDrift,
-                         ZeroDirection)
+                         ArgOutOfRange, ZeroLambda, ZeroDirection)
 
 WITNESS_RADII = (5.0, 10.0, 20.0, 40.0)
 CONVERGE_GAP_TARGET = 1e-3

@@ -170,18 +170,20 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # ---------------------------------------------------------------------------
 
 def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
-                               centres, *, rel_tol, abs_tol, amp: float):
+                               centres, *, rel_tol, abs_tol, amp: float, cuts=None):
     """Integrate a family on the union of its members' truncation cuts.
 
     Row j of f's output has truncation bound bounds[j] and a phase of rate
     ``phase_rate`` centred at centres[j]; the panels keep every row's
-    phase within a quarter period, and each row's tail is certified at the
+    phase within a half period, and each row's tail is certified at the
     shared ends against its own tolerance, with one retry at a wider drop.
+    ``cuts`` are the bounds' cuts at TRUNC_DROP when the caller has them.
     Returns the QuadResult with each row's tail bound added to its error.
     """
     drop = TRUNC_DROP
     for attempt in range(2):
-        cuts = np.array([b.cut(drop) for b in bounds])
+        if cuts is None or attempt:
+            cuts = np.array([b.cut(drop) for b in bounds])
         lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
                                breakpoints=phase_breakpoints(lo, hi, phase_rate, centres))
@@ -220,22 +222,20 @@ def _row_probe(lam: LambdaParam, ctx: KernelContext, psi: PsiFn, groups,
     ``terms(v, c)`` gives the (freq, coef) of the row sum S(u) = sum_r
     coef_r exp(i freq_r u) that a node set makes, with |freq| at most
     ``reach_per_radius`` times the radius.  ``probe_for(radius)`` samples
-    u on one uniform grid that covers every group's truncation interval,
-    outside which the weights below are e^-TRUNC_DROP of their peak, with
-    PROBE_DENSITY points per period of the rows' reach plus the fastest
-    phase of H there.  For each point xi of the groups, its probe gives
-    the grid sum of S(u) H(u) psi(u + xi) divided by that of |H psi|.  A
-    row-sum error that oscillates against a smooth H psi averages out
-    there as it does in the integral, so the rule stops at the size the
-    kernel needs.
+    u on one uniform grid that covers the truncation cuts of every ``(xs,
+    cuts)`` group, outside which the weights below are e^-TRUNC_DROP of
+    their peak, with PROBE_DENSITY points per period of the rows' reach
+    plus the fastest phase of H there.  For each point xi of the groups,
+    its probe gives the grid sum of S(u) H(u) psi(u + xi) divided by that
+    of |H psi|.  A row-sum error that oscillates against a smooth H psi
+    averages out there as it does in the integral, so the rule stops at
+    the size the kernel needs.
     """
     n2 = ctx.norm_h_sq
 
     def probe_for(radius):
-        spans = [(np.array([b.cut(TRUNC_DROP) for b in bounds]), xs)
-                 for xs, bounds in groups]
-        lo = min((cuts[:, 0].min() - xs.max() for cuts, xs in spans), default=0.0)
-        hi = max((cuts[:, 1].max() - xs.min() for cuts, xs in spans), default=0.0)
+        lo = min((cuts[:, 0].min() - xs.max() for xs, cuts in groups), default=0.0)
+        hi = max((cuts[:, 1].max() - xs.min() for xs, cuts in groups), default=0.0)
         # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
         chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
                     for x in (lo, hi)) / n2
@@ -269,7 +269,7 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
     bounds the modulus of the rows' sum by exp(Re log H) (the tail
     amplitude).  Atoms and discrete line measures give one row per node
     with quad = 0; a line density takes the nodes that resolve the rows'
-    effect on the integral of psi at every point of the ``(xs, bounds)``
+    effect on the integral of psi at every point of the ``(xs, cuts)``
     groups (``_row_probe``).  A gaussian line measure scale * N(m, var)
     along w0 is integrated over its coordinate s in closed form, as one
     row: node s contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 +
@@ -350,13 +350,17 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     ctx = KernelContext.from_direction(h)
     xi = np.asarray(xi_grid, dtype=float)
     # each point's truncation bound: the envelope times the kernel's |H|
-    groups = [(xs, [psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
-                    for x0 in xs])
-              for xs in (xi[k:k + XI_GROUP] for k in range(0, xi.size, XI_GROUP))]
-    if not all(b.integrable for _, bounds in groups for b in bounds):
+    bounds = [psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
+              for x0 in xi]
+    if not all(b.integrable for b in bounds):
         raise PsiNotIntegrable(
             "state-function envelope does not control the kernel tail")
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, psi, groups)
+    # and its cut, whose midpoint is the centre its exponent is built about
+    cuts = np.array([b.cut(TRUNC_DROP) for b in bounds]).reshape(-1, 2)
+    centres = cuts.mean(axis=1)
+    groups = [slice(k, k + XI_GROUP) for k in range(0, xi.size, XI_GROUP)]
+    weights, lin, const, quad, amp = _measure_family(
+        F, lam, ctx, psi, [(xi[g], cuts[g]) for g in groups])
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
     # one buffer serves every integrand call, v blocked so that a block
@@ -377,7 +381,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     block = max(1, EXP_BUF // max(width, 1))
     buf = np.empty(max(width * block, EXP_ALLOC), dtype=complex)
 
-    def integrand(xs):
+    def integrand(xs, v0):
         def f(v):
             out = np.empty((xs.size, v.size), dtype=complex)
             for k in range(0, v.size, block):
@@ -385,8 +389,8 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 e = buf[:rows * xs.size * vv.size].reshape(rows, xs.size, vv.size)
                 # through the module: the traced engine-level name takes
                 # the six-argument form only (perfbench/spans.py)
-                kernels.vlh_exponent(lam, xs[:, None], vv, lin, const, ctx,
-                                     out=e, quad=quad)
+                kernels.vlh_exponent(lam, xs, vv, lin, const, ctx,
+                                     out=e, quad=quad, centre=v0)
                 if e.size and float(np.max(e.real)) > EXP_CAP:
                     raise KernelOverflow("kernel exponent exceeds float range")
                 out[:, k:k + block] = (weights @ np.exp(e, out=e).reshape(
@@ -396,11 +400,14 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         return f
 
     parts = [_integrate_with_tail_check(
-        integrand(xs), bounds, phase_rate, xs,
-        rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
-        for xs, bounds in groups]
-    # the empty arrays keep the result shape and dtype for an empty grid
-    values = m_factor * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)])
+        integrand(xi[g, None], centres[g, None]), bounds[g], phase_rate,
+        xi[g], cuts=cuts[g], rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
+        for g in groups]
+    # each point's integral times the unit phase its exponent left out; the
+    # empty arrays keep the result shape and dtype for an empty grid
+    left_out = kernels.vlh_exponent(lam, xi, centres, np.zeros(1), np.zeros(1), ctx)[0].imag
+    values = (m_factor * np.exp(1j * left_out)
+              * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)]))
     errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])
     return OperatorResult(
         xi_grid=xi, values=values, stderr=None, route="kernel",

@@ -207,23 +207,33 @@ def vl_coeffs(lam: LambdaParam, c, w2, ctx: KernelContext):
 
 def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
                  lin: np.ndarray, const: np.ndarray, ctx: KernelContext,
-                 out: np.ndarray | None = None, quad: complex = 0.0) -> np.ndarray:
-    """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi.
+                 out: np.ndarray | None = None, quad: complex = 0.0,
+                 centre: float | np.ndarray | None = None) -> np.ndarray:
+    """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi,
+    less i Im log H(v0 - xi), the phase of log H at a centre v0.
 
     One row r per spectral row, shape (len(lin), len(v)), or (len(lin),
     n, len(v)) for a column ``xi`` of n points.  ``lin`` and ``const`` are
     ``vl_coeffs`` for a direction; an integrated gaussian line family also
-    carries the shared u^2 coefficient ``quad``.  The exponent is built in
-    ``out`` (complex, of that shape) when given, else in a new array, and
-    that array is returned.
+    carries the shared u^2 coefficient ``quad``.  log H is built about
+    ``centre``, one v0 per point shaped like ``xi`` (``xi`` when not given,
+    where log H(0) is real), as -lam^{1/2} d (lam^{1/2} d + 2 c0) / (2
+    ||h||^2) - Re(c0^2) / (2 ||h||^2), d = v - v0, c0 = lam^{1/2} (v0 - xi)
+    - p.  That phase grows like |lam| (v0 - xi)^2, and in every node it
+    would round the value by eps times its size; the caller multiplies the
+    integral by its exponential, reading it off this function at v = v0
+    with no centre.  The exponent is built in ``out`` (complex, of that
+    shape) when given, else in a new array, and that array is returned.
     """
-    n2 = ctx.norm_h_sq
-    u = np.asarray(v, dtype=float) - xi
+    v = np.asarray(v, dtype=float)
+    v0 = xi if centre is None else centre
+    u = v - xi
+    c0 = lam.sqrt * (v0 - xi) - ctx.pair_ha
     lin = np.atleast_1d(lin)
     if out is None:
         out = np.empty((lin.size,) + u.shape, dtype=complex)
     np.multiply.outer(lin, u, out=out)
     out += np.atleast_1d(const).reshape((-1,) + (1,) * u.ndim)
-    arg = lam.sqrt * u - ctx.pair_ha
-    out += quad * (u * u) - (arg * arg) / (2.0 * n2)
+    rd = lam.sqrt * (v - v0)
+    out += quad * (u * u) - (rd * (rd + 2.0 * c0) + (c0 * c0).real) / (2.0 * ctx.norm_h_sq)
     return out

@@ -9,8 +9,8 @@ budget.  The estimate is QUADPACK's heuristic resasc min(1, (200 |K15 -
 G7| / resasc)^1.5), as the Richardson estimate of the earlier Simpson
 panels was a heuristic too: neither is a proven bound.  Oscillatory
 integrands get an initial partition whose panels keep every family
-member's quadratic phase within a quarter period.  The engine keeps the
-name ``adaptive_simpson`` because the benchmark tracer
+member's quadratic phase within a half period (``PHASE_STEP``).  The
+engine keeps the name ``adaptive_simpson`` because the benchmark tracer
 (perfbench/spans.py) hooks that name.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PHASE_STEP = math.pi / 4.0
+PHASE_STEP = math.pi
 EPS = np.finfo(float).eps
 # per-panel error floor: estimates below a few dozen ulps of the local
 # integrand magnitude are rounding noise, not discretization error
@@ -29,7 +29,7 @@ ROUND_FLOOR = 32.0 * EPS
 # bytes of one integrand call's (k, nodes) output; a round is evaluated in
 # chunks of panels within it, so memory does not grow with the panel count
 CHUNK_BYTES = 1 << 18
-PHASE_CAP = 16384     # most quarter-period offsets a partition uses per side
+PHASE_CAP = 16384     # most half-period offsets a partition uses per side
 MIN_PANELS = 8        # fewest panels of an initial partition
 MAX_PANELS = 1 << 19  # most panels a refinement round may bisect into
 MAX_ROUNDS = 40       # most refinement rounds of one integral
@@ -64,7 +64,7 @@ class QuadResult:
 
 def phase_breakpoints(lo: float, hi: float, rate: float,
                       center: float | np.ndarray) -> np.ndarray | None:
-    """Interior points keeping every phase rate*(v-c)^2 within pi/4 per panel.
+    """Interior points keeping each phase rate*(v-c)^2 within pi per panel.
 
     ``center`` is one c or an array: right of the extreme centres' midpoint
     the smallest one's points serve all of them, left of it the largest's.

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from opfeyn import (InvalidGrid, KernelOverflow, MeasureUnderflow,
-                    MismatchedScalePair, NonPositiveVariance, NonzeroOrigin,
-                    OperatorResult, OutOfDomain, QuadratureError,
+from opfeyn import (InfiniteDrift, InvalidGrid, KernelOverflow,
+                    MeasureUnderflow, MismatchedScalePair, NonPositiveVariance,
+                    NonzeroOrigin, OperatorResult, OutOfDomain, QuadratureError,
                     UnknownExample, UnsupportedVariant, errors)
 from opfeyn.cli import _ADMISSIBILITY_ERRORS, main, mc_z_scores
 
@@ -195,8 +195,8 @@ def test_zero_base_direction_exits_3(tmp_path, capsys):
 # library caller meets the scale, gallery and grid errors
 _NUMERIC_FAILURES = (QuadratureError, KernelOverflow, MeasureUnderflow,
                      MismatchedScalePair, UnsupportedVariant, UnknownExample,
-                     NonPositiveVariance, NonzeroOrigin, OutOfDomain,
-                     InvalidGrid)
+                     NonPositiveVariance, NonzeroOrigin, InfiniteDrift,
+                     OutOfDomain, InvalidGrid)
 
 
 def test_every_error_class_has_a_decided_exit_code():
@@ -332,3 +332,15 @@ def test_kernel_exponent_past_the_float_range_exits_4(tmp_path, capsys):
     assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
     assert ("numeric failure: KernelOverflow: kernel exponent exceeds float "
             "range") in capsys.readouterr().err
+
+
+def test_kernel_exponent_past_the_float_range_exits_4_before_any_exp_overflows(
+        tmp_path, capsys):
+    # a floating-point trap on overflow would escape main as a traceback
+    cfg = write_config(tmp_path,
+                       scale={"preset": "drifted", "alpha": 40.0, "beta": 0.5},
+                       F="one", psi={"preset": "bump", "radius": 200.0},
+                       lambdas=[[0.2, -1.0]])
+    with np.errstate(over="raise", invalid="raise"):
+        assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
+    assert "numeric failure: KernelOverflow" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
                     unit_functional, unit_spot_check)
 from opfeyn import engine, quadrature
 from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
-from opfeyn.quadrature import LogBound
+from opfeyn.quadrature import GK_KRONROD, GK_NODES, LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -364,6 +364,40 @@ def test_boundary_far_point_matches_scipy(drifted, monkeypatch):
     assert abs(quad.values[0] - ref) <= quad.err[0] + abs(ref_err)
 
 
+def _dense_k15(f, lo, hi, panels):
+    """K15 sum of f's first row on ``panels`` equal panels of [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * GK_NODES
+    return complex(np.sum(f(nodes.ravel())[0].reshape(nodes.shape) @ GK_KRONROD * half))
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_boundary_error_bar_covers_a_dense_reference_at_far_points(
+        drifted, monkeypatch, q):
+    # at |xi| = 60 the phase of H at a point's centre is thousands of
+    # radians; rounded into every node's exponent, it moved the value past
+    # its error bar (1.44 times it at q = 3, xi = -60)
+    seen = []
+    integrate_family = engine.adaptive_simpson
+
+    def recording(f, lo, hi, **kw):
+        res = integrate_family(f, lo, hi, **kw)
+        seen.append((f, lo, hi, res))
+        return res
+
+    monkeypatch.setattr(engine, "adaptive_simpson", recording)
+    F, h = gallery("F4", drifted), b_element(drifted)
+    psi = shifted_gaussian_psi(1.0, 0.0, 0.1)
+    for xi in (-60.0, -30.0, -10.0, 10.0, 30.0, 60.0):
+        res = j_q(F, h, psi, q, [xi], delta=0.5)
+        f, lo, hi, quad = seen[-1]
+        # the reference carries the factor (normaliser and unit phase)
+        # that took the quadrature's value to the result
+        ref = res.values[0] / quad.values[0] * _dense_k15(f, lo, hi, 20000)
+        assert abs(res.values[0] - ref) <= res.meta["quad_err"][0], xi
+
+
 def test_rounds_reported_in_meta(drifted, monkeypatch):
     rounds = []
     integrate_family = engine.adaptive_simpson
@@ -649,6 +683,15 @@ def test_kernel_exponent_past_the_cap_raises_kernel_overflow():
     # exponent passes EXP_CAP; the integrand refuses rather than give inf
     sp = drifted_pair(40.0, 0.5)
     with pytest.raises(KernelOverflow, match="kernel exponent exceeds"):
+        k_lambda(unit_functional(sp), b_element(sp), bump_psi(200.0),
+                 0.2 - 1j, [0.0])
+
+
+def test_kernel_overflow_is_raised_before_any_exp_overflows():
+    # the guard sees the whole real exponent, so no exp overflows first
+    sp = drifted_pair(40.0, 0.5)
+    with np.errstate(over="raise", invalid="raise"), \
+            pytest.raises(KernelOverflow, match="kernel exponent exceeds"):
         k_lambda(unit_functional(sp), b_element(sp), bump_psi(200.0),
                  0.2 - 1j, [0.0])
 

@@ -145,6 +145,28 @@ def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_valu
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
+def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
+        drift_ctx, lam_value):
+    # built about a centre v0 per point, the exponent is the plain one less
+    # i Im log H(v0 - xi), which the plain build gives at v = v0; the real
+    # part, which the overflow guard reads, stays whole
+    lam = LambdaParam.from_value(lam_value)
+    gen = np.random.default_rng(5)
+    lin, const = vl_coeffs(lam, gen.normal(size=3), gen.uniform(0.5, 2.0, 3),
+                           drift_ctx)
+    xi = np.array([[-60.0], [0.3], [25.0]])
+    v0 = np.array([[0.4], [0.3], [-1.0]])
+    v = np.linspace(-2.0, 2.0, 17)
+    quad = -0.3 + 0.2j
+    plain = vlh_exponent(lam, xi, v, lin, const, drift_ctx, quad=quad)
+    centred = vlh_exponent(lam, xi, v, lin, const, drift_ctx, quad=quad,
+                           centre=v0)
+    phase = vlh_exponent(lam, xi, v0, np.zeros(1), np.zeros(1), drift_ctx)[0].imag
+    assert np.max(np.abs(centred + 1j * phase - plain)) <= 1e-13 * np.max(np.abs(plain))
+    assert phase[1, 0] == 0.0  # at v0 = xi nothing is left out
+
+
 def test_parallel_direction_exact_branch(drift_ctx):
     stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.h.sp).scaled(3.0))
     assert stats.beta == 0.0

@@ -92,20 +92,23 @@ def test_rounds_are_counted_and_memory_is_chunked():
 def test_phase_breakpoints_spacing():
     bp = phase_breakpoints(-2.0, 2.0, rate=10.0, center=0.5)
     assert np.all(bp > -2.0) and np.all(bp < 2.0)
-    # quadratic phase rate*(v-c)^2 advances by at most ~pi/4 per cell near center
+    # quadratic phase rate*(v-c)^2 advances by at most PHASE_STEP (half a
+    # period) per cell near center
     assert bp.size >= 8
 
 
 def test_phase_breakpoints_bound_every_centre():
     # one point set serves a family of centres: no panel turns any centre's
-    # phase by more than two quarter periods (its total variation when the
-    # centre lies inside), and a lone centre may come as a 1-element array
+    # phase by more than 2 PHASE_STEP (its total variation when the centre
+    # lies inside), and a lone centre may come as a 1-element array; rate is
+    # drawn in units of PHASE_STEP / (pi/4), so the share of draws that
+    # yield points does not depend on PHASE_STEP
     gen = np.random.default_rng(7)
     with_points = 0
     for _ in range(2000):
         lo = gen.uniform(-20.0, 5.0)
         hi = lo + gen.uniform(0.5, 30.0)
-        rate = 10.0 ** gen.uniform(-2.0, 0.5)
+        rate = 10.0 ** gen.uniform(-2.0, 0.5) * PHASE_STEP / (math.pi / 4.0)
         centres = gen.uniform(lo - 5.0, hi + 5.0, gen.integers(1, 9))
         reach = max(centres.max() - lo, hi - centres.min())
         assert rate * reach * reach < PHASE_CAP * PHASE_STEP  # no thinning
@@ -126,7 +129,7 @@ def test_phase_breakpoints_bound_every_centre():
 
 
 def _phase_breakpoints_full(lo, hi, rate, center):
-    """The construction that builds every quarter-period offset, then thins."""
+    """The construction that builds every half-period offset, then thins."""
     c_lo, c_hi = float(np.min(center)), float(np.max(center))
     reach = max(c_hi - lo, hi - c_lo)
     n_steps = int(rate * (reach * reach) / PHASE_STEP)
@@ -158,7 +161,7 @@ def test_phase_breakpoints_thin_as_the_full_construction_does():
 
 
 def test_phase_breakpoints_memory_does_not_grow_with_the_reach():
-    # rate 0.5 over a reach of 1e6 asks for 6.4e11 quarter-period offsets
+    # rate 0.5 over a reach of 1e6 asks for 1.6e11 half-period offsets
     tracemalloc.start()
     try:
         bp = phase_breakpoints(0.0, 1e6, rate=0.5, center=0.0)
