@@ -180,9 +180,8 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
     ``cuts`` are the bounds' cuts at TRUNC_DROP when the caller has them.
     Returns the QuadResult with each row's tail bound added to its error.
     """
-    drop = TRUNC_DROP
-    for attempt in range(2):
-        if cuts is None or attempt:
+    for drop in (TRUNC_DROP, TRUNC_DROP + math.log(1e6)):
+        if cuts is None or drop > TRUNC_DROP:
             cuts = np.array([b.cut(drop) for b in bounds])
         lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
@@ -193,7 +192,6 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
             return replace(res, err=res.err + tails)
-        drop += math.log(1e6)
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
 
@@ -355,9 +353,8 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     if not all(b.integrable for b in bounds):
         raise PsiNotIntegrable(
             "state-function envelope does not control the kernel tail")
-    # and its cut, whose midpoint is the centre its exponent is built about
     cuts = np.array([b.cut(TRUNC_DROP) for b in bounds]).reshape(-1, 2)
-    centres = cuts.mean(axis=1)
+    centres = 0.5 * (cuts[:, 0] + cuts[:, 1])  # what the exponents are built about
     groups = [slice(k, k + XI_GROUP) for k in range(0, xi.size, XI_GROUP)]
     weights, lin, const, quad, amp = _measure_family(
         F, lam, ctx, psi, [(xi[g], cuts[g]) for g in groups])
@@ -403,9 +400,10 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         integrand(xi[g, None], centres[g, None]), bounds[g], phase_rate,
         xi[g], cuts=cuts[g], rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
         for g in groups]
-    # each point's integral times the unit phase its exponent left out; the
-    # empty arrays keep the result shape and dtype for an empty grid
-    left_out = kernels.vlh_exponent(lam, xi, centres, np.zeros(1), np.zeros(1), ctx)[0].imag
+    # each integral times the phase its exponent left out, Im log H(u0);
+    # the empty arrays keep the result shape and dtype for an empty grid
+    u0 = centres - xi
+    left_out = (lam.sqrt.imag * ctx.pair_ha - 0.5 * lam.value.imag * u0) * u0 / ctx.norm_h_sq
     values = (m_factor * np.exp(1j * left_out)
               * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)]))
     errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])

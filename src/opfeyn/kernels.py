@@ -215,25 +215,27 @@ def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
     One row r per spectral row, shape (len(lin), len(v)), or (len(lin),
     n, len(v)) for a column ``xi`` of n points.  ``lin`` and ``const`` are
     ``vl_coeffs`` for a direction; an integrated gaussian line family also
-    carries the shared u^2 coefficient ``quad``.  log H is built about
-    ``centre``, one v0 per point shaped like ``xi`` (``xi`` when not given,
-    where log H(0) is real), as -lam^{1/2} d (lam^{1/2} d + 2 c0) / (2
-    ||h||^2) - Re(c0^2) / (2 ||h||^2), d = v - v0, c0 = lam^{1/2} (v0 - xi)
-    - p.  That phase grows like |lam| (v0 - xi)^2, and in every node it
-    would round the value by eps times its size; the caller multiplies the
-    integral by its exponential, reading it off this function at v = v0
-    with no centre.  The exponent is built in ``out`` (complex, of that
-    shape) when given, else in a new array, and that array is returned.
+    carries the shared u^2 coefficient ``quad``.  ``centre`` is v0 per
+    point, shaped like ``xi`` (``xi`` when not given, where log H is real):
+    the terms in u^2 are summed in powers of v - v0, so the phase left out,
+    which grows like |lam| (v0 - xi)^2, is not rounded into every node; the
+    caller multiplies the integral by its exponential.  The exponent is
+    built in ``out`` (complex, of that shape) when given, else in a new
+    array, and that array is returned.
     """
-    v = np.asarray(v, dtype=float)
     v0 = xi if centre is None else centre
-    u = v - xi
-    c0 = lam.sqrt * (v0 - xi) - ctx.pair_ha
+    u = np.subtract(v, xi, dtype=float)
+    u0 = v0 - xi
     lin = np.atleast_1d(lin)
     if out is None:
         out = np.empty((lin.size,) + u.shape, dtype=complex)
     np.multiply.outer(lin, u, out=out)
     out += np.atleast_1d(const).reshape((-1,) + (1,) * u.ndim)
-    rd = lam.sqrt * (v - v0)
-    out += quad * (u * u) - (rd * (rd + 2.0 * c0) + (c0 * c0).real) / (2.0 * ctx.norm_h_sq)
+    # quad u^2 + log H(u) = a u^2 + b u - k p^2, a = quad - k lam, is
+    # (a (u + u0) + b) d + c about d = v - v0, c = quad u0^2 + Re log H(u0)
+    k = 0.5 / ctx.norm_h_sq
+    b = 2.0 * k * lam.sqrt * ctx.pair_ha
+    c0 = lam.sqrt * u0 - ctx.pair_ha
+    c = quad * u0 * u0 - k * (c0 * c0).real
+    out += ((quad - k * lam.value) * (u + u0) + b) * np.subtract(v, v0, dtype=float) + c
     return out
