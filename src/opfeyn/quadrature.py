@@ -157,7 +157,7 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     accepted_err = 0.0
     n_eval = 0
     converged = False
-    step = 1  # panels per integrand call until the family size is known
+    step = MIN_PANELS  # panels per integrand call until the family size is known
     for rounds in range(1, MAX_ROUNDS + 1):
         width = b - a
         (kron, est, resabs, fmax), step = _panel_sums(f, a, b, step)

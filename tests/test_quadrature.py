@@ -6,7 +6,7 @@ from scipy import integrate
 
 from opfeyn import quadrature
 from opfeyn.quadrature import (CHUNK_BYTES, GK_GAUSS, GK_KRONROD, GK_NODES,
-                               PHASE_CAP, PHASE_STEP, LogBound,
+                               MIN_PANELS, PHASE_CAP, PHASE_STEP, LogBound,
                                adaptive_simpson, phase_breakpoints,
                                quadratic_tail_bound)
 
@@ -87,6 +87,20 @@ def test_rounds_are_counted_and_memory_is_chunked():
     needle = adaptive_simpson(as_family(lambda v: np.exp(-1e4 * (v - 0.5) ** 2)),
                               0.0, 1.0, breakpoints=[0.5])
     assert needle.converged and needle.rounds > 1
+
+
+def test_a_smallest_partition_takes_one_integrand_call():
+    # before the family size is known the first call takes MIN_PANELS
+    # panels, so an integral that converges on them costs one call
+    calls = []
+
+    def f(v):
+        calls.append(v.size)
+        return np.exp(-v * v)[None, :]
+
+    res = adaptive_simpson(f, -1.0, 1.0)
+    assert res.converged and res.rounds == 1
+    assert calls == [MIN_PANELS * GK_NODES.size]
 
 
 def test_phase_breakpoints_spacing():
