@@ -216,7 +216,7 @@ def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
     n, len(v)) for a column ``xi`` of n points.  ``lin`` and ``const`` are
     ``vl_coeffs`` for a direction; an integrated gaussian line family also
     carries the shared u^2 coefficient ``quad``.  ``centre`` is v0 per
-    point, shaped like ``xi`` (``xi`` when not given, where log H is real):
+    point, shaped like ``xi`` (``xi`` when not given; log H(0) is real):
     the terms in u^2 are summed in powers of v - v0, so the phase left out,
     which grows like |lam| (v0 - xi)^2, is not rounded into every node; the
     caller multiplies the integral by its exponential.  The exponent is
