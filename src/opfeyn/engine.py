@@ -260,59 +260,56 @@ def _row_probe(lam: LambdaParam, ctx: KernelContext, psi: PsiFn, groups,
 
 def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
                     psi: PsiFn, groups):
-    """Flatten the spectral measure into kernel rows.
+    """Flatten the spectral measure into kernel rows, each one gaussian
+    piece coef * N(mean, var) of the line along a direction.
 
     Returns (weights, lin, const, quad, amp): row r of the kernel is
     weights[r] exp(lin[r] u + const[r] + quad u^2) times H(u), and amp
     bounds the modulus of the rows' sum by exp(Re log H) (the tail
-    amplitude).  Atoms and discrete line measures give one row per node
-    with quad = 0; a line density takes the nodes that resolve the rows'
-    effect on the integral of psi at every point of the ``(xs, cuts)``
-    groups (``_row_probe``).  A gaussian line measure scale * N(m, var)
-    along w0 is integrated over its coordinate s in closed form, as one
-    row: node s contributes exp(A s + B s^2) with A = i lam^{-1/2} a0 +
-    lin0 u and B = const0, where (lin0, const0) = vl_coeffs of w0 and a0
-    its residual drift pairing, and the gaussian mean of that is
-    kappa^{-1/2} exp((A m + B m^2 + A^2 var / 2) / kappa), kappa = 1 -
-    2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
-    principal root is the continuous branch, on the boundary too.
+    amplitude).  Coordinate s of the line contributes exp(A s + B s^2)
+    with A = i lam^{-1/2} a_resid + lin0 u and B = const0, where (lin0,
+    const0) = vl_coeffs of the direction, and its gaussian mean is
+    kappa^{-1/2} exp((A mean + B mean^2 + A^2 var / 2) / kappa), kappa =
+    1 - 2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
+    principal root is the continuous branch, on the boundary too; amp is
+    the sum of |coef| E exp(Re A s).  An atom is the piece at mean 1, var
+    0 on its own direction.  A node v of a discrete line measure or a line
+    density is the piece at mean v, var 0 on w0, a density taking the
+    nodes that resolve the rows' effect on the integral of psi at every
+    point of the ``(xs, cuts)`` groups (``_row_probe``).  A gaussian line
+    measure is one piece, the only one with var > 0, so quad is one number.
     """
+    def pieces(coef, dirs, mean, var):
+        c_hw, norm_sq, a_resid = dirs
+        lin0, b = vl_coeffs(lam, c_hw, norm_sq, ctx)
+        alpha = 1j * lam.inv_sqrt * a_resid
+        kappa = 1.0 - 2.0 * b * var
+        lin = lin0 * (mean + alpha * var) / kappa
+        const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
+        quad = 0.5 * lin0 * lin0 * var / kappa if var else 0.0
+        r = -lam.inv_sqrt.imag * a_resid
+        amp = float(np.abs(coef) @ np.exp(r * mean + 0.5 * r * r * var))
+        return coef / np.sqrt(kappa), lin, const, quad, amp
+
     m = F.measure
     if isinstance(m, AtomicMeasure):
         stats = [DirectionStats.from_elements(ctx, w) for _, w in m.atoms]
-        coefs = np.array([c for c, _ in m.atoms], dtype=complex)
-        weights = coefs * np.exp(1j * lam.inv_sqrt * np.array([s.a_resid for s in stats]))
-        lin, const = vl_coeffs(lam, np.array([s.c_hw for s in stats]),
-                               np.array([s.norm_sq for s in stats]), ctx)
-        return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
+        dirs = np.array([(s.c_hw, s.norm_sq, s.a_resid) for s in stats]).reshape(-1, 3).T
+        return pieces(np.array([c for c, _ in m.atoms], dtype=complex), dirs, 1.0, 0.0)
     s0 = DirectionStats.from_elements(ctx, m.w0)
-    eta = m.eta
+    dirs, eta = (s0.c_hw, s0.norm_sq, s0.a_resid), m.eta
     if isinstance(eta, EtaGaussian):
-        lin0, b = vl_coeffs(lam, s0.c_hw, s0.norm_sq, ctx)
-        alpha = 1j * lam.inv_sqrt * s0.a_resid
-        mean, var = eta.mean, eta.var
-        kappa = 1.0 - 2.0 * b * var
-        weight = eta.scale / cmath.sqrt(kappa)
-        lin = lin0 * (mean + alpha * var) / kappa
-        const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
-        quad = 0.5 * lin0 * lin0 * var / kappa
-        r = -lam.inv_sqrt.imag * s0.a_resid
-        amp = abs(eta.scale) * math.exp(r * mean + 0.5 * r * r * var)
-        return (np.array([weight]), np.array([lin]), np.array([const]),
-                quad, amp)
-
-    def rows(v, coefs):
-        weights = coefs * np.exp(1j * lam.inv_sqrt * (v * s0.a_resid))
-        return (weights,) + vl_coeffs(lam, v * s0.c_hw, v * v * s0.norm_sq, ctx)
+        return pieces(np.array([eta.scale], dtype=complex), dirs,
+                      np.array([eta.mean]), eta.var)
 
     def row_sum_terms(v, coefs):
         # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
-        weights, lin, const = rows(v, coefs)
+        weights, lin, const, _, _ = pieces(coefs, dirs, v, 0.0)
         return lin.imag, weights * np.exp(const)
 
-    weights, lin, const = rows(*eta.points(_row_probe(
-        lam, ctx, psi, groups, abs(s0.c_hw) / ctx.norm_h_sq, row_sum_terms)))
-    return weights, lin, const, 0.0, float(np.sum(np.abs(weights)))
+    v, coefs = eta.points(_row_probe(
+        lam, ctx, psi, groups, abs(s0.c_hw) / ctx.norm_h_sq, row_sum_terms))
+    return pieces(coefs, dirs, v, 0.0)
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,

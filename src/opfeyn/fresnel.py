@@ -136,15 +136,17 @@ class EtaAtoms(_WeightedPoints):
 
 @dataclass(frozen=True)
 class EtaGaussian:
-    """scale * N(mean, var) with var > 0; its transform is an explicit gaussian."""
+    """scale * N(mean, var) with finite mean and 0 < var < inf; its
+    transform is an explicit gaussian."""
 
     mean: float
     var: float
     scale: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise BadConfig("gaussian line measure needs var > 0")
+        if not (math.isfinite(self.mean) and 0.0 < self.var < math.inf):
+            raise BadConfig(f"gaussian line measure needs a finite mean and finite "
+                            f"var > 0, got mean {self.mean}, var {self.var}")
 
     def hat(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -187,8 +189,8 @@ class EtaDensity(_WeightedPoints):
     envelope: Envelope | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise BadConfig("density radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise BadConfig(f"density radius must be positive and finite, got {self.radius}")
         if self.envelope is not None:
             tail = self.envelope.log_bound.tails(-self.radius, self.radius)
             if tail > UNDERFLOW_TOL * max(self.total_mass(), 1e-300):
@@ -353,7 +355,7 @@ def gallery(name: str, sp: ScalePair, *, w0: CambElement | None = None,
     """Named example functionals.
 
     F1: pushforward of a given eta along a given direction.
-    F2: F1 with a gaussian eta (needs mean and var > 0).
+    F2: F1 with a gaussian eta (needs a finite mean and 0 < var < inf).
     F3: gaussian line functional along the adjoint shift of b, giving
         exp{-(time integral of x against db)^2}.
     F4: unit atom at the adjoint shift of b, giving
@@ -366,8 +368,6 @@ def gallery(name: str, sp: ScalePair, *, w0: CambElement | None = None,
     if name == "F2":
         if w0 is None or mean is None or var is None:
             raise BadConfig("F2 needs w0, mean and var")
-        if var <= 0:
-            raise BadConfig("F2 needs var > 0; the degenerate limit is excluded")
         return FresnelFunctional(
             measure=LineMeasure(w0=w0, eta=EtaGaussian(mean=mean, var=var)),
             label="F2")

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from opfeyn import (ArgOutOfRange, BadConfig, DirectionStats, Envelope,
-                    EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
+from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
+                    Envelope, EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
                     KernelContext, KernelOverflow, LambdaParam, LineMeasure,
                     NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
                     SequenceLeavesRegion,
-                    b_element, bump_psi,
+                    a_unit_element, b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
                     divergence_witness_partial, divergence_witness_psi,
                     drifted_pair, gallery,
@@ -796,14 +796,18 @@ def _gaussian_lines(sp):
 
 
 def _analytic_row(F, lam, h):
+    """(ctx, row sum at u, amp) of F's kernel family, whatever its rows."""
     ctx = KernelContext.from_direction(h)
     weights, lin, const, quad, amp = _measure_family(F, lam, ctx, gaussian_psi(), [])
-    assert weights.size == 1
 
     def row(u):
-        return weights[0] * np.exp(lin[0] * u + const[0] + quad * u * u)
+        return weights @ np.exp(np.multiply.outer(lin, u) + const[:, None] + quad * u * u)
 
     return ctx, row, amp
+
+
+# a discrete line on s*(b), where a_resid != 0 for h = b
+LINE_ATOMS = ((-1.2, 0.6 + 0.1j), (0.4, -0.3 + 0.5j), (1.7, 0.25 - 0.2j))
 
 
 ROW_LAMBDAS = (1.0, 0.8 + 0.6j, 0.3 - 1.2j, -1.1j, 1.3j)
@@ -831,11 +835,38 @@ def test_gaussian_row_matches_inline_hermite_rows(drifted, lam_value):
 
 @pytest.mark.parametrize("lam_value", ROW_LAMBDAS)
 def test_gaussian_row_amp_bounds_the_row(drifted, lam_value):
+    # every kind of row: gaussian lines, atoms, a discrete line and a density
     lam = LambdaParam.from_value(lam_value)
     u = np.linspace(-30.0, 30.0, 2001)
-    for _, F, h in _gaussian_lines(drifted):
+    h = b_element(drifted)
+    w0 = s_star(h)
+    two_atoms = FresnelFunctional(measure=AtomicMeasure(
+        sp=drifted, atoms=((0.7 - 0.2j, w0), (-0.4 + 0.5j, a_unit_element(drifted)))))
+    others = [("F4", gallery("F4", drifted), h),
+              ("two_atoms", two_atoms, h),
+              ("line_atoms", gallery("F1", drifted, w0=w0, eta=EtaAtoms(LINE_ATOMS)), h),
+              ("density", _sweep_density(drifted), h)]
+    for label, F, h in _gaussian_lines(drifted) + others:
         _, row, amp = _analytic_row(F, lam, h)
-        assert np.max(np.abs(row(u))) <= amp * (1.0 + 1e-12)
+        assert np.max(np.abs(row(u))) <= amp * (1.0 + 1e-12), label
+
+
+def test_line_atoms_match_the_atoms_on_their_scaled_directions(drifted):
+    # a node v of a discrete line on w0 and an atom on v * w0 are the same
+    # kernel row, reached through the two inputs of the one row formula
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-2.0, 2.0, 5)
+    w0 = s_star(h)
+    assert DirectionStats.from_elements(KernelContext.from_direction(h), w0).a_resid != 0.0
+    line = gallery("F1", drifted, w0=w0, eta=EtaAtoms(LINE_ATOMS))
+    atoms = FresnelFunctional(measure=AtomicMeasure(
+        sp=drifted, atoms=tuple((c, w0.scaled(v)) for v, c in LINE_ATOMS)))
+    runs = [lambda F, lam=lam: k_lambda(F, h, psi, lam, xi)
+            for lam in (1.0, 0.8 + 0.6j, 0.3 - 1.2j)]
+    runs += [lambda F, q=q: j_q(F, h, psi, q, xi, delta=0.5) for q in (1.5, -3.0)]
+    for run in runs:
+        a, b = run(line), run(atoms)
+        assert np.all(np.abs(a.values - b.values)
+                      <= a.meta["quad_err"] + b.meta["quad_err"])
 
 
 @pytest.mark.parametrize("lam_value", (1.0, 0.8 + 0.6j, -1.1j))

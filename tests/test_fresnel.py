@@ -36,6 +36,21 @@ def test_eta_gaussian_hat_oracle():
         EtaGaussian(mean=0.0, var=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EtaGaussian(mean=0.0, var=math.nan),
+    lambda: EtaGaussian(mean=0.0, var=math.inf),
+    lambda: EtaGaussian(mean=math.nan, var=1.0),
+    lambda: EtaGaussian(mean=math.inf, var=1.0),
+    lambda: EtaDensity(fn=np.exp, radius=math.nan),
+    lambda: EtaDensity(fn=np.exp, radius=math.inf),
+], ids=["var-nan", "var-inf", "mean-nan", "mean-inf", "radius-nan", "radius-inf"])
+def test_line_measures_reject_non_finite_parameters(build):
+    # unchecked, they reach the kernel as a misleading KernelOverflow and
+    # the Monte Carlo route as a silent NaN (or 0 for var = inf)
+    with pytest.raises(BadConfig):
+        build()
+
+
 def test_eta_gaussian_exp_moment_vs_quad():
     eta = EtaGaussian(mean=0.4, var=1.3, scale=2.0)
     for mu in (0.0, 0.5, 1.7):
