@@ -15,8 +15,7 @@ from .errors import (ArgOutOfRange, BadConfig, ConfigError, InfiniteDrift,
                      NotInFq0, OpfeynError, OutOfDomain, PsiNotIntegrable,
                      QuadratureError, SequenceLeavesRegion, UnknownExample,
                      UnsupportedVariant, ZeroDirection, ZeroLambda)
-from .scale import (ScalePair, ValidationReport, drifted_pair, preset_scale,
-                    wiener_pair)
+from .scale import ScalePair, drifted_pair, preset_scale, wiener_pair
 from .hilbert import (CambElement, a_element, a_unit_element, b_element,
                       combine, from_density, inner, monomial_element,
                       pair_with_a, preset_direction, s_star, zero_element)

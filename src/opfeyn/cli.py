@@ -123,15 +123,15 @@ class _Printer:
 
 def cmd_validate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     # the config built every object, so the scale pair passed its checks
-    report = cfg.scale.validation_report()
-    for line in report.lines():
-        say.info("  " + line)
+    checks = cfg.scale.validation_report()
+    for c in checks:
+        say.info(f"  PASS  {c.name:<22} {c.value:.6g}  {c.message}")
     labels = {"scale": cfg.scale.name, "h": cfg.h.label, "F": cfg.F.label,
               "psi": cfg.psi.label}
     say.info("  built " + " ".join(f"{k}={v}" for k, v in labels.items()))
     say.line("validate: PASS")
     summary = {"ok": True,
-               "checks": {c.name: c.passed for c in report.checks}, **labels}
+               "checks": {c.name: c.passed for c in checks}, **labels}
     return EXIT_OK, summary, []
 
 
@@ -168,6 +168,15 @@ def mc_z_scores(values: np.ndarray, mc: OperatorResult) -> np.ndarray:
                      where=mc.stderr > 0.0)
 
 
+def _evaluate_rows(res: OperatorResult, lam: complex) -> list[list[str]]:
+    """The evaluate.csv rows of one route's result at lam; the stderr cell
+    is empty on the analytic routes."""
+    se = ([""] * res.values.size if res.stderr is None
+          else [_fmt(e) for e in res.stderr])
+    return [[res.route, _fmt(lam.real), _fmt(lam.imag), _fmt(x), _fmt(v.real),
+             _fmt(v.imag), e] for x, v, e in zip(res.xi_grid, res.values, se)]
+
+
 def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     F, h, psi, xi = cfg.F, cfg.h, cfg.psi, cfg.xi_grid
     rows = []
@@ -175,19 +184,13 @@ def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     per_lambda = []
     for i, lam in enumerate(cfg.lambdas):
         kern = k_lambda(F, h, psi, lam, xi, q0=cfg.q0, delta=cfg.delta)
-        for j in range(xi.size):
-            rows.append(["kernel", _fmt(lam.real), _fmt(lam.imag), _fmt(xi[j]),
-                         _fmt(kern.values[j].real), _fmt(kern.values[j].imag),
-                         ""])
+        rows += _evaluate_rows(kern, lam)
         entry = {"lambda": lam, "sup_abs": float(np.max(np.abs(kern.values)))}
         if lam.imag == 0.0 and lam.real > 0.0:
             mc = i_lambda_mc(F, h, psi, lam.real, xi, cfg.n_paths,
                              RngStream(seed=seed, stream_id=i + 1),
                              path_grid=cfg.path_grid)
-            for j in range(xi.size):
-                rows.append(["mc", _fmt(lam.real), _fmt(lam.imag), _fmt(xi[j]),
-                             _fmt(mc.values[j].real), _fmt(mc.values[j].imag),
-                             _fmt(mc.stderr[j])])
+            rows += _evaluate_rows(mc, lam)
             z = float(np.max(mc_z_scores(kern.values, mc)))
             z_max = z if z_max is None else max(z_max, z)
             entry["max_z"] = z
@@ -199,10 +202,7 @@ def cmd_evaluate(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     if cfg.q is not None:
         bnd = j_q(F, h, psi, cfg.q, xi, q0=cfg.q0, delta=cfg.delta)
         lam = complex(0.0, -cfg.q)
-        for j in range(xi.size):
-            rows.append(["boundary", _fmt(lam.real), _fmt(lam.imag),
-                         _fmt(xi[j]), _fmt(bnd.values[j].real),
-                         _fmt(bnd.values[j].imag), ""])
+        rows += _evaluate_rows(bnd, lam)
         say.info(f"  q={cfg.q:g}: sup|K| = {np.max(np.abs(bnd.values)):.6g}")
         per_lambda.append({"lambda": lam,
                            "sup_abs": float(np.max(np.abs(bnd.values)))})

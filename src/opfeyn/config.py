@@ -34,6 +34,10 @@ _XI_KEYS = {"min", "max", "count"}
 _TOP_KEYS = {"scale", "h", "F", "psi", "lambdas", "q", "q0", "delta",
              "n_paths", "path_grid", "seed", "xi_grid", "out_dir",
              "sample_count", "converge_steps", "bound_tuples"}
+# the integer settings: (default, least value)
+_COUNTS = {"n_paths": (100000, 2), "path_grid": (1024, 1), "seed": (12345, 0),
+           "sample_count": (8, 1), "converge_steps": (10, 1),
+           "bound_tuples": (10000, 1)}
 
 
 def _check_keys(d: dict, allowed: set, where: str,
@@ -217,15 +221,11 @@ def config_from_dict(d: dict) -> RunConfig:
     with _building("delta"):
         require_delta(delta)
 
-    n_paths = _num(d, "n_paths", "config", default=100000, integer=True)
-    path_grid = _num(d, "path_grid", "config", default=1024, integer=True)
-    seed = _num(d, "seed", "config", default=12345, integer=True)
-    if seed < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {seed}")
-    if n_paths < 2:
-        raise ConfigError("n_paths: need at least 2 paths")
-    if path_grid < 1:
-        raise ConfigError("path_grid: need at least 1 step")
+    counts = {}
+    for key, (default, least) in _COUNTS.items():
+        v = counts[key] = _num(d, key, "config", default=default, integer=True)
+        if v < least:
+            raise ConfigError(f"{key}: must be at least {least}, got {v}")
 
     xi = d.get("xi_grid", {"min": -2.0, "max": 2.0, "count": 5})
     _check_keys(xi, _XI_KEYS, "xi_grid")
@@ -239,22 +239,10 @@ def config_from_dict(d: dict) -> RunConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir: expected a string path")
 
-    sample_count = _num(d, "sample_count", "config", default=8, integer=True)
-    converge_steps = _num(d, "converge_steps", "config", default=10, integer=True)
-    bound_tuples = _num(d, "bound_tuples", "config", default=10000, integer=True)
-    if sample_count < 1:
-        raise ConfigError("sample_count: must be positive")
-    if converge_steps < 1:
-        raise ConfigError("converge_steps: must be positive")
-    if bound_tuples < 1:
-        raise ConfigError("bound_tuples: must be positive")
-
     return RunConfig(
         raw=d, scale=sp, h=h, F=F, psi=psi, lambdas=tuple(lambdas),
-        q=q, q0=q0, delta=delta, n_paths=n_paths, path_grid=path_grid,
-        seed=seed, xi_min=xi_min, xi_max=xi_max, xi_count=xi_count,
-        out_dir=out_dir, sample_count=sample_count,
-        converge_steps=converge_steps, bound_tuples=bound_tuples)
+        q=q, q0=q0, delta=delta, xi_min=xi_min, xi_max=xi_max,
+        xi_count=xi_count, out_dir=out_dir, **counts)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -199,10 +199,13 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
 # kernel route
 # ---------------------------------------------------------------------------
 
-def _require_kernel_admissible(F: FresnelFunctional, lam: LambdaParam,
-                               q0: float) -> float:
-    """Check lam against the admissible region for threshold q0 and F
-    against the exponential-moment condition; return F's moment integral."""
+def _require_kernel_admissible(F: FresnelFunctional, h: CambElement,
+                               lam: LambdaParam, q0: float) -> float:
+    """Check that F and h share a scale pair, lam against the admissible
+    region for threshold q0 and F against the exponential-moment
+    condition; return F's moment integral."""
+    if F.sp is not h.sp:
+        raise MismatchedScalePair("functional and base direction share no scale pair")
     if not lam.in_gamma(q0):
         raise NotAdmissible(
             f"lambda = {lam.value} lies outside the admissible region for q0 = {q0}")
@@ -331,9 +334,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     1 for a gaussian line measure, the resolved node count for a density.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
-    if F.sp is not h.sp:
-        raise MismatchedScalePair("functional and base direction share no scale pair")
-    kq0 = _require_kernel_admissible(F, lam, q0)
+    kq0 = _require_kernel_admissible(F, h, lam, q0)
     var_a = h.sp.var_a
     if not lam.is_interior and var_a > 0.0:
         if delta is None:
@@ -476,7 +477,7 @@ def op_norm_bound(F: FresnelFunctional, h: CambElement, lam, *,
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     ctx = KernelContext.from_direction(h)
-    kq0 = _require_kernel_admissible(F, lam, q0)
+    kq0 = _require_kernel_admissible(F, h, lam, q0)
     if not lam.is_interior and h.sp.var_a > 0.0:
         raise NotAdmissible(
             "the boundary operator-norm bound holds only without drift")
@@ -602,8 +603,6 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(977,))))
     gram, pair_a = _cubic_gram(sp)
-    ap = sp.aprime_nodes
-    norm_a = math.sqrt(float(np.dot(sp.weights, ap * ap / sp.bprime_nodes)))
     gh = gen.standard_normal((n_tuples, 4))
     gw = gen.standard_normal((n_tuples, 4))
     gh_gram = gh @ gram
@@ -634,7 +633,7 @@ def bound_chain_sweep(sp: ScalePair, n_tuples: int = 10000, *,
     slog = s_log(lam, pah, n2h)
     checks["h_vs_s"] = hlog - slog - slack * (1.0 + np.abs(slog))
     alog = a_abs_log(lam, a_resid)
-    klog = k_log(q0, np.sqrt(np.maximum(n2w, 0.0)), norm_a)
+    klog = k_log(q0, np.sqrt(np.maximum(n2w, 0.0)), sp.norm_a)
     checks["a_vs_k"] = alog - klog - slack * (1.0 + np.abs(klog))
     checks["region_membership"] = gamma_margin(lam, q0)
 
@@ -653,8 +652,9 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     """
     alpha = complex(alpha)
     beta = complex(beta)
-    if alpha.real <= 0.0:
-        raise BadConfig("gaussian identity needs Re(alpha) > 0")
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta) and alpha.real > 0.0):
+        raise BadConfig(f"gaussian identity needs finite alpha and beta with "
+                        f"Re(alpha) > 0, got {alpha} and {beta}")
     closed = cmath.sqrt(math.pi / alpha) * np.exp(beta * beta / (4.0 * alpha))
     # log|integrand| = -Re(alpha) v^2 + Re(beta) v; breakpoints follow the
     # phase -Im(alpha) v^2 + Im(beta) v, whose stationary point is

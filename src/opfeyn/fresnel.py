@@ -19,8 +19,7 @@ import numpy as np
 from .errors import (BadConfig, KernelOverflow, MeasureUnderflow,
                      MismatchedScalePair, QuadratureError, UnknownExample,
                      UnsupportedVariant)
-from .hilbert import (CambElement, a_element, b_element, combine, s_star,
-                      zero_element)
+from .hilbert import CambElement, b_element, combine, s_star, zero_element
 from .kernels import require_threshold
 from .psi import Envelope
 from .quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES
@@ -311,7 +310,7 @@ def kq0_integral(F: FresnelFunctional, q0: float) -> float:
     """
     require_threshold(q0)
     m = F.measure
-    norm_a = a_element(m.sp).norm
+    norm_a = m.sp.norm_a
     inv = 1.0 / math.sqrt(2.0 * q0)
     try:
         if isinstance(m, AtomicMeasure):

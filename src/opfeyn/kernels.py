@@ -40,9 +40,9 @@ class LambdaParam:
         value = complex(value)
         if value == 0:
             raise ZeroLambda("kernel parameter must be nonzero")
-        if value.real < 0.0:
-            raise ArgOutOfRange(
-                f"kernel parameter must have nonnegative real part, got {value}")
+        if not cmath.isfinite(value) or value.real < 0.0:
+            raise ArgOutOfRange(f"kernel parameter must be finite with "
+                                f"nonnegative real part, got {value}")
         # the principal root, Re >= 0; its cut on the negative axis lies
         # outside the closed right half plane checked above
         s = cmath.sqrt(value)

@@ -76,9 +76,10 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
     n_steps = int(rate * (reach * reach) / PHASE_STEP)
     if n_steps < 4:
         return None
-    # every stride-th offset only, so memory stays bounded by PHASE_CAP
+    # every stride-th offset only, so memory stays bounded by PHASE_CAP; in
+    # floats, since past 2^63 an integer arange holds Python ints
     stride = n_steps // PHASE_CAP + 1 if n_steps > PHASE_CAP else 1
-    us = np.sqrt(np.arange(1, n_steps + 1, stride) * PHASE_STEP / rate)
+    us = np.sqrt(np.arange(1, n_steps + 1, stride, dtype=float) * PHASE_STEP / rate)
     far = us[us > 0.5 * (c_hi - c_lo)]  # offsets reaching past the midpoint
     pts = np.concatenate([c_hi - far[::-1], c_lo + far])
     pts = pts[(pts > lo) & (pts < hi)]

@@ -14,6 +14,7 @@ positive-weight discretization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -50,27 +51,6 @@ class ConditionCheck:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{'PASS' if c.passed else 'FAIL'}  {c.name:<22} {c.value:.6g}  {c.message}"
-            for c in self.checks
-        ]
-
-
-@dataclass(frozen=True)
 class ScalePair:
     """Drift ``a`` and variance ``b`` on [0, T], with derivative closures.
 
@@ -92,7 +72,7 @@ class ScalePair:
             raise OutOfDomain(f"horizon T must be positive, got {self.T}")
         if self.grid_n < 2 or self.grid_n % 2:
             raise ValueError("grid_n must be even and at least 2")
-        for check in self.validation_report().checks:
+        for check in self.validation_report():
             if not check.passed:
                 raise check.error(f"{check.name} fails ({check.value:.6g}): "
                                   f"{check.message}")
@@ -121,9 +101,15 @@ class ScalePair:
         """Total variation of the drift over [0, T]."""
         return float(np.dot(self.weights, np.abs(self.aprime_nodes)))
 
+    @cached_property
+    def norm_a(self) -> float:
+        """Norm of the drift as a direction: the root of the integral of (a'/b')^2 db."""
+        ap = self.aprime_nodes
+        return math.sqrt(float(np.dot(self.weights, ap * ap / self.bprime_nodes)))
+
     # -- validation ----------------------------------------------------------
 
-    def validation_report(self) -> ValidationReport:
+    def validation_report(self) -> tuple[ConditionCheck, ...]:
         """The pair's conditions on its grid, each with its value."""
         a0 = float(np.asarray(self.a(np.array([0.0])))[0])
         b0 = float(np.asarray(self.b(np.array([0.0])))[0])
@@ -131,7 +117,7 @@ class ScalePair:
         # drift energy: integral of |a'|^2 against d|a|; inf when it overflows
         with np.errstate(over="ignore"):
             energy = float(np.dot(self.weights, np.abs(self.aprime_nodes) ** 3))
-        return ValidationReport((
+        return (
             ConditionCheck(
                 "origin_a", abs(a0) <= ORIGIN_TOL, a0,
                 f"|a(0)| = {abs(a0):.3g} (tol {ORIGIN_TOL:g})", NonzeroOrigin),
@@ -147,7 +133,7 @@ class ScalePair:
             ConditionCheck(
                 "drift_variation_finite", np.isfinite(self.var_a), self.var_a,
                 "total variation of a over [0, T]", InfiniteDrift),
-        ))
+        )
 
 
 def eval_on(fn, t: np.ndarray) -> np.ndarray:

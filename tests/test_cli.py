@@ -344,3 +344,13 @@ def test_kernel_exponent_past_the_float_range_exits_4_before_any_exp_overflows(
     with np.errstate(over="raise", invalid="raise"):
         assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
     assert "numeric failure: KernelOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [1e12, 1e300], ids=str)
+def test_boundary_past_the_integer_phase_range_exits_4(tmp_path, capsys, q):
+    # the half-period breakpoint count passes 2^63; counted as integers it
+    # gave an object array that np.sqrt rejected with a TypeError
+    cfg = write_config(tmp_path, scale=_DRIFTED, F="F4", lambdas=[], q=q,
+                       delta=0.5)
+    assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
+    assert "numeric failure: " in capsys.readouterr().err

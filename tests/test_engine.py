@@ -10,7 +10,7 @@ from scipy import integrate, special
 from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     Envelope, EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
                     KernelContext, KernelOverflow, LambdaParam, LineMeasure,
-                    NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
+                    MismatchedScalePair, NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
                     SequenceLeavesRegion,
                     a_unit_element, b_element, bump_psi,
@@ -715,13 +715,25 @@ def _f4_at_b(sp):
     (lambda sp: divergence_witness_partial(sp, math.inf), BadConfig),
     (lambda sp: divergence_witness_partial(sp, math.nan), BadConfig),
     (lambda sp: bound_chain_sweep(sp, 0), BadConfig),
+    (lambda sp: gaussian_identity_check(math.nan, 0.0), BadConfig),
+    (lambda sp: gaussian_identity_check(math.inf, 0.0), BadConfig),
+    (lambda sp: k_lambda(*_f4_at_b(sp), math.inf, [0.0]), ArgOutOfRange),
+    (lambda sp: k_lambda(*_f4_at_b(sp), math.nan, [0.0]), ArgOutOfRange),
+    (lambda sp: j_q(*_f4_at_b(sp), math.nan, [0.0], delta=0.5), ArgOutOfRange),
+    (lambda sp: op_norm_bound(gallery("F4", sp), b_element(sp), math.inf),
+     ArgOutOfRange),
+    (lambda sp: op_norm_bound(gallery("F4", drifted_pair(0.3, 0.5)),
+                              b_element(sp), 1.0), MismatchedScalePair),
 ], ids=["mc_nan_lambda", "mc_zero_paths", "mc_negative_paths",
         "kernel_negative_delta", "boundary_nan_delta", "norm_negative_delta",
         "norm_nan_delta", "witness_infinite_R", "witness_nan_R",
-        "sweep_zero_tuples"])
+        "sweep_zero_tuples", "identity_nan_alpha", "identity_infinite_alpha",
+        "kernel_infinite_lambda", "kernel_nan_lambda", "boundary_nan_q",
+        "op_norm_infinite_lambda", "op_norm_mismatched_pair"])
 def test_library_entry_points_raise_typed_errors(drifted, call, error):
     # each value passed a bare comparison before, and gave NaN or zero
-    # values or an untyped numpy or math error instead of an OpfeynError
+    # values, a value over two scale pairs, another typed error or an
+    # untyped numpy or math error instead of the OpfeynError named
     with pytest.raises(error):
         call(drifted)
 
