@@ -108,6 +108,16 @@ def test_numeric_field_checks():
         config_from_dict(minimal(out_dir=7))
 
 
+@pytest.mark.parametrize("key, least", [
+    ("n_paths", 2), ("path_grid", 1), ("seed", 0), ("sample_count", 1),
+    ("converge_steps", 1), ("bound_tuples", 1)])
+def test_integer_settings_take_one_least_value_rule(key, least):
+    with pytest.raises(ConfigError, match=f"^{key}: must be at least {least}, "
+                                          f"got {least - 1}$"):
+        config_from_dict(minimal(**{key: least - 1}))
+    assert getattr(config_from_dict(minimal(**{key: least})), key) == least
+
+
 def test_non_finite_numbers_rejected():
     # JSON's NaN and Infinity parse as floats; no field accepts them
     for over in ({"delta": float("nan")}, {"n_paths": float("inf")},
