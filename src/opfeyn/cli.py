@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_from_dict, load_config
+from .config import RunConfig, check_count, config_from_dict, load_config
 from .engine import (OperatorResult, bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, nu_delta_norm,
@@ -394,9 +394,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = config_from_dict(dict(_DEFAULT_CONFIG))
-        seed = args.seed if args.seed is not None else cfg.seed
-        if seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {seed}")
+        seed = cfg.seed if args.seed is None else check_count("seed", args.seed)
         out = _resolve_out(args.out, cfg)
         code, summary, outputs = _COMMANDS[args.command](cfg, seed, out, say)
         _write_manifest(out, args.command, cfg, seed, summary, outputs,

@@ -40,6 +40,13 @@ _COUNTS = {"n_paths": (100000, 2), "path_grid": (1024, 1), "seed": (12345, 0),
            "bound_tuples": (10000, 1)}
 
 
+def check_count(key: str, value: int) -> int:
+    """The integer setting ``key`` at ``value``, or ConfigError below its least value."""
+    if value < _COUNTS[key][1]:
+        raise ConfigError(f"{key}: must be at least {_COUNTS[key][1]}, got {value}")
+    return value
+
+
 def _check_keys(d: dict, allowed: set, where: str,
                 required: str | None = None) -> None:
     if not isinstance(d, dict):
@@ -221,11 +228,8 @@ def config_from_dict(d: dict) -> RunConfig:
     with _building("delta"):
         require_delta(delta)
 
-    counts = {}
-    for key, (default, least) in _COUNTS.items():
-        v = counts[key] = _num(d, key, "config", default=default, integer=True)
-        if v < least:
-            raise ConfigError(f"{key}: must be at least {least}, got {v}")
+    counts = {key: check_count(key, _num(d, key, "config", default=default, integer=True))
+              for key, (default, _) in _COUNTS.items()}
 
     xi = d.get("xi_grid", {"min": -2.0, "max": 2.0, "count": 5})
     _check_keys(xi, _XI_KEYS, "xi_grid")

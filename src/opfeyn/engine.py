@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
                      NonPositiveLambda, NotAdmissible, NotInFq0,
-                     PsiNotIntegrable, QuadratureError, SequenceLeavesRegion)
-from .fresnel import (AtomicMeasure, EtaGaussian, FresnelFunctional,
-                      eval_from_projections, grid_fourier_sum, kq0_integral,
-                      probe_grid, unit_functional)
+                     PsiNotIntegrable, QuadratureError, SequenceLeavesRegion,
+                     UnsupportedVariant)
+from .fresnel import (FresnelFunctional, eval_from_projections,
+                      grid_fourier_sum, join, kq0_integral, probe_grid,
+                      unit_functional)
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
@@ -275,12 +276,11 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
     kappa^{-1/2} exp((A mean + B mean^2 + A^2 var / 2) / kappa), kappa =
     1 - 2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
     principal root is the continuous branch, on the boundary too; amp is
-    the sum of |coef| E exp(Re A s).  An atom is the piece at mean 1, var
-    0 on its own direction.  A node v of a discrete line measure or a line
-    density is the piece at mean v, var 0 on w0, a density taking the
-    nodes that resolve the rows' effect on the integral of psi at every
-    point of the ``(xs, cuts)`` groups (``_row_probe``).  A gaussian line
-    measure is one piece, the only one with var > 0, so quad is one number.
+    the sum of |coef| E exp(Re A s).  Each line gives its pieces on its
+    own direction, a density those that resolve the rows' effect on the
+    integral of psi at every point of the ``(xs, cuts)`` groups
+    (``_row_probe``).  quad is one number, so a piece of var > 0 must be
+    the measure's only piece, else UnsupportedVariant.
     """
     def pieces(coef, dirs, mean, var):
         c_hw, norm_sq, a_resid = dirs
@@ -289,30 +289,29 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
         kappa = 1.0 - 2.0 * b * var
         lin = lin0 * (mean + alpha * var) / kappa
         const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
-        quad = 0.5 * lin0 * lin0 * var / kappa if var else 0.0
+        quad = (0.5 * lin0 * lin0 * var / kappa).item() if np.any(var) else 0.0
         r = -lam.inv_sqrt.imag * a_resid
         amp = float(np.abs(coef) @ np.exp(r * mean + 0.5 * r * r * var))
         return coef / np.sqrt(kappa), lin, const, quad, amp
 
-    m = F.measure
-    if isinstance(m, AtomicMeasure):
-        stats = [DirectionStats.from_elements(ctx, w) for _, w in m.atoms]
-        dirs = np.array([(s.c_hw, s.norm_sq, s.a_resid) for s in stats]).reshape(-1, 3).T
-        return pieces(np.array([c for c, _ in m.atoms], dtype=complex), dirs, 1.0, 0.0)
-    s0 = DirectionStats.from_elements(ctx, m.w0)
-    dirs, eta = (s0.c_hw, s0.norm_sq, s0.a_resid), m.eta
-    if isinstance(eta, EtaGaussian):
-        return pieces(np.array([eta.scale], dtype=complex), dirs,
-                      np.array([eta.mean]), eta.var)
+    lines = []
+    for w, eta in F.measure.lines:
+        s = DirectionStats.from_elements(ctx, w)
+        dirs = (s.c_hw, s.norm_sq, s.a_resid)
 
-    def row_sum_terms(v, coefs):
-        # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
-        weights, lin, const, _, _ = pieces(coefs, dirs, v, 0.0)
-        return lin.imag, weights * np.exp(const)
+        def row_sum_terms(v, coefs, dirs=dirs):
+            # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
+            weights, lin, const, _, _ = pieces(coefs, dirs, v, 0.0)
+            return lin.imag, weights * np.exp(const)
 
-    v, coefs = eta.points(_row_probe(
-        lam, ctx, psi, groups, abs(s0.c_hw) / ctx.norm_h_sq, row_sum_terms))
-    return pieces(coefs, dirs, v, 0.0)
+        lines.append((dirs, eta.points(_row_probe(
+            lam, ctx, psi, groups, abs(s.c_hw) / ctx.norm_h_sq, row_sum_terms))))
+    col, coef, mean, var = join([p for _, p in lines])
+    if coef.size > 1 and np.any(var):
+        raise UnsupportedVariant(
+            "the kernel's u^2 coefficient is one number: a piece of var > 0 "
+            "must be the measure's only piece")
+    return pieces(coef, np.array([d for d, _ in lines])[col].T, mean, var)
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,

@@ -115,7 +115,6 @@ class DirectionStats:
 
     c_hw: float
     norm_sq: float
-    beta: float
     a_resid: float
 
     @classmethod
@@ -127,9 +126,9 @@ class DirectionStats:
         # the difference w2 - proj^2 carries cancellation noise of order
         # eps * w2, so parallelism must be decided on the squared scale
         if beta_sq < PARALLEL_TOL_SQ * max(w2, 1.0):
-            return cls(c_hw=c, norm_sq=w2, beta=0.0, a_resid=0.0)
-        a_resid = pair_with_a(w) - (c / ctx.norm_h_sq) * ctx.pair_ha
-        return cls(c_hw=c, norm_sq=w2, beta=math.sqrt(beta_sq), a_resid=a_resid)
+            return cls(c_hw=c, norm_sq=w2, a_resid=0.0)
+        return cls(c_hw=c, norm_sq=w2,
+                   a_resid=pair_with_a(w) - (c / ctx.norm_h_sq) * ctx.pair_ha)
 
 
 # ---------------------------------------------------------------------------

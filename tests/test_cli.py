@@ -178,7 +178,7 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for command in ("validate", "sample", "evaluate"):
         assert run(tmp_path, command, "--config", cfg, "--seed", "-3") == 2
-        assert "config error: seed: " in capsys.readouterr().err
+        assert "config error: seed: must be at least 0, got -3\n" in capsys.readouterr().err
 
 
 def test_zero_base_direction_exits_3(tmp_path, capsys):

@@ -12,7 +12,7 @@ from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     KernelContext, KernelOverflow, LambdaParam, LineMeasure,
                     MismatchedScalePair, NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
-                    SequenceLeavesRegion,
+                    SequenceLeavesRegion, UnsupportedVariant,
                     a_unit_element, b_element, bump_psi,
                     bound_chain_sweep, convergence_study,
                     divergence_witness_partial, divergence_witness_psi,
@@ -24,6 +24,7 @@ from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     unit_functional, unit_spot_check)
 from opfeyn import engine, quadrature
 from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
+from opfeyn.fresnel import LinePieces, SpectralMeasure
 from opfeyn.quadrature import GK_KRONROD, GK_NODES, LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -831,11 +832,12 @@ def test_gaussian_row_matches_inline_hermite_rows(drifted, lam_value):
     u = np.linspace(-3.0, 3.0, 61)
     for _, F, h in _gaussian_lines(drifted):
         ctx, row, _ = _analytic_row(F, lam, h)
-        eta, st = F.measure.eta, DirectionStats.from_elements(ctx, F.measure.w0)
+        (w0, eta), = F.measure.lines
+        st = DirectionStats.from_elements(ctx, w0)
         x, w = np.polynomial.hermite.hermgauss(64)
-        s = eta.mean + math.sqrt(2.0 * eta.var) * x
+        s = eta.mean[0] + math.sqrt(2.0 * eta.var[0]) * x
         n2 = ctx.norm_h_sq
-        coef = (eta.scale * w / math.sqrt(math.pi)
+        coef = (eta.coef[0] * w / math.sqrt(math.pi)
                 * np.exp(1j * lam.inv_sqrt * s * st.a_resid))
         vl = (1j * np.outer(s * st.c_hw / n2, u)
               + ((s * st.c_hw) ** 2 - n2 * s * s * st.norm_sq)[:, None]
@@ -889,15 +891,16 @@ def test_gaussian_row_matches_the_density_of_the_same_eta(drifted, lam_value):
     psi = gaussian_psi()
     xi = np.array([0.7])
     for (label, F0, h), scale in itertools.product(_gaussian_lines(drifted), (1.0, 8.0)):
-        eta = F0.measure.eta
-        sd = math.sqrt(eta.var)
+        (w0, eta), = F0.measure.lines
+        (c,), (mean,), (var,) = eta.coef, eta.mean, eta.var
+        sd = math.sqrt(var)
 
-        def pdf(v, eta=eta, sd=sd):
-            return (eta.scale * np.exp(-0.5 * ((v - eta.mean) / sd) ** 2)
+        def pdf(v, c=c, mean=mean, sd=sd):
+            return (c * np.exp(-0.5 * ((v - mean) / sd) ** 2)
                     / (sd * math.sqrt(2.0 * math.pi)))
 
-        density = EtaDensity(fn=pdf, radius=abs(eta.mean) + 12.0 * sd)
-        w0 = F0.measure.w0.scaled(scale)
+        density = EtaDensity(fn=pdf, radius=abs(mean) + 12.0 * sd)
+        w0 = w0.scaled(scale)
         F = gallery("F1", drifted, w0=w0, eta=eta)
         G = gallery("F1", drifted, w0=w0, eta=density)
         if lam_value.real == 0.0:
@@ -930,6 +933,40 @@ def test_kernel_rows_follow_the_frequency_reach(drifted):
         assert res.meta["rows"] == 1
 
 
+def test_kernel_of_a_sum_of_lines_is_the_sum_of_their_kernels(drifted):
+    # a density line on b, a discrete line and an atom on s*(b): one family
+    # of rows, each line's pieces on its own direction
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, 3)
+    density, w0 = _sweep_density(drifted), s_star(h)
+    lines = density.measure.lines + ((w0, EtaAtoms(LINE_ATOMS)),
+                                     (w0.scaled(0.5), EtaAtoms(((1.0, -0.7j),))))
+    F = FresnelFunctional(SpectralMeasure(drifted, lines))
+    parts = [FresnelFunctional(SpectralMeasure(drifted, (line,))) for line in lines]
+    for route in (lambda E: k_lambda(E, h, psi, 1.0 + 0.5j, xi),
+                  lambda E: j_q(E, h, psi, 1.5, xi, delta=0.5)):
+        whole, split = route(F), [route(E) for E in parts]
+        gap = np.abs(whole.values - sum(r.values for r in split))
+        assert np.all(gap <= whole.meta["quad_err"] + sum(r.meta["quad_err"] for r in split))
+        assert whole.meta["rows"] == sum(r.meta["rows"] for r in split)
+
+
+def test_kernel_takes_a_piece_of_var_above_0_only_alone(drifted):
+    # the kernel's u^2 coefficient is one number, shared by every row, so
+    # two gaussian pieces, or one beside an atom, are refused; the Monte
+    # Carlo route takes them
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.array([0.3])
+    two = LinePieces(coef=np.array([1.0, 0.5j]), mean=np.array([0.0, 0.5]),
+                     var=np.array([1.0, 2.0]))
+    mixed = SpectralMeasure(drifted, ((h, EtaGaussian(0.0, 1.0)),
+                                      (s_star(h), EtaAtoms(((1.0, 1.0),)))))
+    for measure in (LineMeasure(h, two), mixed):
+        F = FresnelFunctional(measure)
+        with pytest.raises(UnsupportedVariant, match="only piece"):
+            k_lambda(F, h, psi, 1.0 + 0j, xi)
+        mc = i_lambda_mc(F, h, psi, 1.0, xi, 1000, RngStream(seed=5))
+        assert np.all(np.isfinite(mc.values))
+
+
 def test_mc_on_a_density_matches_the_gaussian_row_of_the_same_eta(drifted):
     # scale * N(0.5, 0.001) as a density on radius 4, against the
     # closed-form row of the same eta: the kernel route to 1e-9, and the
@@ -939,8 +976,8 @@ def test_mc_on_a_density_matches_the_gaussian_row_of_the_same_eta(drifted):
     # peak's mass at 1.33 in place of 1
     h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-2.0, 2.0, 5)
     eta = EtaGaussian(mean=0.5, var=0.001, scale=1.2 - 0.3j)
-    pdf = lambda v: (eta.scale * np.exp(-0.5 * (v - 0.5) ** 2 / eta.var)
-                     / math.sqrt(2.0 * math.pi * eta.var))
+    pdf = lambda v: ((1.2 - 0.3j) * np.exp(-0.5 * (v - 0.5) ** 2 / 0.001)
+                     / math.sqrt(2.0 * math.pi * 0.001))
     F = gallery("F1", drifted, w0=h, eta=eta)
     G = gallery("F1", drifted, w0=h, eta=EtaDensity(fn=pdf, radius=4.0))
     z_star = math.sqrt(2.0) * special.erfcinv(1e-6 / (2 * xi.size))

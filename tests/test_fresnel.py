@@ -11,8 +11,12 @@ from opfeyn import (AtomicMeasure, BadConfig, Envelope, EtaAtoms, EtaDensity,
                     RngStream, UnknownExample, UnsupportedVariant, b_element, convolve,
                     eval_from_projections, gallery, kq0_integral,
                     monomial_element, s_star, sample_increments,
-                    unit_functional)
+                    unit_functional, wiener_pair)
+from opfeyn.fresnel import LinePieces
 from opfeyn.sampler import left_densities
+
+
+WIENER = wiener_pair()
 
 
 def _on_paths(F, t, dx):
@@ -43,12 +47,32 @@ def test_eta_gaussian_hat_oracle():
     lambda: EtaGaussian(mean=math.inf, var=1.0),
     lambda: EtaDensity(fn=np.exp, radius=math.nan),
     lambda: EtaDensity(fn=np.exp, radius=math.inf),
-], ids=["var-nan", "var-inf", "mean-nan", "mean-inf", "radius-nan", "radius-inf"])
+    lambda: EtaAtoms(((math.nan, 1.0),)),
+    lambda: EtaAtoms(((0.5, math.nan),)),
+    lambda: EtaGaussian(0.0, 1.0, scale=math.nan),
+    lambda: AtomicMeasure(WIENER, ((math.inf, b_element(WIENER)),)),
+], ids=["var-nan", "var-inf", "mean-nan", "mean-inf", "radius-nan", "radius-inf",
+        "atom-location-nan", "atom-weight-nan", "scale-nan", "atomic-weight-inf"])
 def test_line_measures_reject_non_finite_parameters(build):
     # unchecked, they reach the kernel as a misleading KernelOverflow and
-    # the Monte Carlo route as a silent NaN (or 0 for var = inf)
+    # the Monte Carlo route as a silent NaN (or 0 for var = inf); every
+    # line measure is gaussian pieces, checked once when they are built
     with pytest.raises(BadConfig):
         build()
+
+
+def test_pieces_of_several_gaussians_transform_as_their_sum():
+    # the Monte Carlo route takes any pieces; only the kernel needs a
+    # single piece of var > 0 (tests/test_engine.py)
+    eta = LinePieces(coef=np.array([1.0, 0.5j, -0.25]), mean=np.array([0.3, -1.0, 2.0]),
+                     var=np.array([0.5, 2.0, 0.0]))
+    u = np.linspace(-3.0, 3.0, 13)
+    parts = [EtaGaussian(0.3, 0.5), EtaGaussian(-1.0, 2.0, scale=0.5j),
+             EtaAtoms(((2.0, -0.25),))]
+    assert np.max(np.abs(eta.hat(u) - sum(p.hat(u) for p in parts))) < 1e-15
+    assert abs(eta.exp_moment(0.7) - sum(p.exp_moment(0.7) for p in parts)) < 1e-14
+    with pytest.raises(BadConfig):
+        LinePieces(coef=np.ones(2), mean=np.zeros(2), var=np.zeros(3))
 
 
 def test_eta_gaussian_exp_moment_vs_quad():
@@ -171,13 +195,21 @@ def test_kq0_divergence_flagged(drifted):
 
 def test_kq0_atom_overflow_flagged(drifted):
     # an atom far out overflows exp(mu |v|): a finite moment too large for a
-    # float, raised as KernelOverflow, not divergence, and not warned about
-    eta = EtaAtoms(atoms=((1e300, 1.0 + 0j),))
-    F = FresnelFunctional(LineMeasure(w0=b_element(drifted), eta=eta))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(KernelOverflow):
-            kq0_integral(F, 0.5)
+    # float, raised as KernelOverflow, not divergence, and not warned about.
+    # So are two atoms whose moments, 1.35e308 each, are floats but whose
+    # sum over the lines is not
+    b = b_element(drifted)
+    far = FresnelFunctional(LineMeasure(w0=b, eta=EtaAtoms(atoms=((1e300, 1.0 + 0j),))))
+    mu = b.norm * drifted.norm_a / math.sqrt(2.0 * 0.5)
+    w = b.scaled(math.log(1.35e308) / mu)
+    one = FresnelFunctional(AtomicMeasure(sp=drifted, atoms=((1.0, w),)))
+    assert math.isclose(kq0_integral(one, 0.5), 1.35e308, rel_tol=1e-12)
+    two = FresnelFunctional(AtomicMeasure(sp=drifted, atoms=((1.0, w), (1.0, w))))
+    for F in (far, two):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelOverflow):
+                kq0_integral(F, 0.5)
 
 
 def test_convolution_transform_product(wiener):
@@ -186,11 +218,15 @@ def test_convolution_transform_product(wiener):
     F = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=((0.5, w1), (0.5j, w2))),
                           label="F")
     G = FresnelFunctional(AtomicMeasure(sp=wiener, atoms=((1.0, w2),)), label="G")
-    FG = convolve(F, G)
+    # a discrete line on s*(b): its nodes are atoms at v * s*(b)
+    line = gallery("F1", wiener, w0=s_star(w1),
+                   eta=EtaAtoms(((-1.2, 0.6 + 0.1j), (0.4, -0.3 + 0.5j), (1.7, 0.25))))
     t, dx = sample_increments(wiener, 128, 5, RngStream(seed=100).generator())
-    lhs = _on_paths(FG, t, dx)
-    rhs = _on_paths(F, t, dx) * _on_paths(G, t, dx)
-    assert np.all(np.abs(lhs - rhs) < 1e-12 * np.maximum(1.0, np.abs(rhs)))
+    for F, G in ((F, G), (line, G)):
+        FG = convolve(F, G)
+        lhs = _on_paths(FG, t, dx)
+        rhs = _on_paths(F, t, dx) * _on_paths(G, t, dx)
+        assert np.all(np.abs(lhs - rhs) < 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
 def test_convolution_variant_errors(wiener, drifted):
@@ -198,6 +234,11 @@ def test_convolution_variant_errors(wiener, drifted):
     F_atom = unit_functional(wiener)
     with pytest.raises(UnsupportedVariant):
         convolve(F_line, F_atom)
+    # a density has var-0 pieces, but no fixed ones
+    density = gallery("F1", wiener, w0=b_element(wiener),
+                      eta=EtaDensity(fn=lambda v: np.exp(-v * v), radius=6.0))
+    with pytest.raises(UnsupportedVariant):
+        convolve(F_atom, density)
     with pytest.raises(MismatchedScalePair):
         convolve(F_atom, unit_functional(drifted))
 

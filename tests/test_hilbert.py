@@ -59,13 +59,14 @@ def test_gram_schmidt_oracle(wiener):
     ctx = KernelContext.from_direction(b_element(wiener))
     stats = DirectionStats.from_elements(ctx, monomial_element(wiener, 1))
     assert abs(stats.c_hw - 0.5) < 1e-12
-    assert abs(stats.beta - math.sqrt(1.0 / 12.0)) < 1e-10
+    assert abs(stats.norm_sq - stats.c_hw ** 2 / ctx.norm_h_sq - 1.0 / 12.0) < 1e-10
 
 
 def test_gram_schmidt_parallel_branch(wiener):
     ctx = KernelContext.from_direction(b_element(wiener))
     stats = DirectionStats.from_elements(ctx, b_element(wiener).scaled(2.0))
-    assert stats.beta == 0.0
+    assert stats.a_resid == 0.0
+    assert abs(stats.norm_sq - stats.c_hw ** 2 / ctx.norm_h_sq) < 1e-12
     assert abs(stats.c_hw - 2.0) < 1e-12
 
 

@@ -169,7 +169,6 @@ def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
 
 def test_parallel_direction_exact_branch(drift_ctx):
     stats = DirectionStats.from_elements(drift_ctx, b_element(drift_ctx.h.sp).scaled(3.0))
-    assert stats.beta == 0.0
     assert stats.a_resid == 0.0
     assert a_abs_log(1.0 + 2.0j, 0.0) == 0
 
