@@ -86,7 +86,10 @@ def _json_safe(obj):
 def _resolve_out(arg_out: str | None, cfg: RunConfig) -> Path:
     out = arg_out or cfg.out_dir or os.environ.get("OPFEYN_OUT") or "runs"
     p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file at the path or above it, say
+        raise ConfigError(f"out: cannot make directory {out}: {e.strerror}") from None
     return p
 
 

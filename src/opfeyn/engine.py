@@ -27,11 +27,13 @@ from .fresnel import (FresnelFunctional, eval_from_projections,
 from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
 from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
-                      gamma_margin, h_abs_log, h_abs_log_coeffs, k_log,
-                      kernel_M, require_delta, require_threshold, s_log,
-                      vl_abs_log, vl_coeffs, vlh_exponent)
+                      evaluation_points, gamma_margin, h_abs_log,
+                      h_abs_log_coeffs, k_log, kernel_M, require_delta,
+                      require_threshold, s_log, vl_abs_log, vl_coeffs,
+                      vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
-from .quadrature import LogBound, adaptive_simpson, phase_breakpoints
+from .quadrature import (LogBound, adaptive_simpson, panels_per_call,
+                         phase_breakpoints)
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
 from .sampler import sample_increments  # noqa: F401
@@ -40,8 +42,6 @@ from .scale import ScalePair
 TRUNC_DROP = 40.0
 TAIL_REL = 1e-10
 EXP_CAP = 700.0
-EXP_BUF = 1 << 16     # complex elements of one k_lambda exponent block
-EXP_ALLOC = 1 << 17   # complex elements k_lambda's exponent buffer has at least
 XI_GROUP = 8          # evaluation points integrated as one quadrature family
 MC_BATCH = 10000      # Monte Carlo paths drawn and reduced at a time
 
@@ -51,10 +51,10 @@ class OperatorResult:
     """Operator values on an evaluation grid, with per-point standard errors
     when the route is stochastic.  On the kernel routes ``meta["quad_err"]``
     is a per-point error (the quadrature estimate plus the certified tail),
-    ``meta["n_eval"]`` counts integrand nodes once per group of up to
-    ``XI_GROUP`` points, ``meta["quad_rounds"]`` is the largest number
-    of refinement rounds a group took and ``meta["rows"]`` the number of
-    kernel rows."""
+    ``meta["n_eval"]`` counts integrand nodes once per group of points
+    integrated together (``k_lambda``), ``meta["quad_rounds"]`` is the
+    largest number of refinement rounds a group took and ``meta["rows"]``
+    the number of kernel rows."""
 
     xi_grid: np.ndarray
     values: np.ndarray
@@ -137,7 +137,7 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         raise MismatchedScalePair("functional and base direction share no scale pair")
     sp = h.sp
     inv_rt = 1.0 / math.sqrt(lam_r)
-    xi = np.asarray(xi_grid, dtype=float)
+    xi = evaluation_points(xi_grid)
     t_grid = np.linspace(0.0, sp.T, path_grid + 1)
     mu, factor = projection_law(sp, left_densities(F.directions() + [h], t_grid))
     n = 0
@@ -170,23 +170,25 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # truncation bookkeeping for the kernel route
 # ---------------------------------------------------------------------------
 
-def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float,
-                               centres, *, rel_tol, abs_tol, amp: float, cuts=None):
+def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, centres,
+                               *, rel_tol, abs_tol, amp: float, cuts=None, width=1):
     """Integrate a family on the union of its members' truncation cuts.
 
     Row j of f's output has truncation bound bounds[j] and a phase of rate
     ``phase_rate`` centred at centres[j]; the panels keep every row's
     phase within a half period, and each row's tail is certified at the
     shared ends against its own tolerance, with one retry at a wider drop.
-    ``cuts`` are the bounds' cuts at TRUNC_DROP when the caller has them.
-    Returns the QuadResult with each row's tail bound added to its error.
+    ``cuts`` are the bounds' cuts at TRUNC_DROP when the caller has them;
+    ``width`` goes to ``adaptive_simpson``.  Returns the QuadResult with
+    each row's tail bound added to its error.
     """
     for drop in (TRUNC_DROP, TRUNC_DROP + math.log(1e6)):
         if cuts is None or drop > TRUNC_DROP:
             cuts = np.array([b.cut(drop) for b in bounds])
         lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                               breakpoints=phase_breakpoints(lo, hi, phase_rate, centres))
+                               breakpoints=phase_breakpoints(lo, hi, phase_rate, centres),
+                               width=width)
         tails = np.array([b.tails(lo, hi, amp) for b in bounds])
         if np.all(tails <= np.maximum(TAIL_REL * np.abs(res.values), abs_tol)):
             if not res.converged and np.any(res.err > np.maximum(
@@ -243,21 +245,21 @@ def _row_probe(lam: LambdaParam, ctx: KernelContext, psi: PsiFn, groups,
                     for x in (lo, hi)) / n2
         u = probe_grid(lo, hi, reach_per_radius * radius + chirp)
         log_h = vlh_exponent(lam, 0.0, u, np.array([0.0]), np.array([0.0]), ctx)[0]
+        weighed = []  # per group, its points' weights and their total moduli
+        for xs, _ in groups:
+            with np.errstate(divide="ignore"):
+                log_g = log_h + np.log(psi(u + xs[:, None]))
+            # each point's weights are scaled by their own peak, which the
+            # division by their total modulus cancels
+            peak = np.max(log_g.real, axis=1, keepdims=True)
+            g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
+            weighed.append((g, np.sum(np.abs(g), axis=1)))
 
         def probe(v, c):
             s = grid_fourier_sum(u, *terms(v, c))
-            out = [np.zeros(0, complex)]
-            for xs, _ in groups:
-                with np.errstate(divide="ignore"):
-                    log_g = log_h + np.log(psi(u + xs[:, None]))
-                # each point's weights are scaled by their own peak, which
-                # the division by their total modulus cancels
-                peak = np.max(log_g.real, axis=1, keepdims=True)
-                g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
-                mass = np.sum(np.abs(g), axis=1)
-                out.append(np.divide(g @ s, mass, out=np.zeros(xs.size, complex),
-                                     where=mass > 0.0))
-            return np.concatenate(out)
+            return np.concatenate([np.zeros(0, complex)] + [
+                np.divide(g @ s, mass, out=np.zeros(mass.size, complex), where=mass > 0.0)
+                for g, mass in weighed])
         return probe
     return probe_for
 
@@ -290,9 +292,7 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
         lin = lin0 * (mean + alpha * var) / kappa
         const = (alpha * mean + b * mean * mean + 0.5 * alpha * alpha * var) / kappa
         quad = (0.5 * lin0 * lin0 * var / kappa).item() if np.any(var) else 0.0
-        r = -lam.inv_sqrt.imag * a_resid
-        amp = float(np.abs(coef) @ np.exp(r * mean + 0.5 * r * r * var))
-        return coef / np.sqrt(kappa), lin, const, quad, amp
+        return coef / np.sqrt(kappa), lin, const, quad
 
     lines = []
     for w, eta in F.measure.lines:
@@ -301,7 +301,7 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
 
         def row_sum_terms(v, coefs, dirs=dirs):
             # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
-            weights, lin, const, _, _ = pieces(coefs, dirs, v, 0.0)
+            weights, lin, const, _ = pieces(coefs, dirs, v, 0.0)
             return lin.imag, weights * np.exp(const)
 
         lines.append((dirs, eta.points(_row_probe(
@@ -311,7 +311,10 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
         raise UnsupportedVariant(
             "the kernel's u^2 coefficient is one number: a piece of var > 0 "
             "must be the measure's only piece")
-    return pieces(coef, np.array([d for d, _ in lines])[col].T, mean, var)
+    dirs = np.array([d for d, _ in lines])[col].T
+    r = -lam.inv_sqrt.imag * dirs[2]
+    amp = float(np.abs(coef) @ np.exp(r * mean + 0.5 * r * r * var))
+    return *pieces(coef, dirs, mean, var), amp
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
@@ -325,12 +328,14 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     against the gaussian delta-weight.
 
     The kernel depends on v and xi only through v - xi, so groups of up to
-    ``XI_GROUP`` consecutive points are integrated as one quadrature family;
-    the group size bounds memory whatever the grid.  ``meta["quad_err"]`` is
-    per point; ``meta["n_eval"]`` counts nodes once per group,
-    ``meta["quad_rounds"]`` is the largest round count over the groups,
-    and ``meta["rows"]`` is the kernel family's row count: one per atom,
-    1 for a gaussian line measure, the resolved node count for a density.
+    ``XI_GROUP`` consecutive points are integrated as one quadrature family,
+    as many as let one panel of their rows fit the quadrature's byte budget
+    (at least one); memory then does not grow with the grid.
+    ``meta["quad_err"]`` is per point; ``meta["n_eval"]`` counts nodes once
+    per group, ``meta["quad_rounds"]`` is the largest round count over the
+    groups, and ``meta["rows"]`` is the kernel family's row count: one per
+    atom, 1 for a gaussian line measure, the resolved node count for a
+    density.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     kq0 = _require_kernel_admissible(F, h, lam, q0)
@@ -343,7 +348,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
             raise PsiNotIntegrable(
                 "state function is not integrable against the delta weight")
     ctx = KernelContext.from_direction(h)
-    xi = np.asarray(xi_grid, dtype=float)
+    xi = evaluation_points(xi_grid)
     # each point's truncation bound: the envelope times the kernel's |H|
     bounds = [psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
               for x0 in xi]
@@ -352,51 +357,30 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
             "state-function envelope does not control the kernel tail")
     cuts = np.array([b.cut(TRUNC_DROP) for b in bounds]).reshape(-1, 2)
     centres = 0.5 * (cuts[:, 0] + cuts[:, 1])  # what the exponents are built about
-    groups = [slice(k, k + XI_GROUP) for k in range(0, xi.size, XI_GROUP)]
     weights, lin, const, quad, amp = _measure_family(
-        F, lam, ctx, psi, [(xi[g], cuts[g]) for g in groups])
+        F, lam, ctx, psi, [(xi[k:k + XI_GROUP], cuts[k:k + XI_GROUP])
+                           for k in range(0, xi.size, XI_GROUP)])
+    rows = weights.size
+    size = min(XI_GROUP, panels_per_call(rows))  # points one panel's budget holds
+    groups = [slice(k, k + size) for k in range(0, xi.size, size)]
     m_factor = kernel_M(lam, ctx)
     phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
-    # one buffer serves every integrand call, v blocked so that a block
-    # fills at most EXP_BUF elements of it.  The buffer has EXP_ALLOC
-    # elements (2 MiB) at least, untouched beyond what a block uses.
-    # Freeing it raises glibc's dynamic mmap threshold to its size and the
-    # trim threshold to twice that, for the rest of the process.  What
-    # depends on that is code that runs after a kernel call, not the
-    # kernel calls themselves: in a process that repeats `opfeyn report`,
-    # the temporaries of bound_chain_sweep, divergence_witness_partial and
-    # gaussian_identity_check then stay on the heap, where without the
-    # floor they were handed back and faulted in again (about 1,190 minor
-    # faults per report pass against 4, in one heap layout).  A stopgap
-    # tied to glibc's thresholds; check a repeated report before removing
-    # it (ROADMAP item 6)
-    rows = weights.size
-    width = rows * min(xi.size, XI_GROUP)
-    block = max(1, EXP_BUF // max(width, 1))
-    buf = np.empty(max(width * block, EXP_ALLOC), dtype=complex)
 
     def integrand(xs, v0):
         def f(v):
-            out = np.empty((xs.size, v.size), dtype=complex)
-            for k in range(0, v.size, block):
-                vv = v[k:k + block]
-                e = buf[:rows * xs.size * vv.size].reshape(rows, xs.size, vv.size)
-                # through the module: the traced engine-level name takes
-                # the six-argument form only (perfbench/spans.py)
-                kernels.vlh_exponent(lam, xs, vv, lin, const, ctx,
-                                     out=e, quad=quad, centre=v0)
-                if e.size and float(np.max(e.real)) > EXP_CAP:
-                    raise KernelOverflow("kernel exponent exceeds float range")
-                out[:, k:k + block] = (weights @ np.exp(e, out=e).reshape(
-                    rows, -1)).reshape(xs.size, vv.size)
-            out *= psi(v)
-            return out
+            # through the module: the traced engine-level name takes the
+            # six-argument form only (perfbench/spans.py)
+            e = kernels.vlh_exponent(lam, xs, v, lin, const, ctx, quad=quad, centre=v0)
+            if e.size and float(np.max(e.real)) > EXP_CAP:
+                raise KernelOverflow("kernel exponent exceeds float range")
+            e = np.exp(e, out=e).reshape(rows, -1)
+            return (weights @ e).reshape(xs.size, v.size) * psi(v)
         return f
 
     parts = [_integrate_with_tail_check(
         integrand(xi[g, None], centres[g, None]), bounds[g], phase_rate,
-        xi[g], cuts=cuts[g], rel_tol=rel_tol, abs_tol=abs_tol, amp=amp)
-        for g in groups]
+        xi[g], cuts=cuts[g], rel_tol=rel_tol, abs_tol=abs_tol, amp=amp,
+        width=rows * xi[g].size) for g in groups]
     # each integral times the phase its exponent left out, Im log H(u0);
     # the empty arrays keep the result shape and dtype for an empty grid
     u0 = centres - xi

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -184,10 +185,10 @@ class EtaDensity:
     need: the kernel route probes its rows' effect on the kernel
     integral, ``hat`` its transform over the requested points.
     ``total_mass`` and ``exp_moment`` are bounds, taken on the rule of
-    RULE_CAP panels without a convergence test, so a density with kinks
-    (|fn| of a sign-changing fn) still has them.  When an envelope is
-    given, it certifies the tail beyond the radius; a tail heavier than
-    the truncation tolerance raises MeasureUnderflow.
+    RULE_CAP panels (built once per density) without a convergence test,
+    so a density with kinks (|fn| of a sign-changing fn) still has them.
+    When an envelope is given, it certifies the tail beyond the radius; a
+    tail heavier than the truncation tolerance raises MeasureUnderflow.
     """
 
     fn: Callable
@@ -212,13 +213,17 @@ class EtaDensity:
         return LinePieces(coef=w * np.asarray(self.fn(v), dtype=complex),
                           mean=v, var=np.zeros(v.size))
 
+    @cached_property
+    def _cap_rule(self) -> LinePieces:
+        return self._rule(RULE_CAP)
+
     def points(self, probe_for=None) -> LinePieces:
         """The first rule of 2^k panels that resolves the probe
         ``probe_for(radius)``, a function of the nodes v and weights c
         where radius bounds |v|; with no probe, the rule of RULE_CAP
         panels."""
         if probe_for is None:
-            return self._rule(RULE_CAP)
+            return self._cap_rule
         probe = probe_for(self.radius)
         n = RULE_START
         rule = self._rule(n)

@@ -6,8 +6,8 @@ V*L whose quadratic terms cancel, a drift-shifted Gaussian H in the
 state variable, and a residual drift phase A per direction.  Everything
 here works in log space so magnitude bounds can be compared without
 overflow; vectorized helpers operate on arrays of directions.  The
-parameter domain -- lambda, the region threshold q0 and the weight
-exponent delta -- is decided here and nowhere else.
+parameter domain -- lambda, the region threshold q0, the weight
+exponent delta and the points xi -- is decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -87,6 +87,15 @@ def require_delta(delta: float) -> None:
     """The weight exponent of exp(delta Var(a) v^2) needs 0 <= delta < inf."""
     if not 0.0 <= delta < math.inf:
         raise ArgOutOfRange(f"delta must be nonnegative and finite, got {delta}")
+
+
+def evaluation_points(xi_grid) -> np.ndarray:
+    """The evaluation points xi as a float array; each must be finite."""
+    xi = np.asarray(xi_grid, dtype=float)
+    bad = xi[~np.isfinite(xi)]
+    if bad.size:
+        raise ArgOutOfRange(f"evaluation points must be finite, got {bad[0]}")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,7 @@ def vl_coeffs(lam: LambdaParam, c, w2, ctx: KernelContext):
 
 def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
                  lin: np.ndarray, const: np.ndarray, ctx: KernelContext,
-                 out: np.ndarray | None = None, quad: complex = 0.0,
+                 quad: complex = 0.0,
                  centre: float | np.ndarray | None = None) -> np.ndarray:
     """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi,
     less i Im log H(v0 - xi), the phase of log H at a centre v0.
@@ -218,17 +227,12 @@ def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
     point, shaped like ``xi`` (``xi`` when not given; log H(0) is real):
     the terms in u^2 are summed in powers of v - v0, so the phase left out,
     which grows like |lam| (v0 - xi)^2, is not rounded into every node; the
-    caller multiplies the integral by its exponential.  The exponent is
-    built in ``out`` (complex, of that shape) when given, else in a new
-    array, and that array is returned.
+    caller multiplies the integral by its exponential.
     """
     v0 = xi if centre is None else centre
     u = np.subtract(v, xi, dtype=float)
     u0 = v0 - xi
-    lin = np.atleast_1d(lin)
-    if out is None:
-        out = np.empty((lin.size,) + u.shape, dtype=complex)
-    np.multiply.outer(lin, u, out=out)
+    out = np.multiply.outer(np.atleast_1d(lin), u, dtype=complex)
     out += np.atleast_1d(const).reshape((-1,) + (1,) * u.ndim)
     # quad u^2 + log H(u) = a u^2 + b u - k p^2, a = quad - k lam, is
     # (a (u + u0) + b) d + c about d = v - v0, c = quad u0^2 + Re log H(u0)

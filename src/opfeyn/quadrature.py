@@ -26,8 +26,8 @@ EPS = np.finfo(float).eps
 # per-panel error floor: estimates below a few dozen ulps of the local
 # integrand magnitude are rounding noise, not discretization error
 ROUND_FLOOR = 32.0 * EPS
-# bytes of one integrand call's (k, nodes) output; a round is evaluated in
-# chunks of panels within it, so memory does not grow with the panel count
+# bytes of complex values one integrand call may hold, at its width (values
+# per node), so that memory does not grow with the panel count
 CHUNK_BYTES = 1 << 18
 PHASE_CAP = 16384     # most half-period offsets a partition uses per side
 MIN_PANELS = 8        # fewest panels of an initial partition
@@ -96,26 +96,26 @@ def _initial_edges(lo, hi, breakpoints):
     return edges
 
 
+def panels_per_call(width: int) -> int:
+    """Panels whose nodes fit CHUNK_BYTES at ``width``, and at least one."""
+    return max(1, CHUNK_BYTES // (width * GK_NODES.size * 16))
+
+
 def _panel_sums(f, a, b, step):
     """G7/K15 sums of every panel [a, b], ``step`` panels per call of f.
 
     Returns (kronrod, estimate, resabs, fmax), each of shape (k, panels):
     the K15 value, QUADPACK's error estimate, the K15 integral of |f| and
-    the largest |f| at the nodes; and the step that keeps one call's
-    output within CHUNK_BYTES, known once f has given its family size k.
+    the largest |f| at the nodes.
     """
     half = 0.5 * (b - a)
     centre = a + half
     parts = []
-    start = 0
-    while start < a.size:
+    for start in range(0, a.size, step):
         h = half[start:start + step]
         nodes = centre[start:start + step, None] + h[:, None] * GK_NODES
         vals = np.asarray(f(nodes.ravel()))
-        k = vals.shape[0]
-        step = max(1, CHUNK_BYTES // (k * GK_NODES.size * vals.itemsize))
-        start += h.size
-        F = vals.reshape(k, h.size, GK_NODES.size)
+        F = vals.reshape(vals.shape[0], h.size, GK_NODES.size)
         absf = np.abs(F)
         kron = F @ GK_KRONROD
         raw = np.abs(kron - F @ GK_GAUSS) * h
@@ -123,11 +123,12 @@ def _panel_sums(f, a, b, step):
         scaled = 200.0 * raw / np.where(resasc > 0.0, resasc, 1.0)
         est = np.where(resasc > 0.0, resasc * np.minimum(1.0, scaled ** 1.5), raw)
         parts.append((kron * h, est, absf @ GK_KRONROD * h, absf.max(axis=2)))
-    return [np.concatenate(p, axis=1) for p in zip(*parts)], step
+    return [np.concatenate(p, axis=1) for p in zip(*parts)]
 
 
 def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
-                     abs_tol: float = 1e-14, breakpoints=None) -> QuadResult:
+                     abs_tol: float = 1e-14, breakpoints=None,
+                     width: int = 1) -> QuadResult:
     """Integrate a family of functions over [lo, hi] with G7/K15 panels.
 
     Parameters
@@ -139,12 +140,15 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
         or real); each of the k rows is integrated.
     breakpoints : array_like, optional
         Interior points the initial partition must respect.
+    width : int
+        Complex values f holds per node (its k members, or rows x points
+        for a kernel); every call of f takes ``panels_per_call(width)``.
 
     Returns
     -------
     QuadResult with per-family values and error estimates, the node
     count and the number of refinement rounds.  A panel is accepted when
-    every member's estimate is within its width-proportional share of
+    every member's estimate is within its length-proportional share of
     half the budget or below the rounding floor; the reported error of a
     panel is at least 50 ulps of its K15 integral of |f|.  When the
     ``MAX_ROUNDS`` refinement rounds run out, the panels left are taken
@@ -158,18 +162,17 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     accepted_err = 0.0
     n_eval = 0
     converged = False
-    step = MIN_PANELS  # panels per integrand call until the family size is known
     for rounds in range(1, MAX_ROUNDS + 1):
-        width = b - a
-        (kron, est, resabs, fmax), step = _panel_sums(f, a, b, step)
+        length = b - a
+        kron, est, resabs, fmax = _panel_sums(f, a, b, panels_per_call(width))
         n_eval += a.size * GK_NODES.size
         err_p = np.maximum(est, 50.0 * EPS * resabs)
         i_est = accepted_val + kron.sum(axis=1)
         tol_k = np.maximum(abs_tol, rel_tol * np.abs(i_est))
-        # each panel may spend a width-proportional share of half the budget,
+        # each panel may spend a length-proportional share of half the budget,
         # and is never refined below the local rounding floor
-        thresh = 0.5 * tol_k[:, None] * (width[None, :] / span)
-        floor = ROUND_FLOOR * fmax * width[None, :]
+        thresh = 0.5 * tol_k[:, None] * (length[None, :] / span)
+        floor = ROUND_FLOOR * fmax * length[None, :]
         ok = np.all(est <= np.maximum(thresh, floor), axis=0)
         accepted_val = accepted_val + kron[:, ok].sum(axis=1)
         accepted_err = accepted_err + err_p[:, ok].sum(axis=1)

@@ -181,6 +181,17 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
         assert "config error: seed: must be at least 0, got -3\n" in capsys.readouterr().err
 
 
+def test_unusable_output_directory_exits_2(tmp_path, capsys):
+    # a file at the path, or a file the path lies under, is a bad setting,
+    # not a traceback
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: out: cannot make directory {out}: " in capsys.readouterr().err
+
+
 def test_zero_base_direction_exits_3(tmp_path, capsys):
     # a zero h is a domain error of the kernel route; sampling needs no h
     cfg = write_config(tmp_path, h="zero")

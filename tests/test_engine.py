@@ -22,10 +22,10 @@ from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     op_norm_bound, pair_with_a,
                     s_star, sample_interior_lambda, shifted_gaussian_psi,
                     unit_functional, unit_spot_check)
-from opfeyn import engine, quadrature
+from opfeyn import engine, kernels, quadrature
 from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
 from opfeyn.fresnel import LinePieces, SpectralMeasure
-from opfeyn.quadrature import GK_KRONROD, GK_NODES, LogBound
+from opfeyn.quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES, LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -739,6 +739,18 @@ def test_library_entry_points_raise_typed_errors(drifted, call, error):
         call(drifted)
 
 
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_every_route_refuses_a_non_finite_evaluation_point(drifted, point):
+    # the kernel routes blamed the state function's envelope for it, and
+    # Monte Carlo returned nan, or 0 at an infinite point
+    xi = [0.0, point]
+    for call in (lambda: i_lambda_mc(*_f4_at_b(drifted), 1.0, xi, 100, RngStream(1)),
+                 lambda: k_lambda(*_f4_at_b(drifted), 1.0 + 0.5j, xi),
+                 lambda: j_q(*_f4_at_b(drifted), 1.5, xi, delta=0.5)):
+        with pytest.raises(ArgOutOfRange, match="evaluation points must be finite"):
+            call()
+
+
 BAD_Q0 = (0.0, -1.0, math.nan, math.inf)
 BAD_DELTA = (-1.0, math.nan, math.inf)
 
@@ -931,6 +943,31 @@ def test_kernel_rows_follow_the_frequency_reach(drifted):
     for name in ("F3", "F4"):
         res = j_q(gallery(name, drifted), h, psi, 1.5, xi, delta=0.5)
         assert res.meta["rows"] == 1
+
+
+@pytest.mark.parametrize("scale,n_points,group", [(1.0, 3, 3), (8.0, 8, 4)])
+def test_kernel_exponent_blocks_stay_within_the_byte_budget(drifted, monkeypatch,
+                                                            scale, n_points, group):
+    # every exponent the integrand builds holds at most CHUNK_BYTES; at
+    # 8 points the 240 rows of the wider density split the points into
+    # groups of 4, whose values agree with one point at a time
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, n_points)
+    F = _sweep_density(drifted, scale)
+    build = kernels.vlh_exponent
+    sizes, points = [], []
+
+    def traced(*args, **kwargs):
+        e = build(*args, **kwargs)
+        sizes.append(e.nbytes)
+        points.append(np.size(args[1]))
+        return e
+
+    monkeypatch.setattr(kernels, "vlh_exponent", traced)
+    res = k_lambda(F, h, psi, 1.0 + 0.5j, xi)
+    assert sizes and max(sizes) <= CHUNK_BYTES and max(points) == group
+    for x, value, err in zip(xi, res.values, res.meta["quad_err"]):
+        one = k_lambda(F, h, psi, 1.0 + 0.5j, [x])
+        assert abs(one.values[0] - value) <= err + one.meta["quad_err"][0]
 
 
 def test_kernel_of_a_sum_of_lines_is_the_sum_of_their_kernels(drifted):

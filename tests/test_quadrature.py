@@ -77,7 +77,8 @@ def test_rounds_are_counted_and_memory_is_chunked():
         sizes.append(out.nbytes)
         return out
 
-    res = adaptive_simpson(f, 0.0, 4.0, breakpoints=np.linspace(0.0, 4.0, 10001))
+    res = adaptive_simpson(f, 0.0, 4.0, breakpoints=np.linspace(0.0, 4.0, 10001),
+                           width=2)
     assert res.converged and res.rounds == 1
     assert res.n_eval == 10000 * 15
     assert len(sizes) > 2 and max(sizes) <= CHUNK_BYTES
@@ -89,9 +90,26 @@ def test_rounds_are_counted_and_memory_is_chunked():
     assert needle.converged and needle.rounds > 1
 
 
+def test_every_call_of_a_wide_family_stays_within_the_byte_budget():
+    # 200 members: 8 panels of 15 nodes would hold 384 KB, so the first
+    # call is chunked by the family's width like every later one
+    k = np.arange(200)
+    sizes = []
+
+    def f(v):
+        out = np.exp(1j * np.outer(k, v))
+        sizes.append(out.nbytes)
+        return out
+
+    res = adaptive_simpson(f, 0.0, 1.0, width=k.size)
+    assert res.converged and max(sizes) <= CHUNK_BYTES
+    exact = np.where(k > 0, (np.exp(1j * k) - 1.0) / (1j * np.maximum(k, 1)), 1.0)
+    assert np.max(np.abs(res.values - exact)) < 1e-12
+
+
 def test_a_smallest_partition_takes_one_integrand_call():
-    # before the family size is known the first call takes MIN_PANELS
-    # panels, so an integral that converges on them costs one call
+    # a one-member family's call holds every one of the MIN_PANELS panels,
+    # so an integral that converges on them costs one call
     calls = []
 
     def f(v):
