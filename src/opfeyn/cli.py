@@ -57,10 +57,20 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write the header and rows: lists of cells, or a 2-d float array whose
+    cells are formatted as ``_fmt`` does, a block of rows at a time so the
+    text never holds the whole file."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        if not isinstance(rows, np.ndarray):
+            w.writerows(rows)
+            return
+        line = ",".join(["%.16e"] * rows.shape[1]) + "\n"
+        step = max(1, 4096 // rows.shape[1])  # rows of a block, about 100 KB of text
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
+            f.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _json_safe(obj):
@@ -145,9 +155,7 @@ def cmd_sample(cfg: RunConfig, seed: int, out: Path, say: _Printer):
     x = np.concatenate([np.zeros((cfg.sample_count, 1)), np.cumsum(dx, axis=1)],
                        axis=1)
     header = ["t"] + [f"path_{k}" for k in range(cfg.sample_count)]
-    rows = [[_fmt(t[i])] + [_fmt(x[k, i]) for k in range(cfg.sample_count)]
-            for i in range(t.size)]
-    _write_csv(out / "paths.csv", header, rows)
+    _write_csv(out / "paths.csv", header, np.column_stack([t, x.T]))
 
     proj = dx @ left_densities([cfg.h], t)[:, 0]
     say.info(f"  {cfg.sample_count} paths on {cfg.path_grid} steps, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,15 @@ from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
 from .fresnel import (FresnelFunctional, eval_from_projections,
                       grid_fourier_sum, join, kq0_integral, probe_grid,
                       unit_functional)
-from . import kernels
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
-from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
-                      evaluation_points, gamma_margin, h_abs_log,
-                      h_abs_log_coeffs, k_log, kernel_M, require_delta,
-                      require_threshold, s_log, vl_abs_log, vl_coeffs,
-                      vlh_exponent)
+from .kernels import (DirectionStats, KernelContext, KernelExponent,
+                      LambdaParam, a_abs_log, evaluation_points, gamma_margin,
+                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M,
+                      require_delta, require_threshold, s_log, vl_abs_log,
+                      vl_coeffs, vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
-from .quadrature import (LogBound, adaptive_simpson, panels_per_call,
-                         phase_breakpoints)
+from .quadrature import (LogBound, QuadResult, adaptive_simpson,
+                         panels_per_call, phase_breakpoints)
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
 from .sampler import sample_increments  # noqa: F401
@@ -51,10 +50,12 @@ class OperatorResult:
     """Operator values on an evaluation grid, with per-point standard errors
     when the route is stochastic.  On the kernel routes ``meta["quad_err"]``
     is a per-point error (the quadrature estimate plus the certified tail),
-    ``meta["n_eval"]`` counts integrand nodes once per group of points
-    integrated together (``k_lambda``), ``meta["quad_rounds"]`` is the
-    largest number of refinement rounds a group took and ``meta["rows"]``
-    the number of kernel rows."""
+    ``meta["n_eval"]`` counts integrand nodes once per quadrature the
+    result's kernel family made, ``meta["quad_rounds"]`` is the largest
+    number of refinement rounds one took and ``meta["rows"]`` the number
+    of kernel rows.  A family is one parameter's groups of points for
+    ``k_lambda`` and ``j_q``, and the whole approach sequence with its
+    target for ``convergence_study``, whose counts are then shared."""
 
     xi_grid: np.ndarray
     values: np.ndarray
@@ -85,6 +86,14 @@ class DivergencePartial:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
+    """The approach sequence lam_n = 2^{-n} - iq to the boundary target.
+
+    ``gaps[n - 1]`` is the largest |K(lam_n) - K(-iq)| over the points and
+    ``target`` the boundary route's result at -iq.  The target and the
+    sequence are integrated as one kernel family, so ``target.meta``'s
+    ``n_eval`` and ``quad_rounds`` count the quadratures they all shared.
+    """
+
     q: float
     lam_values: tuple[complex, ...]
     gaps: np.ndarray
@@ -171,30 +180,35 @@ def i_lambda_mc(F: FresnelFunctional, h: CambElement, psi: PsiFn,
 # ---------------------------------------------------------------------------
 
 def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, centres,
-                               *, rel_tol, abs_tol, amp: float, cuts=None, width=1):
+                               *, rel_tol, abs_tol, amps, cuts=None, width=1):
     """Integrate a family on the union of its members' truncation cuts.
 
-    Row j of f's output has truncation bound bounds[j] and a phase of rate
-    ``phase_rate`` centred at centres[j]; the panels keep every row's
-    phase within a half period, and each row's tail is certified at the
-    shared ends against its own tolerance, with one retry at a wider drop.
-    ``cuts`` are the bounds' cuts at TRUNC_DROP when the caller has them;
-    ``width`` goes to ``adaptive_simpson``.  Returns the QuadResult with
-    each row's tail bound added to its error.
+    Row j of f's output has truncation bound bounds[j], tail amplitude
+    amps[j] and a quadratic phase of rate at most ``phase_rate``, centred
+    within the range of ``centres``; the panels keep every row's phase
+    within a half period, and each row's tail is certified at the shared
+    ends against its own tolerance, with one retry at a wider drop.
+    ``cuts`` are the bounds' (lo, hi) cuts at TRUNC_DROP when the caller
+    has them; ``width`` goes to ``adaptive_simpson``.  The bookkeeping is
+    per member in floats, so a one-member family pays no array work
+    beyond the quadrature's.  Returns the QuadResult with each row's tail
+    bound added to its error.
     """
     for drop in (TRUNC_DROP, TRUNC_DROP + math.log(1e6)):
         if cuts is None or drop > TRUNC_DROP:
-            cuts = np.array([b.cut(drop) for b in bounds])
-        lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
+            cuts = [b.cut(drop) for b in bounds]
+        lo, hi = min(c[0] for c in cuts), max(c[1] for c in cuts)
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
                                breakpoints=phase_breakpoints(lo, hi, phase_rate, centres),
                                width=width)
-        tails = np.array([b.tails(lo, hi, amp) for b in bounds])
-        if np.all(tails <= np.maximum(TAIL_REL * np.abs(res.values), abs_tol)):
+        tails = [b.tails(lo, hi, a) for b, a in zip(bounds, amps)]
+        if all(t <= max(TAIL_REL * v, abs_tol)
+               for t, v in zip(tails, np.abs(res.values).tolist())):
             if not res.converged and np.any(res.err > np.maximum(
                     abs_tol, rel_tol * np.abs(res.values))):
                 raise QuadratureError("kernel quadrature missed its tolerance")
-            return replace(res, err=res.err + tails)
+            return QuadResult(values=res.values, err=res.err + tails, n_eval=res.n_eval,
+                              converged=res.converged, rounds=res.rounds)
     raise QuadratureError("kernel tail could not be certified below tolerance")
 
 
@@ -203,74 +217,83 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, cen
 # ---------------------------------------------------------------------------
 
 def _require_kernel_admissible(F: FresnelFunctional, h: CambElement,
-                               lam: LambdaParam, q0: float) -> float:
-    """Check that F and h share a scale pair, lam against the admissible
-    region for threshold q0 and F against the exponential-moment
+                               lams: list[LambdaParam], q0: float) -> float:
+    """Check that F and h share a scale pair, every parameter against the
+    admissible region for threshold q0 and F against the exponential-moment
     condition; return F's moment integral."""
     if F.sp is not h.sp:
         raise MismatchedScalePair("functional and base direction share no scale pair")
-    if not lam.in_gamma(q0):
-        raise NotAdmissible(
-            f"lambda = {lam.value} lies outside the admissible region for q0 = {q0}")
+    for lam in lams:
+        if not lam.in_gamma(q0):
+            raise NotAdmissible(
+                f"lambda = {lam.value} lies outside the admissible region for q0 = {q0}")
     kq0 = kq0_integral(F, q0)
     if not math.isfinite(kq0):
         raise NotInFq0("spectral measure fails the exponential-moment condition")
     return kq0
 
 
-def _row_probe(lam: LambdaParam, ctx: KernelContext, psi: PsiFn, groups,
+def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, groups,
                reach_per_radius: float, terms):
     """Probe factory that weighs a line density's row sum by its effect on
-    the kernel integral.
+    the kernel integral at every parameter of a family.
 
-    ``terms(v, c)`` gives the (freq, coef) of the row sum S(u) = sum_r
-    coef_r exp(i freq_r u) that a node set makes, with |freq| at most
-    ``reach_per_radius`` times the radius.  ``probe_for(radius)`` samples
-    u on one uniform grid that covers the truncation cuts of every ``(xs,
-    cuts)`` group, outside which the weights below are e^-TRUNC_DROP of
-    their peak, with PROBE_DENSITY points per period of the rows' reach
-    plus the fastest phase of H there.  For each point xi of the groups,
-    its probe gives the grid sum of S(u) H(u) psi(u + xi) divided by that
-    of |H psi|.  A row-sum error that oscillates against a smooth H psi
-    averages out there as it does in the integral, so the rule stops at
-    the size the kernel needs.
+    ``terms(lam, v, c)`` gives the (freq, coef) of the row sum S(u) =
+    sum_r coef_r exp(i freq_r u) that a node set makes at lam, with |freq|
+    at most ``reach_per_radius`` times the radius.  For each parameter
+    lams[l], ``probe_for(radius)`` samples u on one uniform grid that
+    covers the truncation cuts of every ``(xs, cuts)`` group of groups[l],
+    outside which the weights below are e^-TRUNC_DROP of their peak, with
+    PROBE_DENSITY points per period of the rows' reach plus the fastest
+    phase of H there.  For each point xi of the groups, its probe gives
+    the grid sum of S(u) H(u) psi(u + xi) divided by that of |H psi|, the
+    parameters' points one after another.  A row-sum error that
+    oscillates against a smooth H psi averages out there as it does in the
+    integral, so the rule stops at the size the kernel needs.
     """
     n2 = ctx.norm_h_sq
 
     def probe_for(radius):
-        lo = min((cuts[:, 0].min() - xs.max() for xs, cuts in groups), default=0.0)
-        hi = max((cuts[:, 1].max() - xs.min() for xs, cuts in groups), default=0.0)
-        # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
-        chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
-                    for x in (lo, hi)) / n2
-        u = probe_grid(lo, hi, reach_per_radius * radius + chirp)
-        log_h = vlh_exponent(lam, 0.0, u, np.array([0.0]), np.array([0.0]), ctx)[0]
-        weighed = []  # per group, its points' weights and their total moduli
-        for xs, _ in groups:
-            with np.errstate(divide="ignore"):
-                log_g = log_h + np.log(psi(u + xs[:, None]))
-            # each point's weights are scaled by their own peak, which the
-            # division by their total modulus cancels
-            peak = np.max(log_g.real, axis=1, keepdims=True)
-            g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
-            weighed.append((g, np.sum(np.abs(g), axis=1)))
+        weighed = []  # per parameter, its grid and its groups' point weights
+        for lam, lam_groups in zip(lams, groups):
+            lo = min((cuts[:, 0].min() - xs.max() for xs, cuts in lam_groups), default=0.0)
+            hi = max((cuts[:, 1].max() - xs.min() for xs, cuts in lam_groups), default=0.0)
+            # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
+            chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
+                        for x in (lo, hi)) / n2
+            u = probe_grid(lo, hi, reach_per_radius * radius + chirp)
+            log_h = vlh_exponent(lam, 0.0, u, np.array([0.0]), np.array([0.0]), ctx)[0]
+            points = []  # per group, its points' weights and their total moduli
+            for xs, _ in lam_groups:
+                with np.errstate(divide="ignore"):
+                    log_g = log_h + np.log(psi(u + xs[:, None]))
+                # each point's weights are scaled by their own peak, which the
+                # division by their total modulus cancels
+                peak = np.max(log_g.real, axis=1, keepdims=True)
+                g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
+                points.append((g, np.sum(np.abs(g), axis=1)))
+            weighed.append((lam, u, points))
 
         def probe(v, c):
-            s = grid_fourier_sum(u, *terms(v, c))
-            return np.concatenate([np.zeros(0, complex)] + [
-                np.divide(g @ s, mass, out=np.zeros(mass.size, complex), where=mass > 0.0)
-                for g, mass in weighed])
+            out = [np.zeros(0, complex)]
+            for lam, u, points in weighed:
+                s = grid_fourier_sum(u, *terms(lam, v, c))
+                out += [np.divide(g @ s, mass, out=np.zeros(mass.size, complex),
+                                  where=mass > 0.0) for g, mass in points]
+            return np.concatenate(out)
         return probe
     return probe_for
 
 
-def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
-                    psi: PsiFn, groups):
-    """Flatten the spectral measure into kernel rows, each one gaussian
-    piece coef * N(mean, var) of the line along a direction.
+def _measure_family(F: FresnelFunctional, lams: list[LambdaParam],
+                    ctx: KernelContext, psi: PsiFn, groups):
+    """Flatten the spectral measure into kernel rows, one set of rows for
+    every parameter of a family, each row one gaussian piece coef *
+    N(mean, var) of the line along a direction.
 
-    Returns (weights, lin, const, quad, amp): row r of the kernel is
-    weights[r] exp(lin[r] u + const[r] + quad u^2) times H(u), and amp
+    Returns (weights, lin, const, quad, amp), each stacked over the
+    parameters: at lams[l], row r of the kernel is weights[l, r]
+    exp(lin[l, r] u + const[l, r] + quad[l] u^2) times H(u), and amp[l]
     bounds the modulus of the rows' sum by exp(Re log H) (the tail
     amplitude).  Coordinate s of the line contributes exp(A s + B s^2)
     with A = i lam^{-1/2} a_resid + lin0 u and B = const0, where (lin0,
@@ -279,12 +302,13 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
     1 - 2 B var.  Re B <= 0 by Cauchy-Schwarz, so Re kappa >= 1 and the
     principal root is the continuous branch, on the boundary too; amp is
     the sum of |coef| E exp(Re A s).  Each line gives its pieces on its
-    own direction, a density those that resolve the rows' effect on the
-    integral of psi at every point of the ``(xs, cuts)`` groups
-    (``_row_probe``).  quad is one number, so a piece of var > 0 must be
-    the measure's only piece, else UnsupportedVariant.
+    own direction, whose stats are taken once; a density gives those that
+    resolve the rows' effect on the integral of psi at every point of each
+    parameter's ``(xs, cuts)`` groups, groups[l] (``_row_probe``).  quad is
+    one number, so a piece of var > 0 must be the measure's only piece,
+    else UnsupportedVariant.
     """
-    def pieces(coef, dirs, mean, var):
+    def pieces(lam, coef, dirs, mean, var):
         c_hw, norm_sq, a_resid = dirs
         lin0, b = vl_coeffs(lam, c_hw, norm_sq, ctx)
         alpha = 1j * lam.inv_sqrt * a_resid
@@ -299,22 +323,128 @@ def _measure_family(F: FresnelFunctional, lam: LambdaParam, ctx: KernelContext,
         s = DirectionStats.from_elements(ctx, w)
         dirs = (s.c_hw, s.norm_sq, s.a_resid)
 
-        def row_sum_terms(v, coefs, dirs=dirs):
+        def row_sum_terms(lam, v, coefs, dirs=dirs):
             # row r at u is weights[r] exp(const[r]) exp(i Im(lin[r]) u)
-            weights, lin, const, _ = pieces(coefs, dirs, v, 0.0)
+            weights, lin, const, _ = pieces(lam, coefs, dirs, v, 0.0)
             return lin.imag, weights * np.exp(const)
 
         lines.append((dirs, eta.points(_row_probe(
-            lam, ctx, psi, groups, abs(s.c_hw) / ctx.norm_h_sq, row_sum_terms))))
+            lams, ctx, psi, groups, abs(s.c_hw) / ctx.norm_h_sq, row_sum_terms))))
     col, coef, mean, var = join([p for _, p in lines])
     if coef.size > 1 and np.any(var):
         raise UnsupportedVariant(
             "the kernel's u^2 coefficient is one number: a piece of var > 0 "
             "must be the measure's only piece")
     dirs = np.array([d for d, _ in lines])[col].T
-    r = -lam.inv_sqrt.imag * dirs[2]
-    amp = float(np.abs(coef) @ np.exp(r * mean + 0.5 * r * r * var))
-    return *pieces(coef, dirs, mean, var), amp
+    size = np.abs(coef)
+    family = []
+    for lam in lams:
+        r = -lam.inv_sqrt.imag * dirs[2]
+        amp = float(size @ np.exp(r * mean + 0.5 * r * r * var))
+        family.append((*pieces(lam, coef, dirs, mean, var), amp))
+    return tuple(np.array(x) for x in zip(*family))
+
+
+def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
+                   lams: list[LambdaParam], xi_grid, *, q0: float,
+                   delta: float | None, rel_tol: float = 1e-10,
+                   abs_tol: float = 1e-13) -> list[OperatorResult]:
+    """The kernel route at every member (lam, xi) of lams x xi_grid, one
+    result per parameter.
+
+    What depends on F and h alone (the moment integral, the direction
+    stats, the rows) is built once; what depends on lam (the rows'
+    coefficients, each point's truncation bound and centre) once per
+    parameter.  The kernel depends on v and xi only through v - xi, so
+    groups of up to ``XI_GROUP`` consecutive points, as many as let one
+    panel of their rows fit the quadrature's byte budget (at least one),
+    are integrated with every parameter as one quadrature family, in one
+    exponent per integrand call; a group splits by parameter only where
+    one panel of its rows x members would pass that budget.  Each member
+    keeps its own truncation bound, tail amplitude and certificate, the
+    panels keep the fastest member's phase within a half period, and
+    ``meta["n_eval"]`` and ``meta["quad_rounds"]`` count the shared groups.
+    """
+    kq0 = _require_kernel_admissible(F, h, lams, q0)
+    var_a = h.sp.var_a
+    if var_a > 0.0 and not all(lam.is_interior for lam in lams):
+        if delta is None:
+            raise PsiNotIntegrable(
+                "boundary evaluation with drift needs a delta weight exponent")
+        if not psi.delta_admissible(delta, var_a):
+            raise PsiNotIntegrable(
+                "state function is not integrable against the delta weight")
+    ctx = KernelContext.from_direction(h)
+    xi = evaluation_points(xi_grid)
+    # each member's truncation bound: the envelope times the kernel's |H|
+    bounds = [[psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
+               for x0 in xi] for lam in lams]
+    if not all(b.integrable for lam_bounds in bounds for b in lam_bounds):
+        raise PsiNotIntegrable(
+            "state-function envelope does not control the kernel tail")
+    cuts = np.array([[b.cut(TRUNC_DROP) for b in lam_bounds]
+                     for lam_bounds in bounds]).reshape(len(lams), -1, 2)
+    centres = 0.5 * (cuts[..., 0] + cuts[..., 1])  # what the exponents are built about
+    weights, lin, const, quad, amp = _measure_family(F, lams, ctx, psi, [
+        [(xi[k:k + XI_GROUP], lam_cuts[k:k + XI_GROUP]) for k in range(0, xi.size, XI_GROUP)]
+        for lam_cuts in cuts])
+    rows = weights.shape[1]
+    size = min(XI_GROUP, panels_per_call(rows))  # points one panel's budget holds
+    # per parameter, a column against the (points, nodes) of the exponent
+    lam_value = np.array([lam.value for lam in lams])[:, None, None]
+    lam_sqrt = np.array([lam.sqrt for lam in lams])[:, None, None]
+    raw = np.zeros((len(lams), xi.size), dtype=complex)
+    err = np.zeros((len(lams), xi.size))
+    n_eval = rounds = 0
+    for k in range(0, xi.size, size):
+        g = slice(k, k + size)
+        step = panels_per_call(rows * xi[g].size)  # parameters of these points it holds
+        for j in range(0, len(lams), step):
+            ls = slice(j, j + step)
+            members = raw[ls, g].shape
+            exponent = KernelExponent.about(lam_value[ls], lam_sqrt[ls], quad[ls, None, None],
+                                            xi[g, None], centres[ls, g, None], ctx)
+            res = _integrate_with_tail_check(
+                _kernel_integrand(exponent, weights[ls], lin[ls].T, const[ls].T, psi),
+                [b for lam_bounds in bounds[ls] for b in lam_bounds[g]],
+                max(abs(lam.value.imag) for lam in lams[ls]) / (2.0 * ctx.norm_h_sq),
+                xi[g], cuts=cuts[ls, g].reshape(-1, 2).tolist(), rel_tol=rel_tol,
+                abs_tol=abs_tol, amps=[a for a in amp[ls].tolist() for _ in range(members[1])],
+                width=rows * members[0] * members[1])
+            raw[ls, g] = res.values.reshape(members)
+            err[ls, g] = res.err.reshape(members)
+            n_eval += res.n_eval
+            rounds = max(rounds, res.rounds)
+    results = []
+    for lam, lam_raw, lam_err, lam_centres in zip(lams, raw, err, centres):
+        # each integral times the phase its exponent left out, Im log H(u0)
+        m_factor = kernel_M(lam, ctx)
+        u0 = lam_centres - xi
+        left_out = (lam.sqrt.imag * ctx.pair_ha - 0.5 * lam.value.imag * u0) * u0 / ctx.norm_h_sq
+        results.append(OperatorResult(
+            xi_grid=xi, values=m_factor * np.exp(1j * left_out) * lam_raw,
+            stderr=None, route="kernel",
+            meta={"lambda": lam.value, "q0": q0, "delta": delta,
+                  "rel_tol": rel_tol, "abs_tol": abs_tol,
+                  "quad_err": abs(m_factor) * lam_err, "n_eval": n_eval,
+                  "quad_rounds": rounds, "rows": rows, "kq0_integral": kq0}))
+    return results
+
+
+def _kernel_integrand(exponent: KernelExponent, weights, lin, const, psi: PsiFn):
+    """The integrand of a kernel family at nodes v: per parameter l, its
+    rows' sum weights[l] @ exp(exponent) at each of its points, times psi,
+    one row per member; ``lin`` and ``const`` hold a column per parameter."""
+    def f(v):
+        e = exponent(v, lin, const)
+        if e.size and float(np.max(e.real)) > EXP_CAP:
+            raise KernelOverflow("kernel exponent exceeds float range")
+        e = np.exp(e, out=e)
+        sums = np.empty(e.shape[1:], dtype=complex)
+        for j, w in enumerate(weights):
+            np.matmul(w, e[:, j].reshape(w.size, -1), out=sums[j].reshape(-1))
+        return sums.reshape(-1, v.size) * psi(v)
+    return f
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
@@ -327,10 +457,10 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     boundary with a genuine drift the state function must be integrable
     against the gaussian delta-weight.
 
-    The kernel depends on v and xi only through v - xi, so groups of up to
-    ``XI_GROUP`` consecutive points are integrated as one quadrature family,
-    as many as let one panel of their rows fit the quadrature's byte budget
-    (at least one); memory then does not grow with the grid.
+    This is the one-parameter family of ``_kernel_family``: groups of up
+    to ``XI_GROUP`` consecutive points are integrated as one quadrature
+    family, as many as let one panel of their rows fit the quadrature's
+    byte budget (at least one); memory then does not grow with the grid.
     ``meta["quad_err"]`` is per point; ``meta["n_eval"]`` counts nodes once
     per group, ``meta["quad_rounds"]`` is the largest round count over the
     groups, and ``meta["rows"]`` is the kernel family's row count: one per
@@ -338,76 +468,22 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     density.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
-    kq0 = _require_kernel_admissible(F, h, lam, q0)
-    var_a = h.sp.var_a
-    if not lam.is_interior and var_a > 0.0:
-        if delta is None:
-            raise PsiNotIntegrable(
-                "boundary evaluation with drift needs a delta weight exponent")
-        if not psi.delta_admissible(delta, var_a):
-            raise PsiNotIntegrable(
-                "state function is not integrable against the delta weight")
-    ctx = KernelContext.from_direction(h)
-    xi = evaluation_points(xi_grid)
-    # each point's truncation bound: the envelope times the kernel's |H|
-    bounds = [psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
-              for x0 in xi]
-    if not all(b.integrable for b in bounds):
-        raise PsiNotIntegrable(
-            "state-function envelope does not control the kernel tail")
-    cuts = np.array([b.cut(TRUNC_DROP) for b in bounds]).reshape(-1, 2)
-    centres = 0.5 * (cuts[:, 0] + cuts[:, 1])  # what the exponents are built about
-    weights, lin, const, quad, amp = _measure_family(
-        F, lam, ctx, psi, [(xi[k:k + XI_GROUP], cuts[k:k + XI_GROUP])
-                           for k in range(0, xi.size, XI_GROUP)])
-    rows = weights.size
-    size = min(XI_GROUP, panels_per_call(rows))  # points one panel's budget holds
-    groups = [slice(k, k + size) for k in range(0, xi.size, size)]
-    m_factor = kernel_M(lam, ctx)
-    phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
+    return _kernel_family(F, h, psi, [lam], xi_grid, q0=q0, delta=delta,
+                          rel_tol=rel_tol, abs_tol=abs_tol)[0]
 
-    def integrand(xs, v0):
-        def f(v):
-            # through the module: the traced engine-level name takes the
-            # six-argument form only (perfbench/spans.py)
-            e = kernels.vlh_exponent(lam, xs, v, lin, const, ctx, quad=quad, centre=v0)
-            if e.size and float(np.max(e.real)) > EXP_CAP:
-                raise KernelOverflow("kernel exponent exceeds float range")
-            e = np.exp(e, out=e).reshape(rows, -1)
-            return (weights @ e).reshape(xs.size, v.size) * psi(v)
-        return f
 
-    parts = [_integrate_with_tail_check(
-        integrand(xi[g, None], centres[g, None]), bounds[g], phase_rate,
-        xi[g], cuts=cuts[g], rel_tol=rel_tol, abs_tol=abs_tol, amp=amp,
-        width=rows * xi[g].size) for g in groups]
-    # each integral times the phase its exponent left out, Im log H(u0);
-    # the empty arrays keep the result shape and dtype for an empty grid
-    u0 = centres - xi
-    left_out = (lam.sqrt.imag * ctx.pair_ha - 0.5 * lam.value.imag * u0) * u0 / ctx.norm_h_sq
-    values = (m_factor * np.exp(1j * left_out)
-              * np.concatenate([p.values for p in parts] + [np.zeros(0, complex)]))
-    errs = abs(m_factor) * np.concatenate([p.err for p in parts] + [np.zeros(0)])
-    return OperatorResult(
-        xi_grid=xi, values=values, stderr=None, route="kernel",
-        meta={"lambda": lam.value, "q0": q0, "delta": delta,
-              "rel_tol": rel_tol, "abs_tol": abs_tol,
-              "quad_err": errs, "n_eval": sum(p.n_eval for p in parts),
-              "quad_rounds": max((p.rounds for p in parts), default=0),
-              "rows": rows, "kq0_integral": kq0})
+def _boundary(res: OperatorResult, q: float) -> OperatorResult:
+    """A kernel result at -iq as the boundary route's."""
+    return OperatorResult(xi_grid=res.xi_grid, values=res.values, stderr=None,
+                          route="boundary", meta={**res.meta, "q": q})
 
 
 def j_q(F: FresnelFunctional, h: CambElement, psi: PsiFn, q: float,
         xi_grid, *, q0: float = 0.5, delta: float | None = None,
         rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> OperatorResult:
     """Boundary (oscillatory-limit) evaluation at lam = -iq, |q| > q0."""
-    lam = LambdaParam.from_q(q)
-    res = k_lambda(F, h, psi, lam, xi_grid, q0=q0, delta=delta,
-                   rel_tol=rel_tol, abs_tol=abs_tol)
-    meta = dict(res.meta)
-    meta["q"] = q
-    return OperatorResult(xi_grid=res.xi_grid, values=res.values,
-                          stderr=None, route="boundary", meta=meta)
+    return _boundary(k_lambda(F, h, psi, LambdaParam.from_q(q), xi_grid, q0=q0,
+                              delta=delta, rel_tol=rel_tol, abs_tol=abs_tol), q)
 
 
 def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
@@ -420,7 +496,8 @@ def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     member must lie in the interior of the admissible region for q0 and
     the target itself must be admissible, else SequenceLeavesRegion.
     Rounding breaks the first for n > 1074, where 2^{-n} is 0, and can
-    break it when |q| is within an ulp of q0.
+    break it when |q| is within an ulp of q0.  The target and the sequence
+    share Im lam, so one kernel family integrates them all.
     """
     if q == 0.0 or not LambdaParam.from_q(q).in_gamma(q0):
         raise SequenceLeavesRegion(
@@ -431,13 +508,12 @@ def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         if not (lp.is_interior and lp.in_gamma(q0)):
             raise SequenceLeavesRegion(
                 f"sequence member {lp.value} leaves the admissible interior")
-    target = j_q(F, h, psi, q, xi_grid, q0=q0, delta=delta)
-    gaps = np.empty(len(lams))
-    for i, lp in enumerate(lams):
-        res = k_lambda(F, h, psi, lp, xi_grid, q0=q0, delta=delta)
-        gaps[i] = float(np.max(np.abs(res.values - target.values)))
+    target, *approach = _kernel_family(F, h, psi, [LambdaParam.from_q(q)] + lams,
+                                       xi_grid, q0=q0, delta=delta)
+    gaps = np.array([float(np.max(np.abs(res.values - target.values)))
+                     for res in approach])
     return ConvergenceStudy(q=q, lam_values=tuple(lp.value for lp in lams),
-                            gaps=gaps, target=target)
+                            gaps=gaps, target=_boundary(target, q))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +536,7 @@ def op_norm_bound(F: FresnelFunctional, h: CambElement, lam, *,
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
     ctx = KernelContext.from_direction(h)
-    kq0 = _require_kernel_admissible(F, h, lam, q0)
+    kq0 = _require_kernel_admissible(F, h, [lam], q0)
     if not lam.is_interior and h.sp.var_a > 0.0:
         raise NotAdmissible(
             "the boundary operator-norm bound holds only without drift")
@@ -489,7 +565,7 @@ def nu_delta_norm(psi: PsiFn, delta: float, sp: ScalePair) -> float:
             return np.exp(np.log(np.abs(psi(v))) + growth * v * v)[None, :]
 
     res = _integrate_with_tail_check(
-        f, [bound], 0.0, [0.0], rel_tol=1e-11, abs_tol=1e-14, amp=1.0)
+        f, [bound], 0.0, [0.0], rel_tol=1e-11, abs_tol=1e-14, amps=[1.0])
     return float(abs(res.values[0]))
 
 
@@ -523,7 +599,7 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
     # the partial integral is defined on [0, R], so its tail is 0
     res = _integrate_with_tail_check(f, [LogBound(support=(0.0, R))],
                                      phase_rate, [0.0], rel_tol=1e-11,
-                                     abs_tol=1e-14, amp=1.0)
+                                     abs_tol=1e-14, amps=[1.0])
     value = float(abs(m_factor * res.values[0]))
     return DivergencePartial(R=R, value=value, pair_ha=p)
 
@@ -647,7 +723,7 @@ def gaussian_identity_check(alpha: complex, beta: complex) -> GaussianIdentityRe
     res = _integrate_with_tail_check(
         lambda v: np.exp(-alpha * v * v + beta * v)[None, :],
         [LogBound(left=q, right=q)], abs(alpha.imag), [centre],
-        rel_tol=1e-11, abs_tol=1e-15, amp=1.0)
+        rel_tol=1e-11, abs_tol=1e-15, amps=[1.0])
     return GaussianIdentityResult(numeric=complex(res.values[0]),
                                   closed_form=complex(closed))
 

@@ -91,8 +91,9 @@ def _hat_probe(u: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class LinePieces:
     """A measure on the line: the sum of gaussian pieces coef[j] *
-    N(mean[j], var[j]), a piece of var 0 being an atom at mean[j].  Each
-    piece needs a finite coef and mean and 0 <= var < inf, else BadConfig.
+    N(mean[j], var[j]), a piece of var 0 being an atom at mean[j].  It
+    needs at least one piece, and each piece a finite coef and mean and
+    0 <= var < inf, else BadConfig.
     """
 
     coef: np.ndarray
@@ -106,6 +107,8 @@ class LinePieces:
                 and np.all(np.isfinite(mean)) and np.all((var >= 0.0) & (var < math.inf))):
             raise BadConfig("line measure pieces need a finite coef and mean "
                             "and 0 <= var < inf each")
+        if not coef.size:
+            raise BadConfig("a line measure needs at least one piece")
         for name, value in (("coef", coef), ("mean", mean), ("var", var)):
             object.__setattr__(self, name, value)
 

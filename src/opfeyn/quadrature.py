@@ -87,8 +87,9 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
 
 
 def _initial_edges(lo, hi, breakpoints):
-    pts = np.atleast_1d(np.asarray([] if breakpoints is None else breakpoints,
-                                   dtype=float))
+    if breakpoints is None:
+        return np.linspace(lo, hi, MIN_PANELS + 1)
+    pts = np.atleast_1d(np.asarray(breakpoints, dtype=float))
     edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
     if edges.size - 1 < MIN_PANELS:
         fill = np.linspace(lo, hi, MIN_PANELS + 1)
@@ -106,7 +107,8 @@ def _panel_sums(f, a, b, step):
 
     Returns (kronrod, estimate, resabs, fmax), each of shape (k, panels):
     the K15 value, QUADPACK's error estimate, the K15 integral of |f| and
-    the largest |f| at the nodes.
+    the largest |f| at the nodes.  f's output is overwritten, so f must
+    return an array of its own, not a view of one it keeps.
     """
     half = 0.5 * (b - a)
     centre = a + half
@@ -117,12 +119,18 @@ def _panel_sums(f, a, b, step):
         vals = np.asarray(f(nodes.ravel()))
         F = vals.reshape(vals.shape[0], h.size, GK_NODES.size)
         absf = np.abs(F)
+        resabs = absf @ GK_KRONROD * h
+        # node-major, the largest |f| is 14 elementwise maxima of (k, panels)
+        fmax = absf.transpose(2, 0, 1).copy().max(axis=0)
         kron = F @ GK_KRONROD
         raw = np.abs(kron - F @ GK_GAUSS) * h
-        resasc = np.abs(F - 0.5 * kron[..., None]) @ GK_KRONROD * h
+        F -= 0.5 * kron[..., None]
+        resasc = np.abs(F, out=absf) @ GK_KRONROD * h
         scaled = 200.0 * raw / np.where(resasc > 0.0, resasc, 1.0)
         est = np.where(resasc > 0.0, resasc * np.minimum(1.0, scaled ** 1.5), raw)
-        parts.append((kron * h, est, absf @ GK_KRONROD * h, absf.max(axis=2)))
+        parts.append((kron * h, est, resabs, fmax))
+    if len(parts) == 1:
+        return parts[0]
     return [np.concatenate(p, axis=1) for p in zip(*parts)]
 
 
@@ -136,8 +144,9 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     lo, hi : float
         Ends of the interval, lo < hi.
     f : callable
-        Maps a 1-d float array of nodes to a (k, n_nodes) array (complex
-        or real); each of the k rows is integrated.
+        Maps a 1-d float array of nodes to a (k, n_nodes) float or
+        complex array of its own, which the rule overwrites; each of the
+        k rows is integrated.
     breakpoints : array_like, optional
         Interior points the initial partition must respect.
     width : int

@@ -10,7 +10,9 @@ from opfeyn import (InfiniteDrift, InvalidGrid, KernelOverflow,
                     MeasureUnderflow, MismatchedScalePair, NonPositiveVariance,
                     NonzeroOrigin, OperatorResult, OutOfDomain, QuadratureError,
                     UnknownExample, UnsupportedVariant, errors)
-from opfeyn.cli import _ADMISSIBILITY_ERRORS, main, mc_z_scores
+from opfeyn.cli import _ADMISSIBILITY_ERRORS, _fmt, main, mc_z_scores
+from opfeyn.sampler import RngStream, sample_increments
+from opfeyn.scale import wiener_pair
 
 QUICK = {
     "scale": {"preset": "wiener"},
@@ -62,6 +64,22 @@ def test_sample_writes_paths(tmp_path):
     assert rows[0] == ["t", "path_0", "path_1", "path_2"]
     assert len(rows) == 1 + 64 + 1
     assert float(rows[1][1]) == 0.0  # paths start at the origin
+
+
+def test_paths_csv_cells_are_the_sampled_values_formatted(tmp_path):
+    # 70 paths on 64 steps take two blocks of the table formatter; each
+    # cell is _fmt of its value, as the cell-by-cell writer wrote it
+    cfg = write_config(tmp_path, sample_count=70)
+    assert run(tmp_path, "sample", "--config", cfg, "--quiet") == 0
+    t, dx = sample_increments(wiener_pair(), 64, 70,
+                              RngStream(seed=11, stream_id=0).generator())
+    x = np.concatenate([np.zeros((70, 1)), np.cumsum(dx, axis=1)], axis=1)
+    text = (tmp_path / "out" / "paths.csv").read_bytes()
+    assert b"\r" not in text and text.endswith(b"\n")
+    rows = read_csv(tmp_path, "paths.csv")
+    assert rows[0] == ["t"] + [f"path_{k}" for k in range(70)]
+    assert rows[1:] == [[_fmt(t[i])] + [_fmt(x[k, i]) for k in range(70)]
+                        for i in range(t.size)]
 
 
 def test_evaluate_routes_and_manifest(tmp_path):

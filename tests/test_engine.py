@@ -23,7 +23,8 @@ from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     s_star, sample_interior_lambda, shifted_gaussian_psi,
                     unit_functional, unit_spot_check)
 from opfeyn import engine, kernels, quadrature
-from opfeyn.engine import _cubic_gram, _measure_family, _merge_moments
+from opfeyn.engine import (_cubic_gram, _kernel_family, _measure_family,
+                           _merge_moments)
 from opfeyn.fresnel import LinePieces, SpectralMeasure
 from opfeyn.quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES, LogBound
 
@@ -599,6 +600,116 @@ def test_convergence_study_monotone(drifted):
     assert all(gaps[k + 1] < gaps[k] for k in range(2, len(gaps) - 1))
 
 
+def _recording_families(monkeypatch):
+    """Record every kernel family's parameters and results."""
+    seen = []
+    family = engine._kernel_family
+
+    def recording(F, h, psi, lams, xi_grid, **kw):
+        results = family(F, h, psi, lams, xi_grid, **kw)
+        seen.append((lams, results))
+        return results
+
+    monkeypatch.setattr(engine, "_kernel_family", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name,psi", [
+    ("F3", gaussian_psi()), ("F4", gaussian_psi()), ("density", gaussian_psi()),
+    ("F3", bump_psi(2.0)), ("density", bump_psi(2.0))])
+def test_convergence_members_match_separate_calls(drifted, monkeypatch, name, psi):
+    # the target and the approach sequence are one kernel family; each
+    # member agrees with its own k_lambda or j_q call within both errors
+    h, xi = b_element(drifted), np.linspace(-2.0, 2.0, 5)
+    F = _sweep_density(drifted) if name == "density" else gallery(name, drifted)
+    seen = _recording_families(monkeypatch)
+    study = convergence_study(F, h, psi, 1.2, xi, q0=0.5, delta=0.5, n_steps=6)
+    (lams, results), = seen
+    assert [lam.value for lam in lams] == [-1.2j] + list(study.lam_values)
+    assert np.array_equal(study.target.values, results[0].values)
+    assert study.target.route == "boundary" and study.target.meta["q"] == 1.2
+    separate = [j_q(F, h, psi, 1.2, xi, delta=0.5)] + [
+        k_lambda(F, h, psi, lam, xi, delta=0.5) for lam in study.lam_values]
+    for member, own in zip(results, separate):
+        gap = np.abs(member.values - own.values)
+        assert np.all(gap <= member.meta["quad_err"] + own.meta["quad_err"])
+        assert member.meta["rows"] == own.meta["rows"]
+    assert np.array_equal(study.gaps, [np.max(np.abs(r.values - results[0].values))
+                                       for r in results[1:]])
+
+
+def test_convergence_study_takes_one_quadrature(drifted, monkeypatch):
+    # the 11 parameters share Im lam, so one partition serves all 55
+    # members; the parent made 11 quadratures for them
+    calls = []
+    integrate_family = engine.adaptive_simpson
+
+    def counting(f, lo, hi, **kw):
+        res = integrate_family(f, lo, hi, **kw)
+        calls.append(res.values.size)
+        return res
+
+    monkeypatch.setattr(engine, "adaptive_simpson", counting)
+    study = convergence_study(gallery("F3", drifted), b_element(drifted),
+                              gaussian_psi(), 1.0, np.linspace(-2.0, 2.0, 5),
+                              q0=0.5, delta=0.5)
+    assert calls == [55]
+    assert study.target.meta["n_eval"] > 0
+
+
+def test_a_wide_family_splits_by_parameter_within_the_byte_budget(drifted, monkeypatch):
+    # 120 rows x 5 parameters x 3 points would hold 432 KB a panel: the
+    # group splits by parameter, each exponent stays within CHUNK_BYTES,
+    # and every member keeps to its own one-parameter call's value
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, 3)
+    F = _sweep_density(drifted)
+    build = kernels.KernelExponent.__call__
+    sizes, params = [], []
+
+    def traced(exponent, *args):
+        e = build(exponent, *args)
+        if e.ndim == 4:  # (rows, parameters, points, nodes), not the probe's
+            sizes.append(e.nbytes)
+            params.append(e.shape[1])
+        return e
+
+    monkeypatch.setattr(kernels.KernelExponent, "__call__", traced)
+    lams = [LambdaParam.from_value(complex(2.0 ** -n, -1.5)) for n in range(5)]
+    results = _kernel_family(F, h, psi, lams, xi, q0=0.5, delta=0.5)
+    assert results[0].meta["rows"] * len(lams) * xi.size * 240 > CHUNK_BYTES
+    assert max(sizes) <= CHUNK_BYTES and 1 < max(params) < len(lams)
+    for lam, member in zip(lams, results):
+        one = k_lambda(F, h, psi, lam, xi)
+        assert np.all(np.abs(member.values - one.values)
+                      <= member.meta["quad_err"] + one.meta["quad_err"])
+
+
+@pytest.mark.parametrize("lam_value", (1.0, 0.8 + 0.6j, 0.3 - 1.2j, -1.5j))
+def test_a_one_parameter_family_is_k_lambda_bit_for_bit(drifted, lam_value):
+    h, xi = b_element(drifted), np.linspace(-2.0, 2.0, 5)
+    lam = LambdaParam.from_value(lam_value)
+    for F in (gallery("F3", drifted), gallery("F4", drifted), _sweep_density(drifted)):
+        one, = _kernel_family(F, h, gaussian_psi(), [lam], xi, q0=0.5, delta=0.5)
+        res = k_lambda(F, h, gaussian_psi(), lam, xi, delta=0.5)
+        assert np.array_equal(one.values, res.values)
+        assert np.array_equal(one.meta["quad_err"], res.meta["quad_err"])
+        assert ({k: v for k, v in one.meta.items() if k != "quad_err"}
+                == {k: v for k, v in res.meta.items() if k != "quad_err"})
+
+
+@pytest.mark.parametrize("route", ["mc", "kernel"])
+def test_an_empty_line_measure_is_refused_before_either_route(drifted, route):
+    # it built, Monte Carlo returned 0 and the kernel raised ZeroDivisionError
+    h, psi, xi = b_element(drifted), gaussian_psi(), np.array([0.0])
+    calls = {"mc": lambda F: i_lambda_mc(F, h, psi, 1.0, xi, 100, RngStream(1)),
+             "kernel": lambda F: k_lambda(F, h, psi, 1.0 + 0.5j, xi)}
+    with pytest.raises(BadConfig, match="at least one piece"):
+        calls[route](gallery("F1", drifted, w0=s_star(h), eta=EtaAtoms(())))
+    with pytest.raises(BadConfig, match="at least one piece"):
+        calls[route](FresnelFunctional(LineMeasure(h, LinePieces(
+            coef=np.zeros(0), mean=np.zeros(0), var=np.zeros(0)))))
+
+
 def test_convergence_rejects_small_q(drifted):
     F = unit_functional(drifted)
     h = b_element(drifted)
@@ -823,7 +934,8 @@ def _gaussian_lines(sp):
 def _analytic_row(F, lam, h):
     """(ctx, row sum at u, amp) of F's kernel family, whatever its rows."""
     ctx = KernelContext.from_direction(h)
-    weights, lin, const, quad, amp = _measure_family(F, lam, ctx, gaussian_psi(), [])
+    weights, lin, const, quad, amp = (x[0] for x in _measure_family(
+        F, [lam], ctx, gaussian_psi(), [[]]))
 
     def row(u):
         return weights @ np.exp(np.multiply.outer(lin, u) + const[:, None] + quad * u * u)
@@ -953,16 +1065,16 @@ def test_kernel_exponent_blocks_stay_within_the_byte_budget(drifted, monkeypatch
     # groups of 4, whose values agree with one point at a time
     h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, n_points)
     F = _sweep_density(drifted, scale)
-    build = kernels.vlh_exponent
+    build = kernels.KernelExponent.__call__
     sizes, points = [], []
 
-    def traced(*args, **kwargs):
-        e = build(*args, **kwargs)
+    def traced(exponent, *args):
+        e = build(exponent, *args)
         sizes.append(e.nbytes)
-        points.append(np.size(args[1]))
+        points.append(np.size(exponent.xi))
         return e
 
-    monkeypatch.setattr(kernels, "vlh_exponent", traced)
+    monkeypatch.setattr(kernels.KernelExponent, "__call__", traced)
     res = k_lambda(F, h, psi, 1.0 + 0.5j, xi)
     assert sizes and max(sizes) <= CHUNK_BYTES and max(points) == group
     for x, value, err in zip(xi, res.values, res.meta["quad_err"]):

@@ -8,8 +8,9 @@ from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
                     ZeroDirection, ZeroLambda, a_element, b_element,
                     bound_chain_sweep, kernel_M, monomial_element, s_star,
                     sample_interior_lambda, wiener_pair, zero_element)
-from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
-                            s_log, vl_abs_log, vl_coeffs, vlh_exponent)
+from opfeyn.kernels import (KernelExponent, a_abs_log, h_abs_log,
+                            h_abs_log_coeffs, k_log, s_log, vl_abs_log,
+                            vl_coeffs, vlh_exponent)
 
 interior_lam = st.builds(
     complex,
@@ -160,6 +161,30 @@ def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
     phase = vlh_exponent(lam, xi, v0, np.zeros(1), np.zeros(1), drift_ctx)[0].imag
     assert np.max(np.abs(centred + 1j * phase - plain)) <= 1e-13 * np.max(np.abs(plain))
     assert phase[1, 0] == 0.0  # at v0 = xi nothing is left out
+
+
+def test_a_family_exponent_is_each_parameters_exponent_bit_for_bit(drift_ctx):
+    # parameters as columns (a kernel family's members) give, member by
+    # member, the bits of one parameter's scalar build: the same terms in
+    # the same order
+    gen = np.random.default_rng(7)
+    c, w2 = gen.normal(size=3), gen.uniform(0.5, 2.0, 3)
+    lams = [LambdaParam.from_value(x) for x in (0.4 - 0.9j, 2.0, -1.5j, 0.02 + 1.3j)]
+    quads = [-0.3 + 0.2j, 0.0, 0.1 - 0.4j, 0.0]
+    xi = np.array([[-60.0], [0.3], [25.0]])
+    centre = xi + gen.normal(size=(len(lams), 3, 1))
+    v = np.linspace(-4.0, 4.0, 45)
+    lin, const = zip(*(vl_coeffs(lam, c, w2, drift_ctx) for lam in lams))
+    family = KernelExponent.about(
+        np.array([lam.value for lam in lams])[:, None, None],
+        np.array([lam.sqrt for lam in lams])[:, None, None],
+        np.array(quads)[:, None, None], xi, centre, drift_ctx)(
+            v, np.stack(lin, axis=1), np.stack(const, axis=1))
+    assert family.shape == (3, len(lams), 3, v.size)
+    for j, (lam, quad) in enumerate(zip(lams, quads)):
+        one = vlh_exponent(lam, xi, v, lin[j], const[j], drift_ctx, quad=quad,
+                           centre=centre[j])
+        assert np.array_equal(family[:, j], one), lam.value
 
 
 def test_parallel_direction_exact_branch(drift_ctx):

@@ -121,6 +121,48 @@ def test_a_smallest_partition_takes_one_integrand_call():
     assert calls == [MIN_PANELS * GK_NODES.size]
 
 
+def _qk15_reference(f, a, b, step):
+    """QUADPACK's qk15 on every panel [a, b], written out plainly, ``step``
+    panels per call of f: (K15 value, error estimate, resabs, largest |f|
+    at the nodes).  The shape of each call is kept, because a real matmul's
+    rounding can follow it."""
+    parts = []
+    for s in range(0, a.size, step):
+        lo, hi = a[s:s + step], b[s:s + step]
+        half = 0.5 * (hi - lo)
+        fv = f(((lo + half)[:, None] + half[:, None] * GK_NODES).ravel())
+        fv = fv.reshape(fv.shape[0], lo.size, GK_NODES.size)
+        resk = fv @ GK_KRONROD
+        abserr = np.abs(resk - fv @ GK_GAUSS) * half
+        resasc = np.abs(fv - 0.5 * resk[..., None]) @ GK_KRONROD * half
+        est = abserr.copy()
+        big = resasc > 0.0
+        est[big] = resasc[big] * np.minimum(1.0, (200.0 * abserr[big] / resasc[big]) ** 1.5)
+        parts.append((resk * half, est, np.abs(fv) @ GK_KRONROD * half,
+                      np.abs(fv).max(axis=2)))
+    return [np.concatenate(p, axis=1) for p in zip(*parts)]
+
+
+def test_panel_sums_match_a_plain_qk15_reference_bit_for_bit():
+    # three members on ten panels, in two integrand calls of five and in
+    # one; the sums reuse the integrand's output and |f| in place
+    k = np.array([[1.0], [2.5], [-4.0]])
+    f = lambda v: np.exp(1j * k * v - v * v)
+    edges = np.linspace(-3.0, 3.0, 11) ** 3 / 9.0
+    a, b = edges[:-1], edges[1:]
+    for step in (5, 10):
+        sums = quadrature._panel_sums(f, a, b, step)
+        ref = _qk15_reference(f, a, b, step)
+        assert all(np.array_equal(x, y) for x, y in zip(sums, ref)), step
+
+
+def test_an_initial_partition_without_breakpoints_is_equal_panels():
+    edges = quadrature._initial_edges(-1.5, 2.0, None)
+    assert np.array_equal(edges, np.linspace(-1.5, 2.0, MIN_PANELS + 1))
+    with_points = quadrature._initial_edges(-1.5, 2.0, np.array([0.3]))
+    assert with_points.size == MIN_PANELS + 2 and 0.3 in with_points
+
+
 def test_phase_breakpoints_spacing():
     bp = phase_breakpoints(-2.0, 2.0, rate=10.0, center=0.5)
     assert np.all(bp > -2.0) and np.all(bp < 2.0)
