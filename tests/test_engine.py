@@ -600,20 +600,6 @@ def test_convergence_study_monotone(drifted):
     assert all(gaps[k + 1] < gaps[k] for k in range(2, len(gaps) - 1))
 
 
-def _recording_families(monkeypatch):
-    """Record every kernel family's parameters and results."""
-    seen = []
-    family = engine._kernel_family
-
-    def recording(F, h, psi, lams, xi_grid, **kw):
-        results = family(F, h, psi, lams, xi_grid, **kw)
-        seen.append((lams, results))
-        return results
-
-    monkeypatch.setattr(engine, "_kernel_family", recording)
-    return seen
-
-
 @pytest.mark.parametrize("name,psi", [
     ("F3", gaussian_psi()), ("F4", gaussian_psi()), ("density", gaussian_psi()),
     ("F3", bump_psi(2.0)), ("density", bump_psi(2.0))])
@@ -622,7 +608,14 @@ def test_convergence_members_match_separate_calls(drifted, monkeypatch, name, ps
     # member agrees with its own k_lambda or j_q call within both errors
     h, xi = b_element(drifted), np.linspace(-2.0, 2.0, 5)
     F = _sweep_density(drifted) if name == "density" else gallery(name, drifted)
-    seen = _recording_families(monkeypatch)
+    seen = []
+    family = engine._kernel_family
+
+    def recording(F, h, psi, lams, xi_grid, **kw):
+        seen.append((lams, family(F, h, psi, lams, xi_grid, **kw)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(engine, "_kernel_family", recording)
     study = convergence_study(F, h, psi, 1.2, xi, q0=0.5, delta=0.5, n_steps=6)
     (lams, results), = seen
     assert [lam.value for lam in lams] == [-1.2j] + list(study.lam_values)
@@ -640,7 +633,7 @@ def test_convergence_members_match_separate_calls(drifted, monkeypatch, name, ps
 
 def test_convergence_study_takes_one_quadrature(drifted, monkeypatch):
     # the 11 parameters share Im lam, so one partition serves all 55
-    # members; the parent made 11 quadratures for them
+    # members, where separate calls make 11 quadratures
     calls = []
     integrate_family = engine.adaptive_simpson
 

@@ -156,13 +156,6 @@ def test_panel_sums_match_a_plain_qk15_reference_bit_for_bit():
         assert all(np.array_equal(x, y) for x, y in zip(sums, ref)), step
 
 
-def test_an_initial_partition_without_breakpoints_is_equal_panels():
-    edges = quadrature._initial_edges(-1.5, 2.0, None)
-    assert np.array_equal(edges, np.linspace(-1.5, 2.0, MIN_PANELS + 1))
-    with_points = quadrature._initial_edges(-1.5, 2.0, np.array([0.3]))
-    assert with_points.size == MIN_PANELS + 2 and 0.3 in with_points
-
-
 def test_phase_breakpoints_spacing():
     bp = phase_breakpoints(-2.0, 2.0, rate=10.0, center=0.5)
     assert np.all(bp > -2.0) and np.all(bp < 2.0)
