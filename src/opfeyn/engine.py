@@ -25,9 +25,9 @@ from .fresnel import (FresnelFunctional, eval_from_projections,
                       grid_fourier_sum, join, kq0_integral, probe_grid,
                       unit_functional)
 from .hilbert import CambElement, a_unit_element, b_element, pair_with_a
-from .kernels import (DirectionStats, KernelContext, KernelExponent,
-                      LambdaParam, a_abs_log, evaluation_points, gamma_margin,
-                      h_abs_log, h_abs_log_coeffs, k_log, kernel_M,
+from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
+                      evaluation_points, gamma_margin, h_abs_log,
+                      h_abs_log_coeffs, k_log, kernel_exponent, kernel_M,
                       require_delta, require_threshold, s_log, vl_abs_log,
                       vl_coeffs, vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
@@ -233,7 +233,7 @@ def _require_kernel_admissible(F: FresnelFunctional, h: CambElement,
     return kq0
 
 
-def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, groups,
+def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, xi, cuts,
                reach_per_radius: float, terms):
     """Probe factory that weighs a line density's row sum by its effect on
     the kernel integral at every parameter of a family.
@@ -242,12 +242,12 @@ def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, groups,
     sum_r coef_r exp(i freq_r u) that a node set makes at lam, with |freq|
     at most ``reach_per_radius`` times the radius.  For each parameter
     lams[l], ``probe_for(radius)`` samples u on one uniform grid that
-    covers the truncation cuts of every ``(xs, cuts)`` group of groups[l],
-    outside which the weights below are e^-TRUNC_DROP of their peak, with
-    PROBE_DENSITY points per period of the rows' reach plus the fastest
-    phase of H there.  For each point xi of the groups, its probe gives
-    the grid sum of S(u) H(u) psi(u + xi) divided by that of |H psi|, the
-    parameters' points one after another.  A row-sum error that
+    covers the truncation cuts cuts[l] of the points ``xi``, outside which
+    the weights below are e^-TRUNC_DROP of their peak, with PROBE_DENSITY
+    points per period of the rows' reach plus the fastest phase of H
+    there.  For each point, its probe gives the grid sum of S(u) H(u)
+    psi(u + xi) divided by that of |H psi|, the parameters' points one
+    after another, in groups of ``XI_GROUP``.  A row-sum error that
     oscillates against a smooth H psi averages out there as it does in the
     integral, so the rule stops at the size the kernel needs.
     """
@@ -255,7 +255,9 @@ def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, groups,
 
     def probe_for(radius):
         weighed = []  # per parameter, its grid and its groups' point weights
-        for lam, lam_groups in zip(lams, groups):
+        for lam, lam_cuts in zip(lams, cuts):
+            lam_groups = [(xi[k:k + XI_GROUP], lam_cuts[k:k + XI_GROUP])
+                          for k in range(0, xi.size, XI_GROUP)]
             lo = min((cuts[:, 0].min() - xs.max() for xs, cuts in lam_groups), default=0.0)
             hi = max((cuts[:, 1].max() - xs.min() for xs, cuts in lam_groups), default=0.0)
             # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
@@ -286,7 +288,7 @@ def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, groups,
 
 
 def _measure_family(F: FresnelFunctional, lams: list[LambdaParam],
-                    ctx: KernelContext, psi: PsiFn, groups):
+                    ctx: KernelContext, psi: PsiFn, xi, cuts):
     """Flatten the spectral measure into kernel rows, one set of rows for
     every parameter of a family, each row one gaussian piece coef *
     N(mean, var) of the line along a direction.
@@ -303,8 +305,8 @@ def _measure_family(F: FresnelFunctional, lams: list[LambdaParam],
     principal root is the continuous branch, on the boundary too; amp is
     the sum of |coef| E exp(Re A s).  Each line gives its pieces on its
     own direction, whose stats are taken once; a density gives those that
-    resolve the rows' effect on the integral of psi at every point of each
-    parameter's ``(xs, cuts)`` groups, groups[l] (``_row_probe``).  quad is
+    resolve the rows' effect on the integral of psi at every point xi, cut
+    at cuts[l] for each parameter (``_row_probe``).  quad is
     one number, so a piece of var > 0 must be the measure's only piece,
     else UnsupportedVariant.
     """
@@ -329,7 +331,7 @@ def _measure_family(F: FresnelFunctional, lams: list[LambdaParam],
             return lin.imag, weights * np.exp(const)
 
         lines.append((dirs, eta.points(_row_probe(
-            lams, ctx, psi, groups, abs(s.c_hw) / ctx.norm_h_sq, row_sum_terms))))
+            lams, ctx, psi, xi, cuts, abs(s.c_hw) / ctx.norm_h_sq, row_sum_terms))))
     col, coef, mean, var = join([p for _, p in lines])
     if coef.size > 1 and np.any(var):
         raise UnsupportedVariant(
@@ -385,9 +387,7 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     cuts = np.array([[b.cut(TRUNC_DROP) for b in lam_bounds]
                      for lam_bounds in bounds]).reshape(len(lams), -1, 2)
     centres = 0.5 * (cuts[..., 0] + cuts[..., 1])  # what the exponents are built about
-    weights, lin, const, quad, amp = _measure_family(F, lams, ctx, psi, [
-        [(xi[k:k + XI_GROUP], lam_cuts[k:k + XI_GROUP]) for k in range(0, xi.size, XI_GROUP)]
-        for lam_cuts in cuts])
+    weights, lin, const, quad, amp = _measure_family(F, lams, ctx, psi, xi, cuts)
     rows = weights.shape[1]
     size = min(XI_GROUP, panels_per_call(rows))  # points one panel's budget holds
     # per parameter, a column against the (points, nodes) of the exponent
@@ -402,8 +402,8 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
         for j in range(0, len(lams), step):
             ls = slice(j, j + step)
             members = raw[ls, g].shape
-            exponent = KernelExponent.about(lam_value[ls], lam_sqrt[ls], quad[ls, None, None],
-                                            xi[g, None], centres[ls, g, None], ctx)
+            exponent = kernel_exponent(lam_value[ls], lam_sqrt[ls], quad[ls, None, None],
+                                       xi[g, None], centres[ls, g, None], ctx)
             res = _integrate_with_tail_check(
                 _kernel_integrand(exponent, weights[ls], lin[ls].T, const[ls].T, psi),
                 [b for lam_bounds in bounds[ls] for b in lam_bounds[g]],
@@ -431,7 +431,7 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     return results
 
 
-def _kernel_integrand(exponent: KernelExponent, weights, lin, const, psi: PsiFn):
+def _kernel_integrand(exponent, weights, lin, const, psi: PsiFn):
     """The integrand of a kernel family at nodes v: per parameter l, its
     rows' sum weights[l] @ exp(exponent) at each of its points, times psi,
     one row per member; ``lin`` and ``const`` hold a column per parameter."""

@@ -213,48 +213,36 @@ def vl_coeffs(lam: LambdaParam, c, w2, ctx: KernelContext):
     return 1j * (c / n2), (c * c - n2 * w2) / (2.0 * lam.value * n2)
 
 
-@dataclass(frozen=True)
-class KernelExponent:
-    """The kernel exponent of a family of members about their centres, with
-    every per-member constant computed once.
+def kernel_exponent(lam_value, lam_sqrt, quad, xi, centre, ctx: KernelContext):
+    """The kernel exponent of a family of members about their centres, as a
+    function of the nodes v and the rows' (lin, const), with every
+    per-member constant computed once.
 
-    Member m has parameter lam_m, point xi_m and centre v0_m.  ``about``
-    takes lam (its value and principal root) and the u^2 coefficient
-    ``quad`` as one value, or as per-parameter columns that broadcast
-    against the columns ``xi`` and ``centre``; calling the object at
-    nodes v builds ``vlh_exponent`` for every member at once, in its
-    order of terms.  ``u0`` is v0 - xi, and the members' u^2 terms are
-    (a (u + u0) + b) (v - v0) + c with a = quad - lam / (2 ||h||^2), b =
+    Member m has parameter lam_m, point xi_m and centre v0_m.  lam (its
+    value and principal root) and the u^2 coefficient ``quad`` are one
+    value, or per-parameter columns that broadcast against the columns
+    ``xi`` and ``centre``.  The returned function builds ``vlh_exponent``
+    for every member at once, in its order of terms, shape lin.shape +
+    (the members' shape) + v.shape; a row's lin and const are one number
+    or one per parameter.  With u0 = v0 - xi, the members' u^2 terms are
+    (a (u + u0) + b) (v - v0) + c, a = quad - lam / (2 ||h||^2), b =
     sqrt(lam) (h,a) / ||h||^2 and c = quad u0^2 + Re log H(u0).
     """
+    k = 0.5 / ctx.norm_h_sq
+    u0 = centre - xi
+    c0 = lam_sqrt * u0 - ctx.pair_ha
+    a = quad - k * lam_value
+    b = 2.0 * k * lam_sqrt * ctx.pair_ha
+    c = quad * u0 * u0 - k * (c0 * c0).real
 
-    xi: float | np.ndarray
-    v0: float | np.ndarray
-    u0: float | np.ndarray
-    a: complex | np.ndarray
-    b: complex | np.ndarray
-    c: float | complex | np.ndarray
-
-    @classmethod
-    def about(cls, lam_value, lam_sqrt, quad, xi, centre,
-              ctx: KernelContext) -> "KernelExponent":
-        k = 0.5 / ctx.norm_h_sq
-        u0 = centre - xi
-        c0 = lam_sqrt * u0 - ctx.pair_ha
-        return cls(xi=xi, v0=centre, u0=u0, a=quad - k * lam_value,
-                   b=2.0 * k * lam_sqrt * ctx.pair_ha,
-                   c=quad * u0 * u0 - k * (c0 * c0).real)
-
-    def __call__(self, v: np.ndarray, lin: np.ndarray, const: np.ndarray) -> np.ndarray:
-        """lin[r] u + const[r] + the u^2 terms at every member and node v,
-        shape lin.shape + (the members' shape) + v.shape; a row's ``lin``
-        and ``const`` are one number or one per parameter."""
-        u = np.subtract(v, self.xi, dtype=float)
+    def exponent(v: np.ndarray, lin: np.ndarray, const: np.ndarray) -> np.ndarray:
+        u = np.subtract(v, xi, dtype=float)
         lin, const = np.atleast_1d(lin), np.atleast_1d(const)
         out = np.multiply.outer(lin, u, dtype=complex)
         out += const.reshape(const.shape + (1,) * (out.ndim - const.ndim))
-        out += (self.a * (u + self.u0) + self.b) * np.subtract(v, self.v0, dtype=float) + self.c
+        out += (a * (u + u0) + b) * np.subtract(v, centre, dtype=float) + c
         return out
+    return exponent
 
 
 def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
@@ -271,8 +259,8 @@ def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
     point, shaped like ``xi`` (``xi`` when not given; log H(0) is real):
     the terms in u^2 are summed in powers of v - v0, so the phase left out,
     which grows like |lam| (v0 - xi)^2, is not rounded into every node; the
-    caller multiplies the integral by its exponential.  One
-    ``KernelExponent`` builds it; a family keeps that object for every call.
+    caller multiplies the integral by its exponential.  It is one
+    ``kernel_exponent`` build; a family keeps that function for every call.
     """
     v0 = xi if centre is None else centre
-    return KernelExponent.about(lam.value, lam.sqrt, quad, xi, v0, ctx)(v, lin, const)
+    return kernel_exponent(lam.value, lam.sqrt, quad, xi, v0, ctx)(v, lin, const)

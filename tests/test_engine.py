@@ -22,7 +22,7 @@ from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
                     op_norm_bound, pair_with_a,
                     s_star, sample_interior_lambda, shifted_gaussian_psi,
                     unit_functional, unit_spot_check)
-from opfeyn import engine, kernels, quadrature
+from opfeyn import engine, quadrature
 from opfeyn.engine import (_cubic_gram, _kernel_family, _measure_family,
                            _merge_moments)
 from opfeyn.fresnel import LinePieces, SpectralMeasure
@@ -656,17 +656,20 @@ def test_a_wide_family_splits_by_parameter_within_the_byte_budget(drifted, monke
     # and every member keeps to its own one-parameter call's value
     h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, 3)
     F = _sweep_density(drifted)
-    build = kernels.KernelExponent.__call__
+    build = engine.kernel_exponent
     sizes, params = [], []
 
-    def traced(exponent, *args):
-        e = build(exponent, *args)
-        if e.ndim == 4:  # (rows, parameters, points, nodes), not the probe's
+    def traced(*args):
+        exponent = build(*args)
+
+        def recording(*call):
+            e = exponent(*call)  # (rows, parameters, points, nodes)
             sizes.append(e.nbytes)
             params.append(e.shape[1])
-        return e
+            return e
+        return recording
 
-    monkeypatch.setattr(kernels.KernelExponent, "__call__", traced)
+    monkeypatch.setattr(engine, "kernel_exponent", traced)
     lams = [LambdaParam.from_value(complex(2.0 ** -n, -1.5)) for n in range(5)]
     results = _kernel_family(F, h, psi, lams, xi, q0=0.5, delta=0.5)
     assert results[0].meta["rows"] * len(lams) * xi.size * 240 > CHUNK_BYTES
@@ -928,7 +931,7 @@ def _analytic_row(F, lam, h):
     """(ctx, row sum at u, amp) of F's kernel family, whatever its rows."""
     ctx = KernelContext.from_direction(h)
     weights, lin, const, quad, amp = (x[0] for x in _measure_family(
-        F, [lam], ctx, gaussian_psi(), [[]]))
+        F, [lam], ctx, gaussian_psi(), np.zeros(0), np.zeros((1, 0, 2))))
 
     def row(u):
         return weights @ np.exp(np.multiply.outer(lin, u) + const[:, None] + quad * u * u)
@@ -1058,16 +1061,20 @@ def test_kernel_exponent_blocks_stay_within_the_byte_budget(drifted, monkeypatch
     # groups of 4, whose values agree with one point at a time
     h, psi, xi = b_element(drifted), gaussian_psi(), np.linspace(-1.0, 1.0, n_points)
     F = _sweep_density(drifted, scale)
-    build = kernels.KernelExponent.__call__
+    build = engine.kernel_exponent
     sizes, points = [], []
 
-    def traced(exponent, *args):
-        e = build(exponent, *args)
-        sizes.append(e.nbytes)
-        points.append(np.size(exponent.xi))
-        return e
+    def traced(*args):
+        exponent = build(*args)
 
-    monkeypatch.setattr(kernels.KernelExponent, "__call__", traced)
+        def recording(*call):
+            e = exponent(*call)
+            sizes.append(e.nbytes)
+            points.append(np.size(args[3]))
+            return e
+        return recording
+
+    monkeypatch.setattr(engine, "kernel_exponent", traced)
     res = k_lambda(F, h, psi, 1.0 + 0.5j, xi)
     assert sizes and max(sizes) <= CHUNK_BYTES and max(points) == group
     for x, value, err in zip(xi, res.values, res.meta["quad_err"]):

@@ -8,9 +8,9 @@ from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
                     ZeroDirection, ZeroLambda, a_element, b_element,
                     bound_chain_sweep, kernel_M, monomial_element, s_star,
                     sample_interior_lambda, wiener_pair, zero_element)
-from opfeyn.kernels import (KernelExponent, a_abs_log, h_abs_log,
-                            h_abs_log_coeffs, k_log, s_log, vl_abs_log,
-                            vl_coeffs, vlh_exponent)
+from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
+                            kernel_exponent, s_log, vl_abs_log, vl_coeffs,
+                            vlh_exponent)
 
 interior_lam = st.builds(
     complex,
@@ -175,7 +175,7 @@ def test_a_family_exponent_is_each_parameters_exponent_bit_for_bit(drift_ctx):
     centre = xi + gen.normal(size=(len(lams), 3, 1))
     v = np.linspace(-4.0, 4.0, 45)
     lin, const = zip(*(vl_coeffs(lam, c, w2, drift_ctx) for lam in lams))
-    family = KernelExponent.about(
+    family = kernel_exponent(
         np.array([lam.value for lam in lams])[:, None, None],
         np.array([lam.sqrt for lam in lams])[:, None, None],
         np.array(quads)[:, None, None], xi, centre, drift_ctx)(
