@@ -32,7 +32,8 @@ from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
                       vl_coeffs, vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
 from .quadrature import (LogBound, QuadResult, adaptive_simpson,
-                         panels_per_call, phase_breakpoints)
+                         curvature_breakpoints, panels_per_call,
+                         phase_breakpoints)
 from .sampler import RngStream, left_densities, projection_law
 # not called here; perfbench/spans.py wraps the sampler at this import site
 from .sampler import sample_increments  # noqa: F401
@@ -184,23 +185,29 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, cen
     """Integrate a family on the union of its members' truncation cuts.
 
     Row j of f's output has truncation bound bounds[j], tail amplitude
-    amps[j] and a quadratic phase of rate at most ``phase_rate``, centred
-    within the range of ``centres``; the panels keep every row's phase
-    within a half period, and each row's tail is certified at the shared
-    ends against its own tolerance, with one retry at a wider drop.
-    ``cuts`` are the bounds' (lo, hi) cuts at TRUNC_DROP when the caller
-    has them; ``width`` goes to ``adaptive_simpson``.  The bookkeeping is
-    per member in floats, so a one-member family pays no array work
-    beyond the quadrature's.  Returns the QuadResult with each row's tail
-    bound added to its error.
+    amps[j] and a quadratic phase of rate at most ``phase_rate`` centred
+    at centres[j].  The first partition keeps every row's phase within a
+    half period (``phase_breakpoints``) and splits the panels that leaves
+    too wide for a row's curvature and phase (``curvature_breakpoints``);
+    each row's tail is certified at the shared ends against its own
+    tolerance, with one retry at a wider drop.  ``cuts`` are the bounds'
+    (lo, hi) cuts at TRUNC_DROP when the caller has them; ``width`` goes
+    to ``adaptive_simpson``.  The bookkeeping is per member in floats, so
+    a one-member family pays little array work beyond the quadrature's.
+    Returns the QuadResult with each row's tail bound added to its error.
     """
+    centres = np.asarray(centres, dtype=float)
+    curvature = [b.curvature for b in bounds]
     for drop in (TRUNC_DROP, TRUNC_DROP + math.log(1e6)):
         if cuts is None or drop > TRUNC_DROP:
             cuts = [b.cut(drop) for b in bounds]
-        lo, hi = min(c[0] for c in cuts), max(c[1] for c in cuts)
+        cuts = np.asarray(cuts, dtype=float)
+        lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
+        breakpoints = curvature_breakpoints(
+            lo, hi, phase_breakpoints(lo, hi, phase_rate, centres), curvature,
+            phase_rate, centres, cuts)
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                               breakpoints=phase_breakpoints(lo, hi, phase_rate, centres),
-                               width=width)
+                               breakpoints=breakpoints, width=width)
         tails = [b.tails(lo, hi, a) for b, a in zip(bounds, amps)]
         if all(t <= max(TAIL_REL * v, abs_tol)
                for t, v in zip(tails, np.abs(res.values).tolist())):
@@ -379,8 +386,8 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     ctx = KernelContext.from_direction(h)
     xi = evaluation_points(xi_grid)
     # each member's truncation bound: the envelope times the kernel's |H|
-    bounds = [[psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, float(x0), ctx))
-               for x0 in xi] for lam in lams]
+    bounds = [[psi.envelope.log_bound.plus(h_abs_log_coeffs(lam, x0, ctx))
+               for x0 in xi.tolist()] for lam in lams]
     if not all(b.integrable for lam_bounds in bounds for b in lam_bounds):
         raise PsiNotIntegrable(
             "state-function envelope does not control the kernel tail")
@@ -404,11 +411,12 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
             members = raw[ls, g].shape
             exponent = kernel_exponent(lam_value[ls], lam_sqrt[ls], quad[ls, None, None],
                                        xi[g, None], centres[ls, g, None], ctx)
+            # each member's phase is centred at its point
             res = _integrate_with_tail_check(
                 _kernel_integrand(exponent, weights[ls], lin[ls].T, const[ls].T, psi),
                 [b for lam_bounds in bounds[ls] for b in lam_bounds[g]],
                 max(abs(lam.value.imag) for lam in lams[ls]) / (2.0 * ctx.norm_h_sq),
-                xi[g], cuts=cuts[ls, g].reshape(-1, 2).tolist(), rel_tol=rel_tol,
+                np.tile(xi[g], members[0]), cuts=cuts[ls, g].reshape(-1, 2), rel_tol=rel_tol,
                 abs_tol=abs_tol, amps=[a for a in amp[ls].tolist() for _ in range(members[1])],
                 width=rows * members[0] * members[1])
             raw[ls, g] = res.values.reshape(members)
@@ -590,15 +598,16 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
     lam = LambdaParam.from_q(-1.0)
     ctx = KernelContext.from_direction(h)
     m_factor = kernel_M(lam, ctx)
-    phase_rate = abs(lam.value.imag) / (2.0 * ctx.norm_h_sq)
 
     def f(v):
         e = vlh_exponent(lam, 0.0, v, np.array([0.0]), np.array([0.0]), ctx)
         return np.exp(e[0])[None, :] * psi(v)[None, :]
 
-    # the partial integral is defined on [0, R], so its tail is 0
+    # the partial integral is defined on [0, R], so its tail is 0; the
+    # witness's phase v^2 / 2 - sqrt(2) p v / 2 cancels that of H at lam =
+    # i (||h|| = 1), so the integrand v exp(sqrt(2) p v / 4) has no phase
     res = _integrate_with_tail_check(f, [LogBound(support=(0.0, R))],
-                                     phase_rate, [0.0], rel_tol=1e-11,
+                                     0.0, [0.0], rel_tol=1e-11,
                                      abs_tol=1e-14, amps=[1.0])
     value = float(abs(m_factor * res.values[0]))
     return DivergencePartial(R=R, value=value, pair_ha=p)

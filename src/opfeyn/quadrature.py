@@ -7,11 +7,14 @@ Kronrod extension (G7/K15, QUADPACK's ``qk15``); panels are bisected
 where the error estimate of any family member exceeds its share of the
 budget.  The estimate is QUADPACK's heuristic resasc min(1, (200 |K15 -
 G7| / resasc)^1.5), as the Richardson estimate of the earlier Simpson
-panels was a heuristic too: neither is a proven bound.  Oscillatory
-integrands get an initial partition whose panels keep every family
-member's quadratic phase within a half period (``PHASE_STEP``).  The
-engine keeps the name ``adaptive_simpson`` because the benchmark tracer
-(perfbench/spans.py) hooks that name.
+panels was a heuristic too: neither is a proven bound.  The engine lays
+the initial partition from what each member's integrand declares: its
+half-period offsets keep every member's quadratic phase within a half
+period (``PHASE_STEP``), and where those leave a panel wider than the
+member's magnitude curvature and phase rate allow (``MAGNITUDE_STEP``,
+``CHIRP_STEP``), the panel is split, so that most integrals are accepted
+in the first round.  The engine keeps the name ``adaptive_simpson``
+because the benchmark tracer (perfbench/spans.py) hooks that name.
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ ROUND_FLOOR = 32.0 * EPS
 # per node), so that memory does not grow with the panel count
 CHUNK_BYTES = 1 << 18
 PHASE_CAP = 16384     # most half-period offsets a partition uses per side
+# The widest steps, in units of 1/sqrt(c), at which every K15 panel of a
+# model integrand's first partition, its grid at any alignment, passes the
+# acceptance test at the routes' tightest tolerance (rel_tol 1e-11, over the
+# model's cut at a drop of 40), to 0.02: for exp(-c s^2), c the magnitude
+# curvature -q2, gridded over its cut; and for exp((i - 1/100) c s^2), c the
+# phase rate, a chirp that decays a hundredth as fast as it turns, gridded
+# within pi / (2 c step) of its stationary point, past which its half-period
+# offsets are finer, and cut at those offsets beyond.  A member with both
+# takes the step 1 / sqrt(c_mag / MAGNITUDE_STEP^2 + rate / CHIRP_STEP^2).
+MAGNITUDE_STEP = 1.22
+CHIRP_STEP = 0.54
+CURVE_CAP = 16384     # most points the curvature grids add to a partition
 MIN_PANELS = 8        # fewest panels of an initial partition
 MAX_PANELS = 1 << 19  # most panels a refinement round may bisect into
 MAX_ROUNDS = 40       # most refinement rounds of one integral
@@ -68,6 +83,8 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
 
     ``center`` is one c or an array: right of the extreme centres' midpoint
     the smallest one's points serve all of them, left of it the largest's.
+    Near the centres these half-period offsets are far apart, and
+    ``curvature_breakpoints`` splits the panels they leave there.
     """
     if rate <= 0.0 or hi <= lo:
         return None
@@ -84,6 +101,62 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
     pts = np.concatenate([c_hi - far[::-1], c_lo + far])
     pts = pts[(pts > lo) & (pts < hi)]
     return pts if pts.size else None
+
+
+def curvature_breakpoints(lo: float, hi: float, offsets: np.ndarray | None,
+                          curvature: list[float], rate: float, centres: np.ndarray,
+                          cuts: np.ndarray) -> np.ndarray | None:
+    """The interior edges of a first partition: the half-period
+    ``offsets``, each panel they leave split into equal parts no wider
+    than the finest step asked for within it.
+
+    Member j has magnitude curvature curvature[j], centre centres[j] and
+    cut cuts[j]; a run of members of one curvature (a parameter's points)
+    asks for the step 1 / sqrt(curvature / MAGNITUDE_STEP^2 + rate /
+    CHIRP_STEP^2) within the hull of its cuts, and with a phase only
+    within pi / (2 rate step) of its centres, past which its offsets are
+    finer than the step.  Every offset stays an edge.  At most CURVE_CAP
+    edges are added: past that each panel gets its share of them.
+    """
+    start = [j for j, c in enumerate(curvature) if j == 0 or c != curvature[j - 1]]
+    if len(start) == 1:  # one run, whose hull is the family's
+        runs = [(curvature[0], lo, hi, float(centres.min()), float(centres.max()))]
+    else:
+        runs = zip([curvature[j] for j in start],
+                   np.minimum.reduceat(cuts[:, 0], start).tolist(),
+                   np.maximum.reduceat(cuts[:, 1], start).tolist(),
+                   np.minimum.reduceat(centres, start).tolist(),
+                   np.maximum.reduceat(centres, start).tolist())
+    asks = []  # (window lo, window hi, step) per run that asks for a step
+    for c, w_lo, w_hi, c_lo, c_hi in runs:
+        scale = c * MAGNITUDE_STEP ** -2 + rate * CHIRP_STEP ** -2
+        if not 0.0 < scale < math.inf:  # no curvature and no phase, or overflow
+            continue
+        step = 1.0 / math.sqrt(scale)
+        if rate > 0.0:
+            half = 0.5 * math.pi / (rate * step)
+            w_lo, w_hi = max(w_lo, c_lo - half), min(w_hi, c_hi + half)
+        if w_lo < w_hi:
+            asks.append((w_lo, w_hi, step))
+    if not asks:
+        return offsets
+    base = np.array([lo, hi]) if offsets is None else np.concatenate(([lo], offsets, [hi]))
+    fine = np.full(base.size - 1, math.inf)
+    for w_lo, w_hi, step in asks:
+        # the panels [base[k], base[k + 1]], k0 <= k < k1, the window meets
+        k0, k1 = np.searchsorted(base, (w_lo, w_hi), "right").tolist()
+        np.minimum(fine[k0 - 1:k1], step, out=fine[k0 - 1:k1])
+    # pieces per panel, counted in floats so that no count overflows
+    pieces = np.maximum(np.ceil(np.minimum(np.diff(base) / fine, CURVE_CAP + 1.0)), 1.0)
+    extra = pieces.sum() - pieces.size
+    if extra == 0.0:
+        return offsets
+    if extra > CURVE_CAP:
+        pieces = 1.0 + np.floor((pieces - 1.0) * (CURVE_CAP / extra))
+    # edge t of the split partition, where the cumulative piece count
+    # reaches t; the offsets are where it reaches a panel's end
+    count = np.concatenate(([0.0], np.cumsum(pieces)))
+    return np.interp(np.arange(1.0, count[-1]), count, base)
 
 
 def _initial_edges(lo, hi, breakpoints):
@@ -148,7 +221,9 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
         complex array of its own, which the rule overwrites; each of the
         k rows is integrated.
     breakpoints : array_like, optional
-        Interior points the initial partition must respect.
+        Interior points the initial partition must respect; the engine
+        passes ``curvature_breakpoints``, whose panels the acceptance test
+        below takes in the first round for most integrands.
     width : int
         Complex values f holds per node (its k members, or rows x points
         for a kernel); every call of f takes ``panels_per_call(width)``.
@@ -252,22 +327,33 @@ class LogBound:
             return q0
         return math.inf
 
+    def __post_init__(self):
+        # every use of a bound reads its peak, so it is taken once here
+        object.__setattr__(self, "_peak", max(self._side_peak(self.left, -1),
+                                              self._side_peak(self.right, +1)))
+
     def peak(self) -> float:
         """Maximum of the quadratic bound; inf when a side does not decay."""
-        return max(self._side_peak(self.left, -1), self._side_peak(self.right, +1))
+        return self._peak
 
     @property
     def integrable(self) -> bool:
         """Whether exp(bound) is integrable: a support, or a finite peak."""
-        return self.support is not None or math.isfinite(self.peak())
+        return self.support is not None or math.isfinite(self._peak)
+
+    @property
+    def curvature(self) -> float:
+        """The larger side's -q2, at least 0."""
+        return max(-self.left[0], -self.right[0], 0.0)
 
     def plus(self, left: tuple[float, float, float],
              right: tuple[float, float, float] | None = None) -> LogBound:
         """This bound with the quadratic ``left`` added on v <= 0 and
         ``right`` (``left`` when not given) on v >= 0; the support is kept."""
         right = left if right is None else right
-        return LogBound(left=tuple(a + b for a, b in zip(self.left, left)),
-                        right=tuple(a + b for a, b in zip(self.right, right)),
+        (l2, l1, l0), (r2, r1, r0) = self.left, self.right
+        return LogBound(left=(l2 + left[0], l1 + left[1], l0 + left[2]),
+                        right=(r2 + right[0], r1 + right[1], r0 + right[2]),
                         support=self.support)
 
     def _side_cut(self, coeffs, side: int, target: float) -> float:
@@ -286,7 +372,7 @@ class LogBound:
         """Interval outside which the bound is ``drop`` below its peak."""
         if self.support is not None:
             return self.support
-        target = self.peak() - drop
+        target = self._peak - drop
         lo = self._side_cut(self.left, -1, target)
         hi = self._side_cut(self.right, +1, target)
         if hi <= lo:

@@ -411,10 +411,15 @@ def test_rounds_reported_in_meta(drifted, monkeypatch):
 
     monkeypatch.setattr(engine, "adaptive_simpson", recording)
     F, h = gallery("F4", drifted), b_element(drifted)
-    # two groups of points that need different numbers of rounds
-    xi = np.linspace(-2.0, 2.0, 12)
-    res = j_q(F, h, shifted_gaussian_psi(1.0, 0.0, 0.3), 1.5, xi, delta=0.5)
-    assert len(rounds) == 2 and min(rounds) < max(rounds)
+    # two groups of points that need different numbers of rounds: the first
+    # partition splits no panel at the kink of |psi| = exp(-|v - 6|), whose
+    # envelope e^6 exp(-|v|) carries no curvature, and only the second
+    # group's truncation cuts reach it
+    psi = PsiFn(fn=lambda v: np.exp(-np.abs(v - 6.0)),
+                envelope=Envelope("exponential", scale=math.exp(6.0), rate=1.0))
+    xi = np.concatenate([np.linspace(-20.0, -10.0, 8), np.linspace(4.0, 8.0, 4)])
+    res = k_lambda(F, h, psi, 1.0 + 0.5j, xi)
+    assert len(rounds) == 2 and rounds[0] < rounds[1]
     assert res.meta["quad_rounds"] == max(rounds)
     res = k_lambda(F, h, gaussian_psi(), 1.0 + 0.5j, [0.0])
     assert res.meta["quad_rounds"] == rounds[-1]
@@ -557,11 +562,68 @@ def test_tail_check_raises_when_the_retry_cannot_certify(monkeypatch):
         gaussian_identity_check(1.0, 0.0)
 
 
+def _recording_rounds(monkeypatch):
+    rounds = []
+    integrate_family = engine.adaptive_simpson
+
+    def recording(f, lo, hi, **kw):
+        res = integrate_family(f, lo, hi, **kw)
+        rounds.append((res.rounds, lo, hi))
+        return res
+
+    monkeypatch.setattr(engine, "adaptive_simpson", recording)
+    return rounds
+
+
+def test_criterion_06_draws_take_one_round(monkeypatch):
+    # the first partition resolves the criterion-06 draws in one round, but
+    # for two kinds it does not claim: draws whose half-period offsets
+    # PHASE_CAP thins (rate * reach^2 past PHASE_CAP half periods), and
+    # draws whose integral is cancelled far below the integrand's peak, so
+    # that the tolerance, relative to the integral, is that much tighter
+    rounds = _recording_rounds(monkeypatch)
+    gen = np.random.default_rng(61)
+    kinds = []
+    for _ in range(100):
+        re_a = 10.0 ** gen.uniform(-3.0, 1.0)
+        alpha = re_a + 1j * gen.uniform(-2.0, 2.0)
+        beta = (gen.uniform(-3.0, 3.0) * math.sqrt(re_a)
+                + 1j * gen.uniform(-3.0, 3.0))
+        res = gaussian_identity_check(alpha, beta)
+        (n, lo, hi), = rounds
+        rounds.clear()
+        centre = beta.imag / (2.0 * alpha.imag)
+        reach = max(centre - lo, hi - centre)
+        thinned = abs(alpha.imag) * reach * reach / quadrature.PHASE_STEP > quadrature.PHASE_CAP
+        cancelled = math.exp(beta.real ** 2 / (4.0 * re_a)) > 8.0 * abs(res.closed_form)
+        kinds.append((thinned, cancelled))
+        assert n == 1 or (thinned or cancelled) and n <= 3, (alpha, beta, n)
+    assert sum(t for t, _ in kinds) == 2 and sum(c for _, c in kinds) == 3
+
+
+@pytest.mark.parametrize("lam", [1.0 + 0.5j, 0.5 - 0.8j, 2.0, -1.1j], ids=str)
+def test_gallery_kernel_calls_take_one_round(drifted, lam):
+    h = b_element(drifted)
+    for name in ("F3", "F4", "unit"):
+        F = unit_functional(drifted) if name == "unit" else gallery(name, drifted)
+        for xi in (np.array([0.0]), np.linspace(-2.0, 2.0, 5), np.linspace(-3.0, 3.0, 13)):
+            if lam.real == 0.0:
+                res = j_q(F, h, gaussian_psi(), -lam.imag, xi, delta=0.5)
+            else:
+                res = k_lambda(F, h, gaussian_psi(), lam, xi)
+            assert res.meta["quad_rounds"] == 1, (name, xi.size)
+
+
 def test_tail_check_raises_when_the_quadrature_misses_its_tolerance(
-        monkeypatch):
+        drifted, monkeypatch):
+    # the witness's exponential envelope carries no curvature and its norm
+    # no phase, so the first partition is the plain one and one round
+    # leaves panels unresolved (four resolve it)
+    psi = divergence_witness_psi(1.0)
+    assert nu_delta_norm(psi, 0.0, drifted) > 0.0
     monkeypatch.setattr(quadrature, "MAX_ROUNDS", 1)
     with pytest.raises(QuadratureError, match="missed its tolerance"):
-        gaussian_identity_check(1.0, 0.0)
+        nu_delta_norm(psi, 0.0, drifted)
 
 
 def test_kernel_rejects_a_measure_without_the_exponential_moment(drifted):

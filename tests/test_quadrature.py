@@ -1,14 +1,17 @@
+import cmath
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from opfeyn import quadrature
-from opfeyn.quadrature import (CHUNK_BYTES, GK_GAUSS, GK_KRONROD, GK_NODES,
-                               MIN_PANELS, PHASE_CAP, PHASE_STEP, LogBound,
-                               adaptive_simpson, phase_breakpoints,
-                               quadratic_tail_bound)
+from opfeyn.quadrature import (CHIRP_STEP, CHUNK_BYTES, CURVE_CAP, GK_GAUSS,
+                               GK_KRONROD, GK_NODES, MAGNITUDE_STEP, MIN_PANELS,
+                               PHASE_CAP, PHASE_STEP, ROUND_FLOOR, LogBound,
+                               adaptive_simpson, curvature_breakpoints,
+                               phase_breakpoints, quadratic_tail_bound)
 
 
 def as_family(*fns):
@@ -241,6 +244,162 @@ def test_phase_breakpoints_memory_does_not_grow_with_the_reach():
 
 def test_phase_breakpoints_zero_rate():
     assert phase_breakpoints(0.0, 1.0, rate=0.0, center=0.0) is None
+
+
+def _step(curvature, rate):
+    return 1.0 / math.sqrt(curvature / MAGNITUDE_STEP ** 2 + rate / CHIRP_STEP ** 2)
+
+
+def test_curvature_breakpoints_keep_every_offset_and_meet_each_step():
+    # random families of one or several rows: every half-period offset is
+    # still an edge, so no panel turns any centre's phase by more than 2
+    # PHASE_STEP, the edges rise strictly inside (lo, hi), and every panel
+    # that meets a row's window (the hull of its cuts, within pi / (2 rate
+    # step) of its centres) is no wider than that row's step
+    gen = np.random.default_rng(27)
+    split = 0
+    for _ in range(500):
+        rows, cols = gen.integers(1, 4), gen.integers(1, 6)
+        rate = 0.0 if gen.uniform() < 0.2 else 10.0 ** gen.uniform(-2.0, 1.0)
+        curv = np.repeat(10.0 ** gen.uniform(-3.0, 1.0, rows), cols)
+        centres = np.tile(np.sort(gen.uniform(-3.0, 3.0, cols)), rows)
+        half = gen.uniform(2.0, 15.0, rows * cols)
+        cuts = np.column_stack([centres - half, centres + gen.uniform(2.0, 15.0, rows * cols)])
+        lo, hi = cuts[:, 0].min(), cuts[:, 1].max()
+        offsets = phase_breakpoints(lo, hi, rate, centres)
+        pts = curvature_breakpoints(lo, hi, offsets, curv.tolist(), rate, centres, cuts)
+        if offsets is not None:
+            assert np.all(np.isin(offsets, pts))
+        if pts is None:
+            continue
+        split += pts.size > (0 if offsets is None else offsets.size)
+        edges = np.concatenate([[lo], pts, [hi]])
+        assert np.all(np.diff(edges) > 0.0)
+        a, b = edges[:-1], edges[1:]
+        if rate > 0.0:
+            phi_a = rate * (a[:, None] - centres) ** 2
+            phi_b = rate * (b[:, None] - centres) ** 2
+            inside = (a[:, None] < centres) & (centres < b[:, None])
+            turn = np.where(inside, phi_a + phi_b, np.abs(phi_b - phi_a))
+            assert turn.max() <= 2.0 * PHASE_STEP * (1.0 + 1e-9)
+        for r in range(rows):
+            row = slice(r * cols, (r + 1) * cols)
+            step = _step(curv[r * cols], rate)
+            w_lo, w_hi = cuts[row, 0].min(), cuts[row, 1].max()
+            if rate > 0.0:
+                w_lo = max(w_lo, centres[row].min() - 0.5 * math.pi / (rate * step))
+                w_hi = min(w_hi, centres[row].max() + 0.5 * math.pi / (rate * step))
+            meets = (a < w_hi) & (b > w_lo)
+            assert np.all(b[meets] - a[meets] <= step * (1.0 + 1e-12))
+    assert split > 300
+
+
+def test_curvature_breakpoints_stay_within_their_cap():
+    centre = np.array([0.0])
+    # a rate of 1e300: the thinned offsets leave a panel about the centre
+    # far wider than the step, which takes at most CURVE_CAP points; past
+    # the float range the rate asks for none
+    offsets = phase_breakpoints(-10.0, 10.0, 1e300, centre)
+    pts = curvature_breakpoints(-10.0, 10.0, offsets, [1.0], 1e300, centre,
+                                np.array([[-10.0, 10.0]]))
+    assert offsets.size < pts.size <= offsets.size + CURVE_CAP
+    assert np.all(np.isin(offsets, pts)) and np.all(np.diff(pts) > 0.0)
+    assert curvature_breakpoints(-10.0, 10.0, None, [1.0], 1.7e308, centre,
+                                 np.array([[-10.0, 10.0]])) is None
+    # no curvature and no phase ask for no step; a vanishing curvature
+    # asks for 1e150 steps across a cut of 1e300, and a unit curvature
+    # for 1e12 across one of 1e12: the points are capped, and so is memory
+    assert curvature_breakpoints(0.0, 1.0, None, [0.0], 0.0, centre,
+                                 np.array([[0.0, 1.0]])) is None
+    for curv, reach in ((1e-300, 1e300), (1.0, 1e12)):
+        tracemalloc.start()
+        try:
+            pts = curvature_breakpoints(-reach, reach, None, [curv], 0.0, centre,
+                                        np.array([[-reach, reach]]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert CURVE_CAP // 2 <= pts.size <= CURVE_CAP
+        assert np.all(np.diff(pts) > 0.0)
+        assert peak < 4 * 2 ** 20
+
+
+def _model(kind, c):
+    """A model integrand of curvature or rate c: (f, step, cut half-width,
+    |integral|, magnitude curvature, rate)."""
+    if kind == "magnitude":
+        return (lambda v: np.exp(-c * v * v)[None, :], MAGNITUDE_STEP / math.sqrt(c),
+                math.sqrt(40.0 / c), math.sqrt(math.pi / c), c, 0.0)
+    # a chirp that decays a hundredth as fast as it turns
+    alpha = (0.01 - 1j) * c
+    return (lambda v: np.exp(-alpha * v * v)[None, :], CHIRP_STEP / math.sqrt(c),
+            math.sqrt(40.0 / alpha.real), abs(cmath.sqrt(math.pi / alpha)), alpha.real, c)
+
+
+def _worst_panel(kind, c, width):
+    """The largest estimate over acceptance limit, at rel_tol 1e-11 over
+    the model's cut, among the panels of a grid of ``width``, laid at 41
+    alignments: over the cut for the magnitude model, and within pi / (2
+    rate width) of the stationary point for the chirp, which its first 40
+    half-period offsets continue."""
+    f, _, reach, integral, _, rate = _model(kind, c)
+    limit = 0.5 * 1e-11 * integral / (2.0 * reach)
+    worst = 0.0
+    for shift in np.linspace(0.0, width, 41, endpoint=False):
+        span = reach if kind == "magnitude" else 0.5 * math.pi / (rate * width)
+        j = np.arange(math.floor((-span - shift) / width), math.ceil((span - shift) / width))
+        a = shift + j * width
+        b = a + width
+        if kind == "chirp":
+            u = np.sqrt(np.arange(1, 41) * PHASE_STEP / rate)
+            u = u[u > b.max()]
+            a = np.concatenate([a, u[:-1], -u[1:]])
+            b = np.concatenate([b, u[1:], -u[:-1]])
+        _, est, _, fmax = quadrature._panel_sums(f, a, b, a.size)
+        worst = max(worst, float(np.max(est[0] / np.maximum(
+            limit * (b - a), ROUND_FLOOR * fmax[0] * (b - a)))))
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["magnitude", "chirp"])
+def test_curve_steps_are_the_widest_grids_that_pass(kind):
+    # the derivation of MAGNITUDE_STEP and CHIRP_STEP, in units of
+    # 1/sqrt(c) at any c: every panel of a grid of the step passes the
+    # acceptance test at the routes' tightest tolerance, one of twice it
+    # does not, and one panel of twice the step placed on the peak fails
+    # for the magnitude model
+    for c in (0.04, 1.0, 25.0):
+        f, step, reach, integral, _, _ = _model(kind, c)
+        assert _worst_panel(kind, c, step) <= 1.0
+        assert _worst_panel(kind, c, 2.0 * step) > 1.0
+        if kind == "magnitude":
+            w = 2.0 * step
+            _, est, _, fmax = quadrature._panel_sums(f, np.array([-w / 2]), np.array([w / 2]), 1)
+            assert est[0, 0] > 0.5 * 1e-11 * integral * w / (2.0 * reach)
+
+
+@pytest.mark.parametrize("kind", ["magnitude", "chirp"])
+def test_the_curvature_partition_takes_one_round(kind, monkeypatch):
+    # the first partition of each model over its cut converges in one round
+    # at rel_tol 1e-11; with the steps doubled it does not
+    for c in (0.04, 1.0, 25.0):
+        f, _, reach, _, curv, rate = _model(kind, c)
+
+        def partition():
+            return curvature_breakpoints(
+                -reach, reach, phase_breakpoints(-reach, reach, rate, 0.0), [curv],
+                rate, np.array([0.0]), np.array([[-reach, reach]]))
+
+        res = adaptive_simpson(f, -reach, reach, rel_tol=1e-11, abs_tol=1e-15,
+                               breakpoints=partition())
+        assert res.rounds == 1
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "MAGNITUDE_STEP", 2.0 * MAGNITUDE_STEP)
+            m.setattr(quadrature, "CHIRP_STEP", 2.0 * CHIRP_STEP)
+            coarse = partition()
+        res = adaptive_simpson(f, -reach, reach, rel_tol=1e-11, abs_tol=1e-15,
+                               breakpoints=coarse)
+        assert res.rounds > 1
 
 
 def test_budget_exhaustion_reported(monkeypatch):
