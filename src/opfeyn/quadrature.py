@@ -159,14 +159,20 @@ def curvature_breakpoints(lo: float, hi: float, offsets: np.ndarray | None,
     return np.interp(np.arange(1.0, count[-1]), count, base)
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    # np.unique's values, without the numpy.ma import its first call makes
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _initial_edges(lo, hi, breakpoints):
     if breakpoints is None:
         return np.linspace(lo, hi, MIN_PANELS + 1)
     pts = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-    edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
+    edges = _sorted_distinct(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
     if edges.size - 1 < MIN_PANELS:
         fill = np.linspace(lo, hi, MIN_PANELS + 1)
-        edges = np.unique(np.concatenate([edges, fill]))
+        edges = _sorted_distinct(np.concatenate([edges, fill]))
     return edges
 
 

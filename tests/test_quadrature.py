@@ -402,6 +402,20 @@ def test_the_curvature_partition_takes_one_round(kind, monkeypatch):
         assert res.rounds > 1
 
 
+def test_initial_edges_are_the_distinct_sorted_points():
+    # the ends, the points strictly inside and, below MIN_PANELS panels,
+    # the equal fill, each once and in order, as np.unique gives them
+    gen = np.random.default_rng(5)
+    for _ in range(200):
+        lo, hi = sorted(gen.uniform(-5.0, 5.0, 2))
+        pts = np.round(gen.uniform(lo - 1.0, hi + 1.0, gen.integers(0, 40)), 1)
+        inside = pts[(pts > lo) & (pts < hi)]
+        want = np.unique(np.concatenate([[lo, hi], inside]))
+        if want.size - 1 < MIN_PANELS:
+            want = np.unique(np.concatenate([want, np.linspace(lo, hi, MIN_PANELS + 1)]))
+        assert np.array_equal(quadrature._initial_edges(lo, hi, pts), want)
+
+
 def test_budget_exhaustion_reported(monkeypatch):
     # a needle pinned to an initial node so it is seen, but far too narrow
     # for a four-round refinement budget to resolve at this tolerance
