@@ -143,9 +143,10 @@ def curvature_breakpoints(lo: float, hi: float, offsets: np.ndarray | None,
     base = np.array([lo, hi]) if offsets is None else np.concatenate(([lo], offsets, [hi]))
     fine = np.full(base.size - 1, math.inf)
     for w_lo, w_hi, step in asks:
-        # the panels [base[k], base[k + 1]], k0 <= k < k1, the window meets
-        k0, k1 = np.searchsorted(base, (w_lo, w_hi), "right").tolist()
-        np.minimum(fine[k0 - 1:k1], step, out=fine[k0 - 1:k1])
+        # panel k is [base[k], base[k + 1]]; the window meets those from the
+        # one holding w_lo to the one holding w_hi
+        first, last = np.searchsorted(base, (w_lo, w_hi), "right").tolist()
+        np.minimum(fine[first - 1:last], step, out=fine[first - 1:last])
     # pieces per panel, counted in floats so that no count overflows
     pieces = np.maximum(np.ceil(np.minimum(np.diff(base) / fine, CURVE_CAP + 1.0)), 1.0)
     extra = pieces.sum() - pieces.size
