@@ -31,7 +31,7 @@ from .kernels import (DirectionStats, KernelContext, LambdaParam, a_abs_log,
                       require_delta, require_threshold, s_log, vl_abs_log,
                       vl_coeffs, vlh_exponent)
 from .psi import PsiFn, divergence_witness_psi, gaussian_psi
-from .quadrature import (LogBound, QuadResult, adaptive_simpson,
+from .quadrature import (EXP_CAP, LogBound, QuadResult, adaptive_simpson,
                          curvature_breakpoints, panels_per_call,
                          phase_breakpoints)
 from .sampler import RngStream, left_densities, projection_law
@@ -41,7 +41,6 @@ from .scale import ScalePair
 
 TRUNC_DROP = 40.0
 TAIL_REL = 1e-10
-EXP_CAP = 700.0
 XI_GROUP = 8          # evaluation points integrated as one quadrature family
 MC_BATCH = 10000      # Monte Carlo paths drawn and reduced at a time
 
@@ -249,46 +248,41 @@ def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, xi, cuts
     sum_r coef_r exp(i freq_r u) that a node set makes at lam, with |freq|
     at most ``reach_per_radius`` times the radius.  For each parameter
     lams[l], ``probe_for(radius)`` samples u on one uniform grid that
-    covers the truncation cuts cuts[l] of the points ``xi``, outside which
-    the weights below are e^-TRUNC_DROP of their peak, with PROBE_DENSITY
-    points per period of the rows' reach plus the fastest phase of H
-    there.  For each point, its probe gives the grid sum of S(u) H(u)
-    psi(u + xi) divided by that of |H psi|, the parameters' points one
-    after another, in groups of ``XI_GROUP``.  A row-sum error that
-    oscillates against a smooth H psi averages out there as it does in the
-    integral, so the rule stops at the size the kernel needs.
+    covers every point's truncation cut cuts[l] less the point ``xi``,
+    outside which its weights below are e^-TRUNC_DROP of their peak, with
+    PROBE_DENSITY points per period of the rows' reach plus the fastest
+    phase of H there.  For each point, its probe gives the grid sum of
+    S(u) H(u) psi(u + xi) divided by that of |H psi|, the parameters'
+    points one after another.  A row-sum error that oscillates against a
+    smooth H psi averages out there as it does in the integral, so the
+    rule stops at the size the kernel needs.
     """
     n2 = ctx.norm_h_sq
 
     def probe_for(radius):
-        weighed = []  # per parameter, its grid and its groups' point weights
+        weighed = []  # per parameter, its grid and its points' weights
         for lam, lam_cuts in zip(lams, cuts):
-            lam_groups = [(xi[k:k + XI_GROUP], lam_cuts[k:k + XI_GROUP])
-                          for k in range(0, xi.size, XI_GROUP)]
-            lo = min((cuts[:, 0].min() - xs.max() for xs, cuts in lam_groups), default=0.0)
-            hi = max((cuts[:, 1].max() - xs.min() for xs, cuts in lam_groups), default=0.0)
+            reach = lam_cuts - xi[:, None]  # each point's cut, in u
+            lo, hi = (reach[:, 0].min(), reach[:, 1].max()) if xi.size else (0.0, 0.0)
             # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
             chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
                         for x in (lo, hi)) / n2
             u = probe_grid(lo, hi, reach_per_radius * radius + chirp)
             log_h = vlh_exponent(lam, 0.0, u, np.array([0.0]), np.array([0.0]), ctx)[0]
-            points = []  # per group, its points' weights and their total moduli
-            for xs, _ in lam_groups:
-                with np.errstate(divide="ignore"):
-                    log_g = log_h + np.log(psi(u + xs[:, None]))
-                # each point's weights are scaled by their own peak, which the
-                # division by their total modulus cancels
-                peak = np.max(log_g.real, axis=1, keepdims=True)
-                g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
-                points.append((g, np.sum(np.abs(g), axis=1)))
-            weighed.append((lam, u, points))
+            with np.errstate(divide="ignore"):
+                log_g = log_h + np.log(psi(u + xi[:, None]))
+            # each point's weights are scaled by their own peak, which the
+            # division by their total modulus cancels
+            peak = np.max(log_g.real, axis=1, keepdims=True)
+            g = np.exp(log_g - np.where(np.isfinite(peak), peak, 0.0))
+            weighed.append((lam, u, g, np.sum(np.abs(g), axis=1)))
 
         def probe(v, c):
             out = [np.zeros(0, complex)]
-            for lam, u, points in weighed:
+            for lam, u, g, mass in weighed:
                 s = grid_fourier_sum(u, *terms(lam, v, c))
-                out += [np.divide(g @ s, mass, out=np.zeros(mass.size, complex),
-                                  where=mass > 0.0) for g, mass in points]
+                out.append(np.divide(g @ s, mass, out=np.zeros(mass.size, complex),
+                                     where=mass > 0.0))
             return np.concatenate(out)
         return probe
     return probe_for

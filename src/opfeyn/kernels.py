@@ -221,10 +221,15 @@ def kernel_exponent(lam_value, lam_sqrt, quad, xi, centre, ctx: KernelContext):
     Member m has parameter lam_m, point xi_m and centre v0_m.  lam (its
     value and principal root) and the u^2 coefficient ``quad`` are one
     value, or per-parameter columns that broadcast against the columns
-    ``xi`` and ``centre``.  The returned function builds ``vlh_exponent``
-    for every member at once, in its order of terms, shape lin.shape +
-    (the members' shape) + v.shape; a row's lin and const are one number
-    or one per parameter.  With u0 = v0 - xi, the members' u^2 terms are
+    ``xi`` and ``centre``.  The returned function builds lin[r] u +
+    const[r] + quad u^2 + log H(u), u = v - xi, less i Im log H(v0 - xi),
+    the phase of log H at the centre, which the caller multiplies back in
+    (``vlh_exponent`` is the build with quad 0 about the points), for
+    every member at once, shape lin.shape + (the members' shape) +
+    v.shape; a row's lin and const are one number or one per parameter.
+    The terms in u^2 are summed in powers of v - v0, so the phase left
+    out, which grows like |lam| (v0 - xi)^2, is not rounded into every
+    node.  With u0 = v0 - xi, the members' u^2 terms are
     (a (u + u0) + b) (v - v0) + c, a = quad - lam / (2 ||h||^2), b =
     sqrt(lam) (h,a) / ||h||^2 and c = quad u0^2 + Re log H(u0).
     """
@@ -246,21 +251,13 @@ def kernel_exponent(lam_value, lam_sqrt, quad, xi, centre, ctx: KernelContext):
 
 
 def vlh_exponent(lam: LambdaParam, xi: float | np.ndarray, v: np.ndarray,
-                 lin: np.ndarray, const: np.ndarray, ctx: KernelContext,
-                 quad: complex = 0.0,
-                 centre: float | np.ndarray | None = None) -> np.ndarray:
-    """Kernel exponent lin[r] u + const[r] + quad u^2 + log H(u), u = v - xi,
-    less i Im log H(v0 - xi), the phase of log H at a centre v0.
+                 lin: np.ndarray, const: np.ndarray, ctx: KernelContext) -> np.ndarray:
+    """Kernel exponent lin[r] u + const[r] + log H(u), u = v - xi.
 
     One row r per spectral row, shape (len(lin), len(v)), or (len(lin),
     n, len(v)) for a column ``xi`` of n points.  ``lin`` and ``const`` are
-    ``vl_coeffs`` for a direction; an integrated gaussian line family also
-    carries the shared u^2 coefficient ``quad``.  ``centre`` is v0 per
-    point, shaped like ``xi`` (``xi`` when not given; log H(0) is real):
-    the terms in u^2 are summed in powers of v - v0, so the phase left out,
-    which grows like |lam| (v0 - xi)^2, is not rounded into every node; the
-    caller multiplies the integral by its exponential.  It is one
-    ``kernel_exponent`` build; a family keeps that function for every call.
+    ``vl_coeffs`` for a direction.  It is one ``kernel_exponent`` build
+    about the points themselves, where log H(0) is real, so no phase is
+    left out.
     """
-    v0 = xi if centre is None else centre
-    return kernel_exponent(lam.value, lam.sqrt, quad, xi, v0, ctx)(v, lin, const)
+    return kernel_exponent(lam.value, lam.sqrt, 0.0, xi, xi, ctx)(v, lin, const)

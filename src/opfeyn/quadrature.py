@@ -4,17 +4,17 @@ The integrand is evaluated as a family: f(v) returns a (k, len(v)) array
 so that k related integrals (one per spectral node, say) share every grid
 evaluation.  Each panel carries the 7-point Gauss rule and its 15-point
 Kronrod extension (G7/K15, QUADPACK's ``qk15``); panels are bisected
-where the error estimate of any family member exceeds its share of the
-budget.  The estimate is QUADPACK's heuristic resasc min(1, (200 |K15 -
-G7| / resasc)^1.5), as the Richardson estimate of the earlier Simpson
-panels was a heuristic too: neither is a proven bound.  The engine lays
-the initial partition from what each member's integrand declares: its
-half-period offsets keep every member's quadratic phase within a half
-period (``PHASE_STEP``), and where those leave a panel wider than the
-member's magnitude curvature and phase rate allow (``MAGNITUDE_STEP``,
-``CHIRP_STEP``), the panel is split, so that most integrals are accepted
-in the first round.  The engine keeps the name ``adaptive_simpson``
-because the benchmark tracer (perfbench/spans.py) hooks that name.
+where the error estimate of any family member exceeds both its share of
+the budget and the panel's rounding floor.  The estimate is QUADPACK's
+heuristic resasc min(1, (200 |K15 - G7| / resasc)^1.5), not a proven
+bound.  The engine lays the initial partition from what each member's
+integrand declares: its half-period offsets keep every member's
+quadratic phase within a half period (``PHASE_STEP``), and where those
+leave a panel wider than the member's magnitude curvature and phase rate
+allow (``MAGNITUDE_STEP``, ``CHIRP_STEP``), the panel is split, so that
+most integrals are accepted in the first round.  The engine keeps the
+name ``adaptive_simpson`` because the benchmark tracer
+(perfbench/spans.py) hooks that name.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import numpy as np
 
 PHASE_STEP = math.pi
 EPS = np.finfo(float).eps
-# per-panel error floor: estimates below a few dozen ulps of the local
-# integrand magnitude are rounding noise, not discretization error
-ROUND_FLOOR = 32.0 * EPS
+EXP_CAP = 700.0       # largest exponent taken: exp(709.8) overflows a float
 # bytes of complex values one integrand call may hold, at its width (values
 # per node), so that memory does not grow with the panel count
 CHUNK_BYTES = 1 << 18
@@ -185,10 +183,11 @@ def panels_per_call(width: int) -> int:
 def _panel_sums(f, a, b, step):
     """G7/K15 sums of every panel [a, b], ``step`` panels per call of f.
 
-    Returns (kronrod, estimate, resabs, fmax), each of shape (k, panels):
-    the K15 value, QUADPACK's error estimate, the K15 integral of |f| and
-    the largest |f| at the nodes.  f's output is overwritten, so f must
-    return an array of its own, not a view of one it keeps.
+    Returns (kronrod, estimate, resabs), each of shape (k, panels): the
+    K15 value, QUADPACK's error estimate and the K15 integral of |f|,
+    whose 50 ulps are the panel's rounding floor.  f's output is
+    overwritten, so f must return an array of its own, not a view of one
+    it keeps.
     """
     half = 0.5 * (b - a)
     centre = a + half
@@ -200,15 +199,13 @@ def _panel_sums(f, a, b, step):
         F = vals.reshape(vals.shape[0], h.size, GK_NODES.size)
         absf = np.abs(F)
         resabs = absf @ GK_KRONROD * h
-        # node-major, the largest |f| is 14 elementwise maxima of (k, panels)
-        fmax = absf.transpose(2, 0, 1).copy().max(axis=0)
         kron = F @ GK_KRONROD
         raw = np.abs(kron - F @ GK_GAUSS) * h
         F -= 0.5 * kron[..., None]
         resasc = np.abs(F, out=absf) @ GK_KRONROD * h
         scaled = 200.0 * raw / np.where(resasc > 0.0, resasc, 1.0)
         est = np.where(resasc > 0.0, resasc * np.minimum(1.0, scaled ** 1.5), raw)
-        parts.append((kron * h, est, resabs, fmax))
+        parts.append((kron * h, est, resabs))
     if len(parts) == 1:
         return parts[0]
     return [np.concatenate(p, axis=1) for p in zip(*parts)]
@@ -238,12 +235,13 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     Returns
     -------
     QuadResult with per-family values and error estimates, the node
-    count and the number of refinement rounds.  A panel is accepted when
-    every member's estimate is within its length-proportional share of
-    half the budget or below the rounding floor; the reported error of a
-    panel is at least 50 ulps of its K15 integral of |f|.  When the
-    ``MAX_ROUNDS`` refinement rounds run out, the panels left are taken
-    at their last K15 values and the error is infinite.
+    count and the number of refinement rounds.  A panel's error is its
+    estimate or, when larger, its rounding floor, 50 ulps of its K15
+    integral of |f|.  The panel is accepted when every member's estimate
+    is within its length-proportional share of half the budget or within
+    that floor, so the floor that accepts it is the one it reports.  When
+    the ``MAX_ROUNDS`` refinement rounds run out, the panels left are
+    taken at their last K15 values and the error is infinite.
     """
     edges = _initial_edges(lo, hi, breakpoints)
     a = edges[:-1].copy()
@@ -255,15 +253,15 @@ def adaptive_simpson(f, lo: float, hi: float, *, rel_tol: float = 1e-10,
     converged = False
     for rounds in range(1, MAX_ROUNDS + 1):
         length = b - a
-        kron, est, resabs, fmax = _panel_sums(f, a, b, panels_per_call(width))
+        kron, est, resabs = _panel_sums(f, a, b, panels_per_call(width))
         n_eval += a.size * GK_NODES.size
-        err_p = np.maximum(est, 50.0 * EPS * resabs)
+        floor = 50.0 * EPS * resabs
+        err_p = np.maximum(est, floor)
         i_est = accepted_val + kron.sum(axis=1)
         tol_k = np.maximum(abs_tol, rel_tol * np.abs(i_est))
         # each panel may spend a length-proportional share of half the budget,
-        # and is never refined below the local rounding floor
+        # and is never refined below its rounding floor
         thresh = 0.5 * tol_k[:, None] * (length[None, :] / span)
-        floor = ROUND_FLOOR * fmax * length[None, :]
         ok = np.all(est <= np.maximum(thresh, floor), axis=0)
         accepted_val = accepted_val + kron[:, ok].sum(axis=1)
         accepted_err = accepted_err + err_p[:, ok].sum(axis=1)
@@ -301,7 +299,7 @@ def quadratic_tail_bound(q2: float, q1: float, q0: float,
     if slope >= 0.0:
         return math.inf
     q_edge = q2 * edge * edge + q1 * edge + q0
-    if q_edge > 700.0:
+    if q_edge > EXP_CAP:
         return math.inf
     return math.exp(q_edge) / -slope
 

@@ -400,6 +400,43 @@ def test_boundary_error_bar_covers_a_dense_reference_at_far_points(
         assert abs(res.values[0] - ref) <= res.meta["quad_err"][0], xi
 
 
+def test_a_panel_is_bisected_exactly_when_its_estimate_passes_its_share_and_floor(
+        drifted, monkeypatch):
+    # on the far boundary integrand, whose cancelled panels sit near the
+    # rounding floor, a panel is carried into the next round exactly when
+    # some member's estimate exceeds both its share of half the budget and
+    # 50 ulps of its K15 integral of |f|, the floor its error reports
+    calls = []
+    integrate_family, panel_sums = engine.adaptive_simpson, quadrature._panel_sums
+
+    def integrating(f, lo, hi, **kw):
+        calls.append((hi - lo, kw["rel_tol"], kw["abs_tol"], []))
+        return integrate_family(f, lo, hi, **kw)
+
+    def summing(f, a, b, step):
+        sums = panel_sums(f, a, b, step)
+        calls[-1][3].append((a.copy(), b.copy(), *sums[:3]))
+        return sums
+
+    monkeypatch.setattr(engine, "adaptive_simpson", integrating)
+    monkeypatch.setattr(quadrature, "_panel_sums", summing)
+    j_q(gallery("F4", drifted), b_element(drifted), shifted_gaussian_psi(1.0, 0.0, 0.1),
+        3.0, [-60.0], delta=0.5)
+    floor_decided = 0
+    for span, rel_tol, abs_tol, rounds in calls:
+        accepted = 0.0
+        for (a, b, kron, est, resabs), later in zip(rounds, rounds[1:] + [None]):
+            tol = np.maximum(abs_tol, rel_tol * np.abs(accepted + kron.sum(axis=1)))
+            share = 0.5 * tol[:, None] * ((b - a) / span)
+            floor = 50.0 * quadrature.EPS * resabs
+            bad = np.any((est > share) & (est > floor), axis=0)
+            carried = np.zeros(0) if later is None else later[0][:later[0].size // 2]
+            assert np.array_equal(a[bad], carried)
+            floor_decided += int(np.sum(~bad & np.any(est > share, axis=0)))
+            accepted = accepted + kron[:, ~bad].sum(axis=1)
+    assert floor_decided > 0
+
+
 def test_rounds_reported_in_meta(drifted, monkeypatch):
     rounds = []
     integrate_family = engine.adaptive_simpson
@@ -427,11 +464,12 @@ def test_rounds_reported_in_meta(drifted, monkeypatch):
 
 
 def test_empty_grid_gives_empty_arrays(drifted):
-    res = k_lambda(gallery("F3", drifted), b_element(drifted), gaussian_psi(),
-                   1.0 + 0.5j, np.array([]))
-    assert res.values.shape == (0,) and res.values.dtype == complex
-    assert res.meta["quad_err"].shape == (0,)
-    assert res.meta["n_eval"] == 0
+    # a density's row probe then has no point to weigh
+    for F in (gallery("F3", drifted), _sweep_density(drifted)):
+        res = k_lambda(F, b_element(drifted), gaussian_psi(), 1.0 + 0.5j, np.array([]))
+        assert res.values.shape == (0,) and res.values.dtype == complex
+        assert res.meta["quad_err"].shape == (0,)
+        assert res.meta["n_eval"] == 0
 
 
 def test_one_quadrature_per_group_of_points(drifted, monkeypatch):

@@ -137,16 +137,18 @@ def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_valu
         + 1j * np.outer(c / n2, u) + quad * u * u \
         - (arg * arg)[None, :] / (2.0 * n2)
     lin, const = vl_coeffs(lam, c, w2, drift_ctx)
-    fresh = vlh_exponent(lam, 0.3, v, lin, const, drift_ctx, quad=quad)
+    # built by kernel_exponent, which takes the u^2 coefficient that
+    # vlh_exponent leaves out, about the point itself
+    fresh = kernel_exponent(lam.value, lam.sqrt, quad, 0.3, 0.3, drift_ctx)(v, lin, const)
     assert np.max(np.abs(fresh - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
 def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
         drift_ctx, lam_value):
-    # built about a centre v0 per point, the exponent is the plain one less
-    # i Im log H(v0 - xi), which the plain build gives at v = v0; the real
-    # part, which the overflow guard reads, stays whole
+    # built about a centre v0 per point, kernel_exponent is its build about
+    # the point itself less i Im log H(v0 - xi), which vlh_exponent gives
+    # at v = v0; the real part, which the overflow guard reads, stays whole
     lam = LambdaParam.from_value(lam_value)
     gen = np.random.default_rng(5)
     lin, const = vl_coeffs(lam, gen.normal(size=3), gen.uniform(0.5, 2.0, 3),
@@ -155,9 +157,8 @@ def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
     v0 = np.array([[0.4], [0.3], [-1.0]])
     v = np.linspace(-2.0, 2.0, 17)
     quad = -0.3 + 0.2j
-    plain = vlh_exponent(lam, xi, v, lin, const, drift_ctx, quad=quad)
-    centred = vlh_exponent(lam, xi, v, lin, const, drift_ctx, quad=quad,
-                           centre=v0)
+    plain = kernel_exponent(lam.value, lam.sqrt, quad, xi, xi, drift_ctx)(v, lin, const)
+    centred = kernel_exponent(lam.value, lam.sqrt, quad, xi, v0, drift_ctx)(v, lin, const)
     phase = vlh_exponent(lam, xi, v0, np.zeros(1), np.zeros(1), drift_ctx)[0].imag
     assert np.max(np.abs(centred + 1j * phase - plain)) <= 1e-13 * np.max(np.abs(plain))
     assert phase[1, 0] == 0.0  # at v0 = xi nothing is left out
@@ -182,8 +183,8 @@ def test_a_family_exponent_is_each_parameters_exponent_bit_for_bit(drift_ctx):
             v, np.stack(lin, axis=1), np.stack(const, axis=1))
     assert family.shape == (3, len(lams), 3, v.size)
     for j, (lam, quad) in enumerate(zip(lams, quads)):
-        one = vlh_exponent(lam, xi, v, lin[j], const[j], drift_ctx, quad=quad,
-                           centre=centre[j])
+        one = kernel_exponent(lam.value, lam.sqrt, quad, xi, centre[j], drift_ctx)(
+            v, lin[j], const[j])
         assert np.array_equal(family[:, j], one), lam.value
 
 

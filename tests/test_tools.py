@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +85,19 @@ def test_surface_counts_source_lines_and_exported_names(capsys):
              if isinstance(node, ast.ImportFrom) for a in node.names}
     assert int(out["lines"]) == lines
     assert int(out["exports"]) == len({n for n in names if not n.startswith("_")})
+
+
+def test_op_digest_prints_one_digest_per_workload_and_repeats_it():
+    # two runs of one checkout, each its own process, agree line for line,
+    # and another seed's inputs give other digests
+    root = HERE.parent
+    runs = [subprocess.run([sys.executable, str(root / "tools" / "op_digest.py"),
+                            str(root), seed, "--smoke"],
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("3", "3", "4")]
+    lines = [line.split() for line in runs[0].splitlines()]
+    assert [name for name, _, _ in lines] == [
+        "mc-crosscheck", "kernel-sweep", "oscillatory-quad", "cli-report"]
+    assert all(int(n_ops) > 0 and len(digest) == 64 for _, n_ops, digest in lines)
+    assert runs[1] == runs[0]
+    assert all(a != b for a, b in zip(runs[0].splitlines(), runs[2].splitlines()))
