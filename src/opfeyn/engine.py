@@ -262,8 +262,8 @@ def _row_probe(lams: list[LambdaParam], ctx: KernelContext, psi: PsiFn, xi, cuts
     def probe_for(radius):
         weighed = []  # per parameter, its grid and its points' weights
         for lam, lam_cuts in zip(lams, cuts):
-            reach = lam_cuts - xi[:, None]  # each point's cut, in u
-            lo, hi = (reach[:, 0].min(), reach[:, 1].max()) if xi.size else (0.0, 0.0)
+            u_cuts = lam_cuts - xi[:, None]  # each point's cut, in u
+            lo, hi = (u_cuts[:, 0].min(), u_cuts[:, 1].max()) if xi.size else (0.0, 0.0)
             # H's phase rate -Im(lam u - sqrt(lam) p) / n2 is linear in u
             chirp = max(abs(lam.value.imag * x - lam.sqrt.imag * ctx.pair_ha)
                         for x in (lo, hi)) / n2
