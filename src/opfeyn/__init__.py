@@ -26,13 +26,12 @@ from .fresnel import (AtomicMeasure, EtaAtoms, EtaDensity, EtaGaussian,
                       FresnelFunctional, LineMeasure, convolve,
                       eval_from_projections, gallery, kq0_integral,
                       unit_functional)
-from .kernels import DirectionStats, KernelContext, LambdaParam, kernel_M
+from .kernels import LambdaParam
 from .engine import (BoundSweepResult, ConvergenceStudy, DivergencePartial,
                      GaussianIdentityResult, OperatorResult,
                      bound_chain_sweep, convergence_study,
                      divergence_witness_partial, gaussian_identity_check,
                      i_lambda_mc, j_q, k_lambda, nu_delta_norm, op_norm_bound,
                      sample_interior_lambda, unit_spot_check)
-from .config import RunConfig, config_from_dict, load_config
 
 __version__ = "0.1.0"

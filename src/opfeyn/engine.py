@@ -41,6 +41,8 @@ from .scale import ScalePair
 
 TRUNC_DROP = 40.0
 TAIL_REL = 1e-10
+KERNEL_REL_TOL = 1e-10  # the kernel routes' quadrature tolerance, relative
+KERNEL_ABS_TOL = 1e-13  # and absolute, before the factor M
 XI_GROUP = 8          # evaluation points integrated as one quadrature family
 MC_BATCH = 10000      # Monte Carlo paths drawn and reduced at a time
 
@@ -350,8 +352,7 @@ def _measure_family(F: FresnelFunctional, lams: list[LambdaParam],
 
 def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                    lams: list[LambdaParam], xi_grid, *, q0: float,
-                   delta: float | None, rel_tol: float = 1e-10,
-                   abs_tol: float = 1e-13) -> list[OperatorResult]:
+                   delta: float | None) -> list[OperatorResult]:
     """The kernel route at every member (lam, xi) of lams x xi_grid, one
     result per parameter.
 
@@ -410,8 +411,9 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
                 _kernel_integrand(exponent, weights[ls], lin[ls].T, const[ls].T, psi),
                 [b for lam_bounds in bounds[ls] for b in lam_bounds[g]],
                 max(abs(lam.value.imag) for lam in lams[ls]) / (2.0 * ctx.norm_h_sq),
-                np.tile(xi[g], members[0]), cuts=cuts[ls, g].reshape(-1, 2), rel_tol=rel_tol,
-                abs_tol=abs_tol, amps=[a for a in amp[ls].tolist() for _ in range(members[1])],
+                np.tile(xi[g], members[0]), cuts=cuts[ls, g].reshape(-1, 2),
+                rel_tol=KERNEL_REL_TOL, abs_tol=KERNEL_ABS_TOL,
+                amps=[a for a in amp[ls].tolist() for _ in range(members[1])],
                 width=rows * members[0] * members[1])
             raw[ls, g] = res.values.reshape(members)
             err[ls, g] = res.err.reshape(members)
@@ -427,7 +429,7 @@ def _kernel_family(F: FresnelFunctional, h: CambElement, psi: PsiFn,
             xi_grid=xi, values=m_factor * np.exp(1j * left_out) * lam_raw,
             stderr=None, route="kernel",
             meta={"lambda": lam.value, "q0": q0, "delta": delta,
-                  "rel_tol": rel_tol, "abs_tol": abs_tol,
+                  "rel_tol": KERNEL_REL_TOL, "abs_tol": KERNEL_ABS_TOL,
                   "quad_err": abs(m_factor) * lam_err, "n_eval": n_eval,
                   "quad_rounds": rounds, "rows": rows, "kq0_integral": kq0}))
     return results
@@ -450,8 +452,8 @@ def _kernel_integrand(exponent, weights, lin, const, psi: PsiFn):
 
 
 def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
-             lam, xi_grid, *, q0: float = 0.5, delta: float | None = None,
-             rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> OperatorResult:
+             lam, xi_grid, *, q0: float = 0.5,
+             delta: float | None = None) -> OperatorResult:
     """Closed-form kernel route of the operator.
 
     Admissible parameters are the interior of the admissible region for
@@ -470,8 +472,7 @@ def k_lambda(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     density.
     """
     lam = lam if isinstance(lam, LambdaParam) else LambdaParam.from_value(lam)
-    return _kernel_family(F, h, psi, [lam], xi_grid, q0=q0, delta=delta,
-                          rel_tol=rel_tol, abs_tol=abs_tol)[0]
+    return _kernel_family(F, h, psi, [lam], xi_grid, q0=q0, delta=delta)[0]
 
 
 def _boundary(res: OperatorResult, q: float) -> OperatorResult:
@@ -481,11 +482,9 @@ def _boundary(res: OperatorResult, q: float) -> OperatorResult:
 
 
 def j_q(F: FresnelFunctional, h: CambElement, psi: PsiFn, q: float,
-        xi_grid, *, q0: float = 0.5, delta: float | None = None,
-        rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> OperatorResult:
+        xi_grid, *, q0: float = 0.5, delta: float | None = None) -> OperatorResult:
     """Boundary (oscillatory-limit) evaluation at lam = -iq, |q| > q0."""
-    return _boundary(k_lambda(F, h, psi, LambdaParam.from_q(q), xi_grid, q0=q0,
-                              delta=delta, rel_tol=rel_tol, abs_tol=abs_tol), q)
+    return _boundary(k_lambda(F, h, psi, LambdaParam.from_q(q), xi_grid, q0=q0, delta=delta), q)
 
 
 def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,

@@ -115,11 +115,6 @@ class LinePieces:
     def points(self, probe_for=None) -> LinePieces:
         return self
 
-    def hat(self, u: np.ndarray) -> np.ndarray:
-        """Transform sum_j coef_j exp(i mean_j u - var_j u^2 / 2) at each u."""
-        u = np.asarray(u, dtype=float)
-        return _transform(u.reshape(-1, 1), *join([self])).reshape(u.shape)
-
     def total_mass(self) -> float:
         return float(np.sum(np.abs(self.coef)))
 
@@ -186,7 +181,7 @@ class EtaDensity:
     rule's error; when no rule agrees with its successor up to RULE_CAP
     panels, QuadratureError.  So the node count follows each caller's
     need: the kernel route probes its rows' effect on the kernel
-    integral, ``hat`` its transform over the requested points.
+    integral, ``eval_from_projections`` its transform over the pairings.
     ``total_mass`` and ``exp_moment`` are bounds, taken on the rule of
     RULE_CAP panels (built once per density) without a convergence test,
     so a density with kinks (|fn| of a sign-changing fn) still has them.
@@ -243,10 +238,6 @@ class EtaDensity:
         raise QuadratureError(
             f"line density on radius {self.radius:g} is not resolved: no two "
             f"successive rules up to {RULE_CAP} Kronrod panels agree")
-
-    def hat(self, u: np.ndarray) -> np.ndarray:
-        """Transform at u, resolved over |u| <= max |u|."""
-        return self.points(_hat_probe(u)).hat(u)
 
     def total_mass(self) -> float:
         return self.points().total_mass()

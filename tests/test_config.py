@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from opfeyn import ConfigError, config_from_dict, load_config
+from opfeyn import ConfigError
+from opfeyn.config import config_from_dict, load_config
 
 
 def minimal(**over):
@@ -162,3 +167,17 @@ def test_load_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal(seed=99)))
     assert load_config(good).seed == 99
+
+
+def test_importing_the_library_leaves_the_config_layer_unloaded():
+    # the JSON config is the command line's; `import opfeyn` should cost
+    # only the numerical library, in a fresh interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    probe = ("import sys, opfeyn; print(opfeyn.__file__); "
+             "print(sorted({'json', 'opfeyn.config'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == src / "opfeyn"
+    assert out[1] == "[]"

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig, DirectionStats,
+from opfeyn import (ArgOutOfRange, AtomicMeasure, BadConfig,
                     Envelope, EtaAtoms, EtaDensity, EtaGaussian, FresnelFunctional,
-                    KernelContext, KernelOverflow, LambdaParam, LineMeasure,
+                    KernelOverflow, LambdaParam, LineMeasure,
                     MismatchedScalePair, NonPositiveLambda, NotAdmissible, NotInFq0, PsiFn,
                     PsiNotIntegrable, QuadratureError, RngStream,
                     SequenceLeavesRegion, UnsupportedVariant,
@@ -26,6 +26,7 @@ from opfeyn import engine, quadrature
 from opfeyn.engine import (_cubic_gram, _kernel_family, _measure_family,
                            _merge_moments)
 from opfeyn.fresnel import LinePieces, SpectralMeasure
+from opfeyn.kernels import DirectionStats, KernelContext
 from opfeyn.quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES, LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -327,7 +328,7 @@ def test_boundary_grid_agrees_with_one_point_calls(drifted):
         assert gap <= grid.meta["quad_err"][j] + one.meta["quad_err"][0]
 
 
-def test_boundary_error_estimate_covers_the_gap(drifted):
+def test_boundary_error_estimate_covers_the_gap(drifted, monkeypatch):
     # the reported error must cover the distance to a far tighter run; the
     # Simpson panels' Richardson estimate reported 3.45e-12 at xi = -2
     # against a gap of 5.70e-12
@@ -335,7 +336,10 @@ def test_boundary_error_estimate_covers_the_gap(drifted):
     psi = shifted_gaussian_psi(1.0, 0.0, 0.3)
     for x in (-2.0, 2.0):
         res = j_q(F, h, psi, 1.5, [x], delta=0.5)
-        tight = j_q(F, h, psi, 1.5, [x], delta=0.5, rel_tol=1e-14)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "KERNEL_REL_TOL", 1e-14)
+            tight = j_q(F, h, psi, 1.5, [x], delta=0.5)
+        assert tight.meta["rel_tol"] == 1e-14
         assert res.meta["quad_err"][0] >= abs(res.values[0] - tight.values[0])
 
 

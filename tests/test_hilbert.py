@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfeyn import (DirectionStats, KernelContext, MismatchedScalePair,
-                    ZeroDirection, a_element, a_unit_element, b_element,
-                    combine, drifted_pair, from_density, inner,
+from opfeyn import (MismatchedScalePair, ZeroDirection, a_element, a_unit_element,
+                    b_element, combine, drifted_pair, from_density, inner,
                     monomial_element, pair_with_a, preset_direction, s_star,
                     zero_element)
+from opfeyn.kernels import DirectionStats, KernelContext
 
 LN2 = math.log(2.0)
 

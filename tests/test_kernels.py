@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfeyn import (ArgOutOfRange, DirectionStats, KernelContext, LambdaParam,
-                    ZeroDirection, ZeroLambda, a_element, b_element,
-                    bound_chain_sweep, kernel_M, monomial_element, s_star,
+from opfeyn import (ArgOutOfRange, LambdaParam, ZeroDirection, ZeroLambda, a_element,
+                    b_element, bound_chain_sweep, monomial_element, s_star,
                     sample_interior_lambda, wiener_pair, zero_element)
-from opfeyn.kernels import (a_abs_log, h_abs_log, h_abs_log_coeffs, k_log,
-                            kernel_exponent, s_log, vl_abs_log, vl_coeffs,
-                            vlh_exponent)
+from opfeyn.kernels import (DirectionStats, KernelContext, a_abs_log, h_abs_log,
+                            h_abs_log_coeffs, k_log, kernel_exponent, kernel_M, s_log,
+                            vl_abs_log, vl_coeffs, vlh_exponent)
 
 interior_lam = st.builds(
     complex,
@@ -124,7 +123,7 @@ def test_vlh_product_identity(drift_ctx):
 
 
 @pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
-def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_value):
+def test_kernel_exponent_matches_its_terms_written_out(drift_ctx, lam_value):
     lam = LambdaParam.from_value(lam_value)
     gen = np.random.default_rng(3)
     c, w2 = gen.normal(size=7), gen.uniform(0.5, 2.0, 7)
@@ -139,12 +138,12 @@ def test_vlh_exponent_fills_a_buffer_view_like_a_fresh_array(drift_ctx, lam_valu
     lin, const = vl_coeffs(lam, c, w2, drift_ctx)
     # built by kernel_exponent, which takes the u^2 coefficient that
     # vlh_exponent leaves out, about the point itself
-    fresh = kernel_exponent(lam.value, lam.sqrt, quad, 0.3, 0.3, drift_ctx)(v, lin, const)
-    assert np.max(np.abs(fresh - expected)) <= 1e-13 * np.max(np.abs(expected))
+    built = kernel_exponent(lam.value, lam.sqrt, quad, 0.3, 0.3, drift_ctx)(v, lin, const)
+    assert np.max(np.abs(built - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("lam_value", [0.4 - 0.9j, 2.0 + 0.0j, -1.5j])
-def test_vlh_exponent_about_a_centre_leaves_out_only_the_phase_there(
+def test_kernel_exponent_about_a_centre_leaves_out_only_the_phase_there(
         drift_ctx, lam_value):
     # built about a centre v0 per point, kernel_exponent is its build about
     # the point itself less i Im log H(v0 - xi), which vlh_exponent gives

@@ -5,8 +5,9 @@ import pytest
 from scipy import integrate
 
 from opfeyn import (ArgOutOfRange, ConfigError, Envelope, EtaDensity, PsiFn, b_element,
-                    bump_psi, config_from_dict, divergence_witness_psi, gaussian_psi,
-                    pair_with_a, shifted_gaussian_psi)
+                    bump_psi, divergence_witness_psi, gaussian_psi, pair_with_a,
+                    shifted_gaussian_psi)
+from opfeyn.config import config_from_dict
 
 
 def _bound_values(bound, v):
