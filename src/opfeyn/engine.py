@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadConfig, KernelOverflow, MismatchedScalePair,
+from .errors import (ArgOutOfRange, BadConfig, KernelOverflow, MismatchedScalePair,
                      NonPositiveLambda, NotAdmissible, NotInFq0,
                      PsiNotIntegrable, QuadratureError, SequenceLeavesRegion,
                      UnsupportedVariant)
@@ -195,7 +195,8 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, cen
     (lo, hi) cuts at TRUNC_DROP when the caller has them; ``width`` goes
     to ``adaptive_simpson``.  The bookkeeping is per member in floats, so
     a one-member family pays little array work beyond the quadrature's.
-    Returns the QuadResult with each row's tail bound added to its error.
+    Returns the QuadResult with each row's tail bound added to its error;
+    KernelOverflow when the cuts or a value are not finite floats.
     """
     centres = np.asarray(centres, dtype=float)
     curvature = [b.curvature for b in bounds]
@@ -204,11 +205,15 @@ def _integrate_with_tail_check(f, bounds: list[LogBound], phase_rate: float, cen
             cuts = [b.cut(drop) for b in bounds]
         cuts = np.asarray(cuts, dtype=float)
         lo, hi = float(cuts[:, 0].min()), float(cuts[:, 1].max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise KernelOverflow(f"the truncation interval [{lo}, {hi}] is not finite")
         breakpoints = curvature_breakpoints(
             lo, hi, phase_breakpoints(lo, hi, phase_rate, centres), curvature,
             phase_rate, centres, cuts)
         res = adaptive_simpson(f, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
                                breakpoints=breakpoints, width=width)
+        if not np.all(np.isfinite(res.values)):
+            raise KernelOverflow("an integral overflows a float")
         tails = [b.tails(lo, hi, a) for b, a in zip(bounds, amps)]
         if all(t <= max(TAIL_REL * v, abs_tol)
                for t, v in zip(tails, np.abs(res.values).tolist())):
@@ -498,8 +503,11 @@ def convergence_study(F: FresnelFunctional, h: CambElement, psi: PsiFn,
     the target itself must be admissible, else SequenceLeavesRegion.
     Rounding breaks the first for n > 1074, where 2^{-n} is 0, and can
     break it when |q| is within an ulp of q0.  The target and the sequence
-    share Im lam, so one kernel family integrates them all.
+    share Im lam, so one kernel family integrates them all.  It needs
+    n_steps >= 1, else BadConfig.
     """
+    if n_steps < 1:
+        raise BadConfig(f"the approach sequence needs n_steps >= 1, got {n_steps}")
     if q == 0.0 or not LambdaParam.from_q(q).in_gamma(q0):
         raise SequenceLeavesRegion(
             f"target q = {q} is not beyond the threshold q0 = {q0}")
@@ -578,7 +586,8 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
     defining integral restricted to [0, R] grows without bound as R
     increases even though the witness is integrable and bounded.  The
     partial value is computed with the kernel machinery; divergence shows
-    up as growth in R, never as an exception.
+    up as growth in R, never as an exception.  A witness or a partial value
+    too large for a float raises KernelOverflow.
     """
     if not 0.0 < R < math.inf:
         raise BadConfig(f"the partial-integral radius must be finite and "
@@ -587,7 +596,10 @@ def divergence_witness_partial(sp: ScalePair, R: float) -> DivergencePartial:
         raise BadConfig("the witness needs a scale pair with genuine drift")
     h = a_unit_element(sp)
     p = pair_with_a(h)
-    psi = divergence_witness_psi(p)
+    try:
+        psi = divergence_witness_psi(p)
+    except ValueError as e:  # its envelope scale e^{p^2/2} is past a float
+        raise KernelOverflow(f"the witness at (h,a) = {p:g}: {e}") from None
     lam = LambdaParam.from_q(-1.0)
     ctx = KernelContext.from_direction(h)
     m_factor = kernel_M(lam, ctx)
@@ -621,14 +633,25 @@ class BoundSweepResult:
 
 def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
-    """Rejection-sample parameters from the interior of the admissible region."""
+    """Rejection-sample parameters from the interior of the admissible region.
+
+    Candidates are uniform on [1e-3, 3] x [-y, y]: y = 3, or where the
+    region is thinner y = 2 (2 q0)^{-1/2} 18^{3/4}, which bounds |Im lam|
+    over the region's part of the 3 x 3 box, as |Im lam| < 2 |Im
+    lam^{-1/2}| |lam|^{3/2}.  So a fifth or more are accepted whatever
+    q0; past q0 of about 9e307 the interior is empty in floats, and
+    ArgOutOfRange.
+    """
     require_threshold(q0)
     if n < 0:
         raise BadConfig(f"cannot sample a negative count of parameters, got {n}")
+    reach = min(3.0, 2.0 * 18.0 ** 0.75 / math.sqrt(2.0 * q0))
+    if reach == 0.0:
+        raise ArgOutOfRange(f"the admissible interior at q0 = {q0} is empty in floats")
     out = np.empty(n, dtype=complex)
     filled = 0
     while filled < n:
-        cand = gen.uniform(1e-3, 3.0, 2 * n) + 1j * gen.uniform(-3.0, 3.0, 2 * n)
+        cand = gen.uniform(1e-3, 3.0, 2 * n) + 1j * gen.uniform(-reach, reach, 2 * n)
         keep = cand[gamma_margin(cand, q0) < 0.0]
         take = min(keep.size, n - filled)
         out[filled:filled + take] = keep[:take]

@@ -117,7 +117,9 @@ class QuadratureError(OpfeynError):
 
 
 class KernelOverflow(OpfeynError):
-    """A kernel exponent left the representable floating-point range."""
+    """A value a route computes left the representable floating-point
+    range: a kernel exponent, an exponential moment, an integral, a
+    truncation interval or a count of phase half periods."""
 
 
 # ---------------------------------------------------------------------------

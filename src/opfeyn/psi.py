@@ -26,7 +26,11 @@ COMPACT = "compact"
 
 @dataclass(frozen=True)
 class Envelope:
-    """Pointwise bound C*exp(-rate*v^2), C*exp(-rate*|v|), or C on [-radius, radius]."""
+    """Pointwise bound C*exp(-rate*v^2), C*exp(-rate*|v|), or C on [-radius, radius].
+
+    C, the rate of a decay envelope and the radius of a compact one must be
+    positive and finite, else ValueError.
+    """
 
     kind: str
     scale: float
@@ -36,12 +40,12 @@ class Envelope:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, EXPONENTIAL, COMPACT):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("envelope scale must be positive")
-        if self.kind in (GAUSSIAN, EXPONENTIAL) and self.rate <= 0:
-            raise ValueError("decay envelopes need a positive rate")
-        if self.kind == COMPACT and self.radius <= 0:
-            raise ValueError("compact envelope needs a positive radius")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"envelope scale must be positive and finite, got {self.scale}")
+        if self.kind in (GAUSSIAN, EXPONENTIAL) and not 0.0 < self.rate < math.inf:
+            raise ValueError(f"decay envelopes need a positive finite rate, got {self.rate}")
+        if self.kind == COMPACT and not 0.0 < self.radius < math.inf:
+            raise ValueError(f"compact envelope needs a positive finite radius, got {self.radius}")
 
     @cached_property
     def log_bound(self) -> LogBound:
@@ -56,6 +60,14 @@ class Envelope:
                             right=(0.0, -self.rate, log_c))
         q = (0.0, 0.0, log_c)
         return LogBound(left=q, right=q, support=(-self.radius, self.radius))
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf where a float cannot hold it, which ``Envelope`` refuses."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ def shifted_gaussian_psi(amp: complex, mean: float, sigma: float,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     amp = complex(amp)
-    scale = abs(amp) * math.exp(mean * mean / (2.0 * sigma * sigma))
+    scale = abs(amp) * _exp(mean * mean / (2.0 * sigma * sigma))
     return PsiFn(
         fn=lambda v: amp * np.exp(-(np.asarray(v, dtype=float) - mean) ** 2
                                   / (2.0 * sigma * sigma)),
@@ -119,9 +131,6 @@ def shifted_gaussian_psi(amp: complex, mean: float, sigma: float,
 
 def bump_psi(radius: float, amp: float = 1.0) -> PsiFn:
     """Smooth compactly supported bump of height amp on [-radius, radius]."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
     def fn(v):
         v = np.asarray(v, dtype=float)
         s = v / radius
@@ -142,7 +151,8 @@ def divergence_witness_psi(pair_ha: float) -> PsiFn:
     For p = (h,a) > 0 the product of this function with the boundary
     kernel factor H at the origin grows like v exp(sqrt(2) p v / 4), so
     the transform's defining integral is infinite even though the
-    function itself is both integrable and bounded.
+    function itself is both integrable and bounded.  Its envelope scale
+    e^{p^2/2} overflows a float for p > 37.7, and ``Envelope`` refuses it.
     """
     if pair_ha <= 0:
         raise ValueError("the witness needs a positive drift pairing (h,a)")
@@ -164,7 +174,7 @@ def divergence_witness_psi(pair_ha: float) -> PsiFn:
     # |psi(v)| = v exp(p^2/2 - c v) on v >= 0; halving the decay rate
     # absorbs the linear factor: sup v exp(-c v / 2) = 2/(c e)
     rate = c_quarter / 2.0
-    scale = math.exp(p * p / 2.0) * 2.0 / (c_quarter * math.e)
+    scale = _exp(p * p / 2.0) * 2.0 / (c_quarter * math.e)
     return PsiFn(fn=fn,
                  envelope=Envelope(EXPONENTIAL, scale=scale, rate=rate),
                  label="divergence_witness")

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import KernelOverflow
+
 PHASE_STEP = math.pi
 EPS = np.finfo(float).eps
 EXP_CAP = 700.0       # largest exponent taken: exp(709.8) overflows a float
@@ -82,13 +84,18 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
     ``center`` is one c or an array: right of the extreme centres' midpoint
     the smallest one's points serve all of them, left of it the largest's.
     Near the centres these half-period offsets are far apart, and
-    ``curvature_breakpoints`` splits the panels they leave there.
+    ``curvature_breakpoints`` splits the panels they leave there.  A count
+    of half periods that is not a finite float raises KernelOverflow.
     """
     if rate <= 0.0 or hi <= lo:
         return None
     c_lo, c_hi = float(np.min(center)), float(np.max(center))
     reach = max(c_hi - lo, hi - c_lo)  # farthest any centre is from an end
-    n_steps = int(rate * (reach * reach) / PHASE_STEP)
+    turns = rate * (reach * reach) / PHASE_STEP
+    if not math.isfinite(turns):
+        raise KernelOverflow(f"the phase's half periods on [{lo}, {hi}] at rate {rate} "
+                             f"overflow a float")
+    n_steps = int(turns)
     if n_steps < 4:
         return None
     # every stride-th offset only, so memory stays bounded by PHASE_CAP; in

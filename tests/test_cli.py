@@ -383,3 +383,25 @@ def test_boundary_past_the_integer_phase_range_exits_4(tmp_path, capsys, q):
                        delta=0.5)
     assert run(tmp_path, "evaluate", "--config", cfg, "--quiet") == 4
     assert "numeric failure: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("validate", {"scale": {"preset": "drifted", "alpha": 40.0, "beta": 0.5},
+                  "psi": "divergence_witness"}, 2),
+    ("counterexample", {"scale": {"preset": "drifted", "alpha": 1000.0, "beta": 0.5}}, 4),
+    ("evaluate", {"scale": _DRIFTED, "psi": {"preset": "bump", "radius": 1e300},
+                  "F": "F4", "q": 1.0, "delta": 0.5}, 4),
+    ("converge", {"scale": {"preset": "wiener", "T": 1e-300}, "q": 1.0, "delta": 0.5}, 4),
+], ids=["witness-scale", "witness-partial", "bump-phase-count", "tiny-horizon"])
+def test_a_value_past_the_float_range_ends_in_a_typed_error(tmp_path, capsys, command,
+                                                          cfg, code):
+    # each exited 1 with a traceback: the witness's scale e^{p^2/2} and the
+    # half-period count of the phase (int() of inf, or of nan where the
+    # truncation interval itself overflows) had no float
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(tmp_path, command, "--config", str(p), "--quiet") == code
+    assert capsys.readouterr().err.startswith(
+        "config error: psi:" if code == 2 else "numeric failure: KernelOverflow:")
+

@@ -26,7 +26,7 @@ from opfeyn import engine, quadrature
 from opfeyn.engine import (_cubic_gram, _kernel_family, _measure_family,
                            _merge_moments)
 from opfeyn.fresnel import LinePieces, SpectralMeasure
-from opfeyn.kernels import DirectionStats, KernelContext
+from opfeyn.kernels import DirectionStats, KernelContext, gamma_margin
 from opfeyn.quadrature import CHUNK_BYTES, GK_KRONROD, GK_NODES, LogBound
 
 SPOT = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -829,6 +829,31 @@ def test_convergence_rejects_leaving_sequence(drifted):
                               q0=0.5, delta=0.5, n_steps=n_steps)
 
 
+def test_convergence_study_needs_a_step(drifted):
+    # with no step the study returned no gaps and a target nobody approached
+    with pytest.raises(BadConfig, match="n_steps"):
+        convergence_study(unit_functional(drifted), b_element(drifted), gaussian_psi(),
+                          1.0, np.array([0.0]), delta=0.5, n_steps=0)
+
+
+def test_an_integral_past_a_float_raises_kernel_overflow(drifted, monkeypatch):
+    # exp(-v^2 + 60 v) peaks at e^900 and the witness partial to R = 1e4 at
+    # e^{1e4 sqrt(2) p / 4}: infinite integrals, which read as an uncertified
+    # tail.  The refinement budget only bounds the work spent on them first
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1 << 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(KernelOverflow, match="overflows a float"):
+            gaussian_identity_check(1.0, 60.0)
+        with pytest.raises(KernelOverflow, match="overflows a float"):
+            divergence_witness_partial(drifted, 1e4)
+
+
+def test_witness_partial_past_a_float_raises_kernel_overflow():
+    # under a drift of 1000 t the witness's scale e^{p^2 / 2} has no float
+    with pytest.raises(KernelOverflow, match="witness"):
+        divergence_witness_partial(drifted_pair(1000.0, 0.5), 5.0)
+
+
 def test_witness_partial_growth(drifted):
     p5 = divergence_witness_partial(drifted, 5.0)
     p10 = divergence_witness_partial(drifted, 10.0)
@@ -881,6 +906,49 @@ def test_sample_interior_lambda_stays_inside():
     lams = sample_interior_lambda(50, 0.5, gen)
     assert all(l.real > 0 for l in lams)
     assert all(LambdaParam.from_value(l).in_gamma(0.5) for l in lams)
+
+
+class _Draws:
+    """A generator's uniform draws, at most ``cap`` calls of them."""
+
+    def __init__(self, seed, cap=40):
+        self.gen, self.cap, self.calls = np.random.default_rng(seed), cap, 0
+
+    def uniform(self, lo, hi, size):
+        self.calls += 1
+        assert self.calls <= self.cap, "the sampler keeps rejecting"
+        return self.gen.uniform(lo, hi, size)
+
+
+@pytest.mark.parametrize("q0", [0.5, 16.9])
+def test_sample_interior_lambda_draws_as_from_the_whole_box(q0):
+    # where 2 (2 q0)^{-1/2} 18^{3/4} >= 3 the candidates come from the box
+    # [1e-3, 3] x [-3, 3], draw for draw, so bounds.csv stays as it was
+    gen = np.random.default_rng(4)
+    out = []
+    while len(out) < 300:
+        cand = gen.uniform(1e-3, 3.0, 600) + 1j * gen.uniform(-3.0, 3.0, 600)
+        out += cand[gamma_margin(cand, q0) < 0.0].tolist()
+    assert np.array_equal(sample_interior_lambda(300, q0, np.random.default_rng(4)),
+                          out[:300])
+
+
+@pytest.mark.parametrize("q0", [1e4, 1e8, 1e300], ids=str)
+def test_sample_interior_lambda_accepts_a_share_however_large_q0(q0):
+    # the box's acceptance fell like (2 q0)^{-1/2}: 5.6 s for 10^4 draws at
+    # q0 = 1e8 and no end at 1e300; within |Im lam| <= 2 (2 q0)^{-1/2} 18^{3/4}
+    # a fifth or more are accepted
+    draws = _Draws(seed=5)
+    lams = sample_interior_lambda(2000, q0, draws)
+    assert draws.calls <= 8
+    assert np.all(gamma_margin(lams, q0) < 0.0) and np.all(lams.real > 0.0)
+    assert np.max(np.abs(lams.imag)) > 0.5 * 2.0 * 3.0 ** 1.5 / math.sqrt(2.0 * q0)
+
+
+def test_sample_interior_lambda_refuses_an_interior_empty_in_floats():
+    # past q0 of about 9e307, (2 q0)^{-1/2} is 0 and no candidate can pass
+    with pytest.raises(ArgOutOfRange, match="empty"):
+        sample_interior_lambda(10, 1.7e308, _Draws(seed=6))
 
 
 def test_sample_interior_lambda_count_is_checked():

@@ -47,6 +47,23 @@ def test_envelope_validation():
         Envelope("compact", scale=1.0, radius=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bump_psi(math.inf),
+    lambda: bump_psi(math.nan),
+    lambda: Envelope("gaussian", scale=math.nan, rate=1.0),
+    lambda: Envelope("exponential", scale=1.0, rate=math.inf),
+    lambda: shifted_gaussian_psi(1.0, 40.0, 1.0),
+    lambda: divergence_witness_psi(40.0),
+], ids=["bump-radius-inf", "bump-radius-nan", "scale-nan", "rate-inf",
+        "shifted-scale-overflows", "witness-scale-overflows"])
+def test_envelopes_refuse_non_finite_parameters(build):
+    # unchecked, an infinite bump radius ended in "kernel tail could not be
+    # certified", a nan scale in PsiNotIntegrable, and an envelope scale
+    # past a float (e^800 for the shifted gaussian) in a bare OverflowError
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_tail_mass_dominates_true_tail():
     r = 2.5
     env = Envelope("gaussian", scale=2.0, rate=0.7)
