@@ -151,8 +151,9 @@ def divergence_witness_psi(pair_ha: float) -> PsiFn:
     For p = (h,a) > 0 the product of this function with the boundary
     kernel factor H at the origin grows like v exp(sqrt(2) p v / 4), so
     the transform's defining integral is infinite even though the
-    function itself is both integrable and bounded.  Its envelope scale
-    e^{p^2/2} overflows a float for p > 37.7, and ``Envelope`` refuses it.
+    function itself is both integrable and bounded.  Its envelope scale,
+    about e^{p^2/2}, overflows a float past p = 37.658, and ``Envelope``
+    refuses it.
     """
     if pair_ha <= 0:
         raise ValueError("the witness needs a positive drift pairing (h,a)")
