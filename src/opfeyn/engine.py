@@ -635,12 +635,11 @@ def sample_interior_lambda(n: int, q0: float,
                            gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample parameters from the interior of the admissible region.
 
-    Candidates are uniform on [1e-3, 3] x [-y, y]: y = 3, or where the
-    region is thinner y = 2 (2 q0)^{-1/2} 18^{3/4}, which bounds |Im lam|
-    over the region's part of the 3 x 3 box, as |Im lam| < 2 |Im
-    lam^{-1/2}| |lam|^{3/2}.  So a fifth or more are accepted whatever
-    q0; past q0 of about 9e307 the interior is empty in floats, and
-    ArgOutOfRange.
+    Candidates are uniform on [1e-3, 3] x [-y, y], y = min(3, 2 (2
+    q0)^{-1/2} 18^{3/4}): in the 3 x 3 box the region's |Im lam| < 2 |Im
+    lam^{-1/2}| |lam|^{3/2} is below that bound, so a fifth or more of
+    them are accepted whatever q0.  Past q0 of about 9e307 the interior
+    is empty in floats: ArgOutOfRange.
     """
     require_threshold(q0)
     if n < 0:

@@ -91,11 +91,11 @@ def phase_breakpoints(lo: float, hi: float, rate: float,
         return None
     c_lo, c_hi = float(np.min(center)), float(np.max(center))
     reach = max(c_hi - lo, hi - c_lo)  # farthest any centre is from an end
-    turns = rate * (reach * reach) / PHASE_STEP
-    if not math.isfinite(turns):
+    halves = rate * (reach * reach) / PHASE_STEP
+    if not math.isfinite(halves):
         raise KernelOverflow(f"the phase's half periods on [{lo}, {hi}] at rate {rate} "
                              f"overflow a float")
-    n_steps = int(turns)
+    n_steps = int(halves)
     if n_steps < 4:
         return None
     # every stride-th offset only, so memory stays bounded by PHASE_CAP; in
